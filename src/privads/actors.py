@@ -19,7 +19,7 @@ from .contracts import FundContract, PolicyContract, aggregate_message, policy_b
 from .group import (
     KeyPair,
     NoSolutionInBound,
-    add_ciphertexts,
+    combine_ciphertexts,
     decrypt,
     dh_agree,
     encrypt_vector,
@@ -38,6 +38,7 @@ from .proofs import prove_decryption, vrf_eval, vrf_rand, vrf_verify
 from .rng import Rng
 from .threshold import (
     InsufficientParticipants,
+    InvalidShareProof,
     PoolParams,
     SyncChannel,
     ThresholdPublicKey,
@@ -45,7 +46,7 @@ from .threshold import (
     draw_winner,
     max_draw,
     partial_decrypt,
-    verify_partial,
+    verify_partials,
 )
 
 __all__ = [
@@ -267,22 +268,20 @@ class AdvertiserAgent:
         verdict = {"advertiser": self.adv_id, "ok": True, "checks": [], "claim_receipt": None}
 
         if fsc.analytics_enc_totals is not None and psc.reported_vectors:
-            sums = None
-            for _, _, vec in psc.reported_vectors:
-                sums = list(vec) if sums is None else [add_ciphertexts(a, b) for a, b in zip(sums, vec)]
+            sums = _analytics_sums(psc)
             match = all(
                 a.encode() == b.encode() for a, b in zip(sums, fsc.analytics_enc_totals)
             )
             verdict["checks"].append(("homomorphic_sum_matches", match))
-            posted = 0
-            for index, partials in sorted(fsc.analytics_partials.items()):
-                ok = all(
-                    verify_partial(tpk, ct, partial)
-                    for ct, partial in zip(fsc.analytics_enc_totals, partials)
-                )
+            posts = sorted(fsc.analytics_partials.items())
+            cts = fsc.analytics_enc_totals
+            # One batch over every post; only when it fails is each post
+            # checked on its own, to tell which one is bad.
+            all_ok = _partials_verify(tpk, cts * len(posts), [p for _, partials in posts for p in partials])
+            for index, partials in posts:
+                ok = all_ok or _partials_verify(tpk, cts, partials)
                 verdict["checks"].append((f"partials_from_{index}_verify", ok))
-                posted += 1
-            verdict["checks"].append(("enough_partials", posted >= (fsc.pool_threshold or 0)))
+            verdict["checks"].append(("enough_partials", len(posts) >= (fsc.pool_threshold or 0)))
 
         record = fsc.advertisers[self.adv_id]
         spent = sum(
@@ -297,6 +296,20 @@ class AdvertiserAgent:
                 self.account, handle.fsc_address, "claim_insufficient_refund", {"id": self.adv_id}
             )
         return verdict
+
+
+def _analytics_sums(psc: PolicyContract) -> list:
+    """Per-slot homomorphic sum of every reported analytics vector."""
+    vectors = [vec for _, _, vec in psc.reported_vectors]
+    return [combine_ciphertexts([1] * len(vectors), column) for column in zip(*vectors)]
+
+
+def _partials_verify(tpk: ThresholdPublicKey, cts: list, partials: list) -> bool:
+    try:
+        verify_partials(tpk, cts, partials)
+    except InvalidShareProof:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +374,8 @@ class FacilitatorAgent:
             encrypted = adv.encrypted_policies(self.rng)
             for slot, value in zip(adv.slots, adv.policies):
                 # facilitator checks the agreed value before merging
-                assert policy_value(sym_decrypt(self.sym_keys[adv.adv_id], encrypted[slot])) == value
+                if policy_value(sym_decrypt(self.sym_keys[adv.adv_id], encrypted[slot])) != value:
+                    raise PolicyMismatch(f"advertiser {adv.adv_id} slot {slot} does not open to {value}")
                 slot_blobs[slot] = encrypted[slot]
                 slot_keys[slot] = self.sym_keys[adv.adv_id]
         for slot in range(catalog_size):
@@ -557,12 +571,9 @@ def pool_analytics(pool: PoolResult, registrant_by_id: dict, handle: CampaignHan
     fsc = handle.fsc
     psc = handle.psc
     k = fsc.pool_threshold
-    vectors = [vec for _, _, vec in psc.reported_vectors]
-    if not vectors:
+    if not psc.reported_vectors:
         return []
-    sums = list(vectors[0])
-    for vec in vectors[1:]:
-        sums = [add_ciphertexts(a, b) for a, b in zip(sums, vec)]
+    sums = _analytics_sums(psc)
     receipts = []
     for participant_id in pool.winners[:k]:
         share = pool.shares[participant_id]

@@ -14,8 +14,7 @@ from __future__ import annotations
 import time
 from statistics import median
 
-from .group import decrypt, encrypt, encrypt_vector, keygen, random_scalar, recover_plaintext
-from .group import add_ciphertexts, scalar_mul_ciphertext
+from .group import combine_ciphertexts, decrypt, encrypt, encrypt_vector, keygen, random_scalar, recover_plaintext
 from .payments import build_batch, verify_batch
 from .proofs import prove_decryption
 from .rng import Rng
@@ -65,10 +64,7 @@ def time_request_generation(catalog_size: int, repeats: int = 5, bound: int = 2*
     kp = keygen(b"bench-req")
     policies = [rng.randrange(1, 21) for _ in range(catalog_size)]
     vector = [rng.randrange(10) for _ in range(catalog_size)]
-    aggregate = None
-    for p, x in zip(policies, vector):
-        ct = scalar_mul_ciphertext(p, encrypt(kp.pk, x, random_scalar(rng)))
-        aggregate = ct if aggregate is None else add_ciphertexts(aggregate, ct)
+    aggregate = combine_ciphertexts(policies, [encrypt(kp.pk, x, random_scalar(rng)) for x in vector])
 
     def op():
         plain = decrypt(kp.sk, aggregate)
@@ -88,10 +84,7 @@ def time_aggregate_computation(catalog_size: int, repeats: int = 3) -> dict:
     enc_vec = encrypt_vector(kp.pk, [rng.randrange(10) for _ in range(catalog_size)], rng)
 
     def op():
-        acc = None
-        for p, ct in zip(policies, enc_vec):
-            term = scalar_mul_ciphertext(p, ct)
-            acc = term if acc is None else add_ciphertexts(acc, term)
+        combine_ciphertexts(policies, enc_vec)
 
     result = _timed(op, repeats)
     result["catalog_size"] = catalog_size

@@ -15,23 +15,19 @@ from .codec import encode_args, to_wire
 from .group import (
     G,
     GroupElement,
-    IDENTITY,
     Ciphertext,
     Signature,
-    add_ciphertexts,
+    combine_ciphertexts,
     recover_plaintext,
-    scalar_mul_ciphertext,
     sym_decrypt,
     verify_sig,
 )
 from .ledger import Address, ContractError, ExecutionContext
 from .payments import open_verify
 from .proofs import verify_decryption
-from .threshold import ThresholdPublicKey, combine_partials, verify_partial
+from .threshold import InvalidShareProof, ThresholdPublicKey, combine_verified_partials, verify_partials
 
 __all__ = ["PolicyContract", "FundContract", "policy_blob", "policy_value"]
-
-_EMPTY_CT = Ciphertext(IDENTITY, IDENTITY)
 
 
 def policy_blob(value: int) -> bytes:
@@ -68,6 +64,9 @@ class PolicyContract:
         self.reported_vectors: list = []  # (period, user_pk bytes, tuple[Ciphertext])
         self.requested_this_period: set = set()
         self.period = 0
+        # Contract memory outside the state: the policy values, decrypted on
+        # first use once fsc.init has frozen enc_policies and enc_keys.
+        self._policy_values: tuple | None = None
 
     # -- dispatch ------------------------------------------------------------
 
@@ -124,13 +123,17 @@ class PolicyContract:
 
     # -- reward aggregation ----------------------------------------------------
 
-    def _decrypt_policies(self, ctx) -> list[int]:
+    def _decrypt_policies(self, ctx) -> tuple:
+        if self._policy_values is not None:
+            return self._policy_values
         if any(k is None for k in self.enc_keys) or any(p is None for p in self.enc_policies):
             raise ContractError("PolicyNotLoaded")
-        values = []
-        for enc_key, enc_policy in zip(self.enc_keys, self.enc_policies):
-            sym_key = ctx.validator_decrypt(enc_key)
-            values.append(policy_value(sym_decrypt(sym_key, enc_policy)))
+        values = tuple(
+            policy_value(sym_decrypt(ctx.validator_decrypt(enc_key), enc_policy))
+            for enc_key, enc_policy in zip(self.enc_keys, self.enc_policies)
+        )
+        if self._fsc(ctx).init:
+            self._policy_values = values
         return values
 
     def compute_aggregate(self, ctx, args):
@@ -144,11 +147,7 @@ class PolicyContract:
         key = user_pk.encode()
         if key in self.aggregates:
             raise ContractError("DuplicateClaim")
-        policies = self._decrypt_policies(ctx)
-        aggregate = _EMPTY_CT
-        for value, ct in zip(policies, enc_vec):
-            if value:
-                aggregate = add_ciphertexts(aggregate, scalar_mul_ciphertext(value, ct))
+        aggregate = combine_ciphertexts(self._decrypt_policies(ctx), enc_vec)
         self.aggregates[key] = aggregate
         self.aggregate_signatures[key] = ctx.sign_aggregate(aggregate_message(user_pk, aggregate))
         self.reported_vectors.append((self.period, key, tuple(enc_vec_prime)))
@@ -245,7 +244,7 @@ class FundContract:
         self.pool_threshold: int | None = None
         self.recovery_bound: int = 2**20
         self.analytics_enc_totals: list | None = None
-        self.analytics_tpk: dict | None = None
+        self.analytics_tpk: ThresholdPublicKey | None = None
         self.analytics_partials: dict[int, list] = {}
         self.analytics_totals: list | None = None
         self.settlement_counter = 0
@@ -380,30 +379,31 @@ class FundContract:
             raise ContractError("ThresholdKeyMismatch", "vector head must be the public key")
         if self.analytics_enc_totals is None:
             self.analytics_enc_totals = list(enc_totals)
-            self.analytics_tpk = {"pk": tpk_pk, "vector": list(tpk_vector)}
+            self.analytics_tpk = ThresholdPublicKey(tpk_pk, tuple(tpk_vector))
         else:
             if [ct.encode() for ct in enc_totals] != [ct.encode() for ct in self.analytics_enc_totals]:
                 raise ContractError("AnalyticsMismatch", "posted ciphertexts disagree")
         if index in self.analytics_partials:
             raise ContractError("DuplicatePost", str(index))
-        tpk = ThresholdPublicKey(self.analytics_tpk["pk"], tuple(self.analytics_tpk["vector"]))
-        for slot, partial in enumerate(partials):
-            if partial.index != index:
-                raise ContractError("IndexMismatch")
-            if not verify_partial(tpk, self.analytics_enc_totals[slot], partial):
-                raise ContractError("InvalidShareProof", str(index))
+        if any(partial.index != index for partial in partials):
+            raise ContractError("IndexMismatch")
+        try:
+            verify_partials(self.analytics_tpk, self.analytics_enc_totals, partials)
+        except InvalidShareProof:
+            raise ContractError("InvalidShareProof", str(index)) from None
         self.analytics_partials[index] = list(partials)
         if self.analytics_totals is None and len(self.analytics_partials) >= self.pool_threshold:
-            self._combine_analytics(tpk)
+            self._combine_analytics()
             self._maybe_close(ctx)
         return {"posted": index, "combined": self.analytics_totals is not None}
 
-    def _combine_analytics(self, tpk: ThresholdPublicKey):
+    def _combine_analytics(self):
+        """Every stored post was verified when it landed."""
         chosen = sorted(self.analytics_partials)[: self.pool_threshold]
         totals = []
         for slot, ct in enumerate(self.analytics_enc_totals):
             partials = [self.analytics_partials[i][slot] for i in chosen]
-            point = combine_partials(tpk, partials, ct, self.pool_threshold)
+            point = combine_verified_partials(partials, ct, self.pool_threshold)
             totals.append(recover_plaintext(point, self.recovery_bound))
         self.analytics_totals = totals
         self.aggr_clicks = [a + b for a, b in zip(self.aggr_clicks, totals)]

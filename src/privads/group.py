@@ -50,6 +50,8 @@ __all__ = [
     "recover_plaintext",
     "add_ciphertexts",
     "scalar_mul_ciphertext",
+    "combine_ciphertexts",
+    "msm",
     "encrypt_vector",
     "precompute_base",
     "sign",
@@ -213,15 +215,6 @@ def _mul_windowed(k: int, table) -> tuple:
     return acc
 
 
-def _mul_plain(k: int, x: int, y: int) -> tuple:
-    acc = _INF
-    for bit in bin(k)[2:]:
-        acc = _jac_double(*acc)
-        if bit == "1":
-            acc = _jac_add_affine(*acc, x, y)
-    return acc
-
-
 # secp256k1 endomorphism: lambda * (x, y) == (beta * x, y).  Splitting the
 # scalar across it halves the doubling count of a variable-base multiply.
 _BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
@@ -348,7 +341,11 @@ class GroupElement:
             raise ValueError("point encoding must be 33 bytes")
         if data == b"\x00" * 33:
             return IDENTITY
+        if data[0] not in (2, 3):
+            raise ValueError("point prefix must be 0x02 or 0x03")
         x = int.from_bytes(data[1:], "big")
+        if x >= _P:
+            raise ValueError("x coordinate not below the field prime")
         y2 = (pow(x, 3, _P) + 7) % _P
         y = pow(y2, (_P + 1) // 4, _P)
         if y * y % _P != y2:
@@ -381,6 +378,84 @@ def precompute_base(point: GroupElement) -> None:
 
 
 precompute_base(G)
+
+
+# Below this many distinct terms a multi-scalar multiply runs one multiply
+# per term; from here on Pippenger's bucket method is faster (measured with
+# 256-bit scalars on CPython 3.11: per-term wins at 6 terms, loses at 8).
+_PIPPENGER_MIN_TERMS = 8
+
+
+def msm(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
+    """sum(k_i * P_i) in one pass: the package's multi-scalar multiply.
+
+    Scalars are reduced modulo ORDER; zero scalars and identity points
+    drop out, and repeated points (P and -P alike) are merged into one
+    term first.  The sum stays Jacobian and is converted to affine once.
+    Raises ValueError for a point that is not on the curve.
+    """
+    merged: dict = {}  # x -> [y, k]; on the curve one x holds only P and -P
+    for k, point in zip(scalars, points, strict=True):
+        k %= ORDER
+        if not k or point.is_identity:
+            continue
+        x, y = point.x, point.y
+        if not (0 <= x < _P and 0 <= y < _P) or (y * y - x * x * x - 7) % _P:
+            raise ValueError("point not on the curve")
+        entry = merged.get(x)
+        if entry is None:
+            merged[x] = [y, k]
+        else:
+            entry[1] = (entry[1] + (k if y == entry[0] else -k)) % ORDER
+    terms = [(k, x, y) for x, (y, k) in merged.items() if k]
+    if len(terms) >= _PIPPENGER_MIN_TERMS:
+        return _from_jac(_pippenger(terms))
+    acc = _INF
+    for k, x, y in terms:
+        acc = _jac_add(*acc, *_mul_var(k, x, y))
+    return _from_jac(acc)
+
+
+def _pippenger(terms: list) -> tuple:
+    """Bucket method over signed base-2**c digits; terms are (k, x, y)
+    with 0 < k < ORDER, and the result is Jacobian."""
+    c = max(2, len(terms).bit_length() - 3)  # about log2(n) - 2
+    full = 1 << c
+    half = full >> 1
+    mask = full - 1
+    # k on P and ORDER - k on -P are the same term; the smaller scalar has
+    # fewer digits (a small negative coefficient arrives as a 256-bit one).
+    terms = [(ORDER - k, x, _P - y) if k > ORDER >> 1 else (k, x, y) for k, x, y in terms]
+    windows = max(k.bit_length() for k, _, _ in terms) // c + 1
+    # rows[w][b] is the Jacobian sum of every point whose digit w is +-b.
+    rows = [[None] * (half + 1) for _ in range(windows)]
+    for k, x, y in terms:
+        w = 0
+        while k:
+            d = k & mask
+            k >>= c
+            if d > half:  # digits run over (-half, half], carrying into k
+                d -= full
+                k += 1
+            if d:
+                py = y if d > 0 else _P - y
+                d = abs(d)
+                row = rows[w]
+                bucket = row[d]
+                row[d] = (x, py, 1) if bucket is None else _jac_add_affine(*bucket, x, py)
+            w += 1
+    acc = _INF
+    for row in reversed(rows):
+        for _ in range(c):
+            acc = _jac_double(*acc)
+        running = total = _INF
+        for bucket in row[:0:-1]:  # sum(b * row[b]) as a running sum of sums
+            if bucket is not None:
+                running = _jac_add(*running, *bucket)
+            if running[2]:
+                total = _jac_add(*total, *running)
+        acc = _jac_add(*acc, *total)
+    return acc
 
 
 def hash_to_scalar(tag: bytes, *parts: bytes) -> Scalar:
@@ -485,6 +560,14 @@ def scalar_mul_ciphertext(k: int, ct: Ciphertext) -> Ciphertext:
     if k < 0:
         raise ValueError("scalar must be non-negative")
     return Ciphertext(ct.c1.mul(k), ct.c2.mul(k))
+
+
+def combine_ciphertexts(weights: Sequence[int], cts: Sequence[Ciphertext]) -> Ciphertext:
+    """sum(w_i * ct_i), an encryption of the weights' dot product with the
+    plaintexts: one multi-scalar multiply per component."""
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be non-negative")
+    return Ciphertext(msm(weights, [ct.c1 for ct in cts]), msm(weights, [ct.c2 for ct in cts]))
 
 
 def encrypt_vector(pk: GroupElement, msgs: Sequence[int], rng, bound: int = ANALYTICS_BOUND) -> list[Ciphertext]:

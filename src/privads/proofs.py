@@ -21,6 +21,7 @@ from .group import (
     Scalar,
     hash_to_point,
     hash_to_scalar,
+    msm,
     random_scalar,
     scalar_bytes,
     decrypt,
@@ -32,6 +33,7 @@ __all__ = [
     "MismatchedPlain",
     "dleq_prove",
     "dleq_verify",
+    "dleq_first_invalid",
     "prove_decryption",
     "verify_decryption",
     "vrf_rand",
@@ -95,6 +97,57 @@ def dleq_verify(tag: bytes, base_a, pub_a, base_b, pub_b, proof: DecryptionProof
         c = _dleq_challenge(tag, base_a, pub_a, base_b, pub_b, proof.commit_a, proof.commit_b)
         return c == proof.challenge
     except Exception:
+        return False
+
+
+_WEIGHT_MASK = (1 << 128) - 1
+
+
+def dleq_first_invalid(tag: bytes, statements, proofs) -> int | None:
+    """Position of the first proof that fails dleq_verify, or None when
+    every proof verifies.
+
+    statements[i] is (base_a, pub_a, base_b, pub_b) for proofs[i].  Each
+    proof's ranges and Fiat-Shamir challenge are checked on their own; the
+    two linear equations of every proof are then folded into one
+    multi-scalar multiply under independent 128-bit weights
+    (small-exponent batch verification, Bellare-Garay-Rabin 1998), so a
+    batch holding a false proof passes with probability about 2**-128.
+    A batch that fails is checked again one proof at a time, in order, to
+    name the offender.
+    """
+    if len(statements) != len(proofs):
+        raise ValueError("one statement per proof")
+    if not _dleq_batch_holds(tag, statements, proofs):
+        for position, (statement, proof) in enumerate(zip(statements, proofs)):
+            if not dleq_verify(tag, *statement, proof):
+                return position
+    return None
+
+
+def _dleq_batch_holds(tag: bytes, statements, proofs) -> bool:
+    try:
+        for (base_a, pub_a, base_b, pub_b), proof in zip(statements, proofs):
+            if not (0 <= proof.challenge < ORDER and 0 <= proof.response < ORDER):
+                return False
+            if _dleq_challenge(tag, base_a, pub_a, base_b, pub_b, proof.commit_a, proof.commit_b) != proof.challenge:
+                return False
+        # Each challenge hashes its statement and commitments, so hashing
+        # every (challenge, response) pair binds the weights to the whole
+        # batch.  No Rng is drawn: the check is a pure function of its input.
+        seed = scalar_bytes(
+            hash_to_scalar(b"dleq-batch/" + tag, *(scalar_bytes(p.challenge) + scalar_bytes(p.response) for p in proofs))
+        )
+        scalars, points = [], []
+        for position, ((base_a, pub_a, base_b, pub_b), proof) in enumerate(zip(statements, proofs)):
+            weights = hash_to_scalar(b"dleq-batch/weights", seed, position.to_bytes(4, "big"))
+            u, v = weights & _WEIGHT_MASK, weights >> 128
+            c, s = proof.challenge, proof.response
+            # u * (s*base_a + c*pub_a - commit_a) + v * (s*base_b + c*pub_b - commit_b)
+            scalars += [u * s, u * c, u, v * s, v * c, v]
+            points += [base_a, pub_a, -proof.commit_a, base_b, pub_b, -proof.commit_b]
+        return msm(scalars, points).is_identity
+    except (AttributeError, TypeError, ValueError):
         return False
 
 

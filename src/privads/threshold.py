@@ -22,9 +22,10 @@ from .group import (
     Ciphertext,
     GroupElement,
     Scalar,
+    msm,
     random_scalar,
 )
-from .proofs import DecryptionProof, dleq_prove, dleq_verify
+from .proofs import DecryptionProof, dleq_first_invalid, dleq_prove, dleq_verify
 
 __all__ = [
     "PoolParams",
@@ -38,12 +39,15 @@ __all__ = [
     "InsufficientShares",
     "InvalidShareProof",
     "DuplicateShareIndex",
+    "ShareCommitmentMismatch",
     "max_draw",
     "draw_winner",
     "dkg_run",
     "partial_decrypt",
     "verify_partial",
+    "verify_partials",
     "combine_partials",
+    "combine_verified_partials",
     "lagrange_coefficients",
 ]
 
@@ -70,6 +74,12 @@ class InvalidShareProof(Exception):
 
 class DuplicateShareIndex(Exception):
     """Two partials claim the same share index."""
+
+
+class ShareCommitmentMismatch(Exception):
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"key share {index} does not match the joint commitments")
 
 
 @dataclass(frozen=True)
@@ -136,15 +146,16 @@ class ThresholdPublicKey:
 
     pk: GroupElement
     verification: tuple
+    _share_commitments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def share_commitment(self, index: int) -> GroupElement:
-        """Expected commitment share*G for the holder of `index`."""
-        acc = IDENTITY
-        power = 1
-        for coeff in self.verification:
-            acc = acc + coeff.mul(power)
-            power = power * index % ORDER
-        return acc
+        """Expected commitment share*G for the holder of `index`, computed
+        once per index."""
+        commitment = self._share_commitments.get(index)
+        if commitment is None:
+            powers = [pow(index, j, ORDER) for j in range(len(self.verification))]
+            commitment = self._share_commitments[index] = msm(powers, self.verification)
+        return commitment
 
 
 @dataclass(frozen=True)
@@ -265,7 +276,8 @@ def dkg_run(participants, k: int, channel: SyncChannel, rng, corrupt=None, stric
             value = sum(channel.private(f"{tag}/deal", dealer, recipient) for dealer in active) % ORDER
             shares[recipient] = KeyShare(recipient, value, G.mul(value))
         for recipient, share in shares.items():
-            assert share.commitment == tpk.share_commitment(recipient)
+            if share.commitment != tpk.share_commitment(recipient):
+                raise ShareCommitmentMismatch(recipient)
         return DkgResult(tpk, shares, excluded)
 
 
@@ -291,6 +303,20 @@ def verify_partial(tpk: ThresholdPublicKey, ct: Ciphertext, partial: PartialDecr
     return dleq_verify(_PARTIAL_TAG, G, commitment, ct.c1, partial.share_point, partial.proof)
 
 
+def verify_partials(tpk: ThresholdPublicKey, cts, partials) -> None:
+    """Check partials[i] against cts[i], all in one batch.
+
+    Raises InvalidShareProof for the first partial, in order, whose proof
+    fails: the same verdict as verify_partial on each pair in turn.
+    """
+    if len(cts) != len(partials):
+        raise ValueError("one ciphertext per partial")
+    statements = [(G, tpk.share_commitment(p.index), ct.c1, p.share_point) for ct, p in zip(cts, partials)]
+    bad = dleq_first_invalid(_PARTIAL_TAG, statements, [p.proof for p in partials])
+    if bad is not None:
+        raise InvalidShareProof(partials[bad].index)
+
+
 def lagrange_coefficients(indices) -> dict:
     """Lagrange basis at zero over the scalar field, keyed by index."""
     coeffs = {}
@@ -313,16 +339,15 @@ def combine_partials(tpk: ThresholdPublicKey, partials, ct: Ciphertext, k: int) 
     indices = [p.index for p in partials]
     if len(set(indices)) != len(indices):
         raise DuplicateShareIndex(f"duplicate indices in {indices}")
-    valid = []
-    for partial in partials:
-        if not verify_partial(tpk, ct, partial):
-            raise InvalidShareProof(partial.index)
-        valid.append(partial)
-    if len(valid) < k:
-        raise InsufficientShares(f"{len(valid)} valid partials, need {k}")
-    chosen = valid[:k]
+    verify_partials(tpk, [ct] * len(partials), partials)
+    return combine_verified_partials(partials, ct, k)
+
+
+def combine_verified_partials(partials, ct: Ciphertext, k: int) -> GroupElement:
+    """combine_partials for partials with distinct indices whose proofs the
+    caller has already checked."""
+    if len(partials) < k:
+        raise InsufficientShares(f"{len(partials)} valid partials, need {k}")
+    chosen = partials[:k]
     lam = lagrange_coefficients([p.index for p in chosen])
-    masked = IDENTITY
-    for partial in chosen:
-        masked = masked + partial.share_point.mul(lam[partial.index])
-    return ct.c2 - masked
+    return ct.c2 - msm([lam[p.index] for p in chosen], [p.share_point for p in chosen])

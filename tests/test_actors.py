@@ -128,6 +128,22 @@ class TestAdvertiserSetup:
         assert chain.balances.get(handle.fsc_address, 0) == 0
 
 
+    def test_facilitator_refuses_blob_that_opens_to_another_value(self, monkeypatch):
+        def lying_policies(self, rng):
+            return {
+                slot: sym_encrypt(self.sym_key, policy_blob(value + 1), rng)
+                for slot, value in zip(self.slots, self.policies)
+            }
+
+        monkeypatch.setattr(AdvertiserAgent, "encrypted_policies", lying_policies)
+        rng = Rng("adv-lie")
+        cf = FacilitatorAgent(keygen(b"cf"), rng)
+        adv = AdvertiserAgent("acme", keygen(b"acme"), [0, 1, 2], [4, 20, 12], [100, 100, 100], fee=10)
+        chain = Chain(0, "adv-lie", {cf.account: 0, adv.account: adv.budget + adv.fee})
+        with pytest.raises(PolicyMismatch):
+            cf.deploy_campaign(chain, [adv], 3, 10_000, 50)
+
+
 class TestPoolLifecycle:
     def test_threshold_key_published(self, campaign):
         pool, _ = pool_for(campaign)

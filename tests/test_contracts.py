@@ -186,6 +186,59 @@ class TestAggregation:
         assert verify_sig(campaign.chain.aggregate_keypair.pk, message, sig, tag=b"sig/aggregate")
 
 
+class TestAggregateOpCounts:
+    """Deterministic operation counts that wall-clock bounds would miss."""
+
+    def _count_calls(self, monkeypatch, owner, name, record):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            record.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_policies_decrypted_once_per_campaign(self, campaign, monkeypatch):
+        import privads.group
+
+        decrypts = []
+        self._count_calls(monkeypatch, privads.group, "hybrid_decrypt", decrypts)
+        first = claim(campaign, [3, 0, 2], tag="first")
+        second = claim(campaign, [1, 1, 1], tag="second")
+        assert len(decrypts) == campaign.psc.catalog_size
+        oracle = {first: 4 * 3 + 12 * 2, second: 4 + 20 + 12}
+        for kp, expected in oracle.items():
+            ct, _ = campaign.psc.get_aggregate(kp.pk)
+            assert recover_plaintext(decrypt(kp.sk, ct), 1000) == expected
+
+    def test_aggregate_multiplies_no_ciphertext_point(self, campaign, monkeypatch):
+        from privads.group import GroupElement
+
+        claim(campaign, [1, 0, 0], tag="warm")  # decrypts and caches the policies
+        kp = keygen(b"eph/counted")
+        enc_vec = encrypt_vector(kp.pk, [3, 0, 2], campaign.rng)
+        campaign.cf_call(
+            campaign.psc_address,
+            "compute_aggregate",
+            {"user_pk": kp.pk, "enc_vec": enc_vec, "enc_vec_prime": enc_vec},
+        )
+        bases = []
+        self._count_calls(monkeypatch, GroupElement, "mul", bases)
+        campaign.mine()
+        # only the aggregate signature multiplies, and only the generator
+        assert bases and all(base == G for base in bases)
+        ct, _ = campaign.psc.get_aggregate(kp.pk)
+        assert recover_plaintext(decrypt(kp.sk, ct), 1000) == 36
+
+    def test_policies_cached_only_once_frozen(self):
+        from privads.ledger import ExecutionContext
+
+        campaign = build_campaign(stake=False)  # store_policy still open
+        ctx = ExecutionContext(campaign.chain, campaign.cf_account, campaign.chain.height, "probe")
+        assert campaign.psc._decrypt_policies(ctx) == (4, 20, 12)
+        assert campaign.psc._policy_values is None
+
+
 class TestPaymentRequest:
     def test_honest_request_buffered(self, campaign):
         kp = claim(campaign, [3, 0, 2])
@@ -343,6 +396,51 @@ class TestAnalyticsPosts:
             assert campaign.chain.receipt(rid).ok, campaign.chain.receipt(rid).error
         assert campaign.fsc.analytics_totals == totals_plain
         assert campaign.fsc.aggr_clicks == totals_plain
+
+    def test_each_partial_checked_once_in_a_batch(self, campaign, monkeypatch):
+        import privads.proofs
+        import privads.threshold
+
+        rng = campaign.rng
+        result = dkg_run([1, 2, 3], 2, SyncChannel(), rng)
+        campaign.cf_call(
+            campaign.fsc_address,
+            "register_pool",
+            {"pk": keygen(b"pool-signing").pk, "threshold": 2, "recovery_bound": 2**12},
+        )
+        campaign.mine()
+        enc_totals = encrypt_vector(result.public_key.pk, [5, 0, 7], rng)
+        posts = {i: [partial_decrypt(result.shares[i], ct, rng) for ct in enc_totals] for i in (1, 2)}
+        single, batched = [], []
+
+        def counted_single(*args):
+            single.append(args)
+            return True
+
+        def counted_batch(tag, statements, proofs):
+            batched.append(len(proofs))
+            return first_invalid(tag, statements, proofs)
+
+        first_invalid = privads.threshold.dleq_first_invalid
+        monkeypatch.setattr(privads.proofs, "dleq_verify", counted_single)
+        monkeypatch.setattr(privads.threshold, "dleq_verify", counted_single)
+        monkeypatch.setattr(privads.threshold, "dleq_first_invalid", counted_batch)
+        for index, partials in posts.items():
+            campaign.cf_call(
+                campaign.fsc_address,
+                "post_analytics",
+                {
+                    "enc_totals": enc_totals,
+                    "tpk_pk": result.public_key.pk,
+                    "tpk_vector": list(result.public_key.verification),
+                    "index": index,
+                    "partials": partials,
+                },
+            )
+            campaign.mine()
+        assert campaign.fsc.analytics_totals == [5, 0, 7]
+        assert single == []
+        assert batched == [3, 3]
 
     def test_forged_partial_rejected(self, campaign):
         rng = campaign.rng

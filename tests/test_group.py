@@ -19,6 +19,7 @@ from privads.group import (
     NoSolutionInBound,
     PlaintextOutOfBound,
     add_ciphertexts,
+    combine_ciphertexts,
     decrypt,
     dh_agree,
     encrypt,
@@ -26,6 +27,7 @@ from privads.group import (
     hybrid_decrypt,
     hybrid_encrypt,
     keygen,
+    msm,
     random_scalar,
     recover_plaintext,
     scalar_mul_ciphertext,
@@ -34,6 +36,7 @@ from privads.group import (
     sym_encrypt,
     verify_sig,
 )
+from privads.group import _P
 from privads.rng import Rng
 
 
@@ -72,6 +75,19 @@ class TestGroupElement:
         assert GroupElement.decode(IDENTITY.encode()).is_identity
         assert len(P.encode()) == 33
 
+    @pytest.mark.parametrize("prefix", [0x00, 0x04, 0x05])
+    def test_decode_rejects_other_prefixes(self, rng, prefix):
+        P = G.mul(random_scalar(rng))
+        with pytest.raises(ValueError):
+            GroupElement.decode(bytes([prefix]) + P.encode()[1:])
+
+    def test_decode_rejects_x_alias(self):
+        # x = 1 is on the curve; 1 + p encodes the same x modulo p
+        point = GroupElement.decode(b"\x02" + (1).to_bytes(32, "big"))
+        assert point.x == 1
+        with pytest.raises(ValueError):
+            GroupElement.decode(b"\x02" + (1 + _P).to_bytes(32, "big"))
+
     def test_second_generator_independent(self):
         assert H != G
         assert not H.is_identity
@@ -83,6 +99,51 @@ class TestGroupElement:
         assert G.mul(k) == Q.mul(k)
         R = G.mul(12345)
         assert R.mul(k) == G.mul(12345 * k % ORDER)
+
+
+def _msm_oracle(scalars, points):
+    acc = IDENTITY
+    for k, P in zip(scalars, points):
+        acc = acc + P.mul(k)
+    return acc
+
+
+class TestMsm:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 64, 300])
+    def test_matches_per_term_sum(self, rng, n):
+        points = [G.mul(random_scalar(rng)) for _ in range(n)]
+        scalars = [rng.getrandbits(256) for _ in range(n)]
+        for i in range(0, n, 5):  # zero scalars and scalars >= ORDER
+            scalars[i] = 0 if i % 10 else ORDER + rng.getrandbits(64)
+        for i in range(1, n, 7):  # identity points
+            points[i] = IDENTITY
+        for i in range(3, n, 4):  # repeated points, and P together with -P
+            points[i] = points[i - 3] if i % 8 == 3 else -points[i - 3]
+        assert msm(scalars, points) == _msm_oracle(scalars, points)
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_small_scalars(self, rng, n):
+        points = [G.mul(random_scalar(rng)) for _ in range(n)]
+        scalars = [rng.randrange(21) for _ in range(n)]
+        assert msm(scalars, points) == _msm_oracle(scalars, points)
+
+    def test_cancelling_terms_give_identity(self, rng):
+        P = G.mul(random_scalar(rng))
+        assert msm([5, 5], [P, -P]).is_identity
+        assert msm([3, ORDER - 3], [P, P]).is_identity
+        assert msm([1] * 20, [P] * 10 + [-P] * 10).is_identity
+
+    def test_point_off_curve_rejected(self):
+        with pytest.raises(ValueError):
+            msm([2], [GroupElement(G.x, G.y + 1)])
+
+    def test_combine_ciphertexts_matches_oracle(self, rng, kp):
+        cts = encrypt_vector(kp.pk, [3, 0, 2, 7], rng)
+        weights = [4, 20, 0, 12]
+        combined = combine_ciphertexts(weights, cts)
+        assert recover_plaintext(decrypt(kp.sk, combined), 1000) == 4 * 3 + 20 * 0 + 0 * 2 + 12 * 7
+        with pytest.raises(ValueError):
+            combine_ciphertexts([-1, 0, 0, 0], cts)
 
 
 class TestKeygen:

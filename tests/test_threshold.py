@@ -5,12 +5,17 @@ reconstruction of the joint secret, compared against the share-combining
 path under test.
 """
 
+import functools
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from privads.group import G, ORDER, encrypt, decrypt, random_scalar
-from privads.proofs import vrf_rand
+from privads.proofs import dleq_first_invalid, dleq_prove, vrf_rand
 from privads.rng import Rng
 from privads.threshold import (
     ComplaintAgainstDealer,
@@ -20,7 +25,9 @@ from privads.threshold import (
     InvalidShareProof,
     PartialDecryption,
     PoolParams,
+    ShareCommitmentMismatch,
     SyncChannel,
+    ThresholdPublicKey,
     combine_partials,
     dkg_run,
     draw_winner,
@@ -28,6 +35,7 @@ from privads.threshold import (
     max_draw,
     partial_decrypt,
     verify_partial,
+    verify_partials,
 )
 
 
@@ -200,3 +208,112 @@ class TestThresholdDecryption:
             for subset in itertools.combinations(partials, k - 1):
                 with pytest.raises(InsufficientShares):
                     combine_partials(result.public_key, [partials[i] for i in subset], ct, k)
+
+
+@functools.cache
+def _batch_setup():
+    """Three posts (indices 1-3 of a 2-of-3 pool) over four ciphertexts."""
+    rng = Rng("batch-tests")
+    result = dkg_run([1, 2, 3], 2, SyncChannel(), rng)
+    cts = [encrypt(result.public_key.pk, m, random_scalar(rng)) for m in (5, 0, 9, 2)]
+    partials = [partial_decrypt(result.shares[i], ct, rng) for i in (1, 2, 3) for ct in cts]
+    return result, cts * 3, partials
+
+
+def _first_failure_one_by_one(tpk, cts, partials):
+    return next((p.index for ct, p in zip(cts, partials) if not verify_partial(tpk, ct, p)), None)
+
+
+def _first_failure_batched(tpk, cts, partials):
+    try:
+        verify_partials(tpk, cts, partials)
+    except InvalidShareProof as exc:
+        return exc.index
+    return None
+
+
+def _tamper(cts, partials, slot, field, other):
+    cts, partials = list(cts), list(partials)
+    p = partials[slot]
+    proof = p.proof
+    if field == "reproved":  # a wrong share point under a proof whose challenge is consistent
+        share = _batch_setup()[0].shares[p.index]
+        point = p.share_point + G
+        proof = dleq_prove(b"partial-decryption", G, share.commitment, cts[slot].c1, point, share.share, Rng("forger"))
+        partials[slot] = PartialDecryption(p.index, point, proof)
+    elif field == "share_point":
+        partials[slot] = PartialDecryption(p.index, p.share_point + G, proof)
+    elif field == "commit_a":
+        partials[slot] = PartialDecryption(p.index, p.share_point, replace(proof, commit_a=proof.commit_a + G))
+    elif field == "commit_b":
+        partials[slot] = PartialDecryption(p.index, p.share_point, replace(proof, commit_b=proof.commit_b + G))
+    elif field == "challenge":
+        partials[slot] = PartialDecryption(p.index, p.share_point, replace(proof, challenge=proof.challenge + 1))
+    elif field == "response":
+        partials[slot] = PartialDecryption(p.index, p.share_point, replace(proof, response=proof.response + 1))
+    elif field == "index":
+        partials[slot] = PartialDecryption(p.index % 3 + 1, p.share_point, proof)
+    else:  # swap the c1 of two slots that hold different ciphertexts
+        if cts[slot].c1 == cts[other].c1:
+            other = (other + 1) % len(cts)
+        a, b = cts[slot], cts[other]
+        cts[slot], cts[other] = type(a)(b.c1, a.c2), type(b)(a.c1, b.c2)
+    return cts, partials
+
+
+class TestBatchedPartialCheck:
+    def test_honest_batch_passes(self):
+        result, cts, partials = _batch_setup()
+        tpk = result.public_key
+        verify_partials(tpk, cts, partials)
+        assert _first_failure_one_by_one(tpk, cts, partials) is None
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        slot=st.integers(0, 11),
+        field=st.sampled_from(
+            ["share_point", "reproved", "commit_a", "commit_b", "challenge", "response", "index", "swap_c1"]
+        ),
+        other=st.integers(0, 11),
+    )
+    def test_verdict_equals_one_by_one(self, slot, field, other):
+        result, cts, partials = _batch_setup()
+        tpk = result.public_key
+        cts, partials = _tamper(cts, partials, slot, field, other)
+        expected = _first_failure_one_by_one(tpk, cts, partials)
+        assert expected is not None
+        assert _first_failure_batched(tpk, cts, partials) == expected
+
+    def test_fallback_names_first_bad_index(self):
+        result, cts, partials = _batch_setup()
+        tpk = result.public_key
+        cts, partials = _tamper(cts, partials, 9, "response", 0)  # index 3
+        cts, partials = _tamper(cts, partials, 6, "share_point", 0)  # index 2
+        with pytest.raises(InvalidShareProof) as exc:
+            verify_partials(tpk, cts, partials)
+        assert exc.value.index == 2
+        statements = [(G, tpk.share_commitment(p.index), ct.c1, p.share_point) for ct, p in zip(cts, partials)]
+        assert dleq_first_invalid(b"partial-decryption", statements, [p.proof for p in partials]) == 6
+
+    def test_batch_draws_no_randomness(self, monkeypatch):
+        result, cts, partials = _batch_setup()
+        tpk = result.public_key
+        bad_cts, bad_partials = _tamper(cts, partials, 3, "commit_b", 0)
+        global_state = random.getstate()
+
+        def no_draw(self, *args):  # every Rng draw goes through one of these
+            raise AssertionError("the batch check drew randomness")
+
+        monkeypatch.setattr(Rng, "getrandbits", no_draw)
+        monkeypatch.setattr(Rng, "random", no_draw)
+        verify_partials(tpk, cts, partials)
+        with pytest.raises(InvalidShareProof):
+            verify_partials(tpk, bad_cts, bad_partials)
+        assert random.getstate() == global_state
+
+
+class TestProtocolChecksWithoutAsserts:
+    def test_dkg_share_mismatch_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(ThresholdPublicKey, "share_commitment", lambda self, index: G)
+        with pytest.raises(ShareCommitmentMismatch):
+            dkg_run([1, 2, 3], 2, SyncChannel(), rng)
