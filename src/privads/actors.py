@@ -25,6 +25,7 @@ from .group import (
     encrypt_vector,
     hybrid_encrypt,
     keygen,
+    precompute_base,
     random_scalar,
     recover_plaintext,
     sign,
@@ -514,8 +515,8 @@ def run_pool_lifecycle(
         winners = []
         outputs = {}
         for registrant in registrants:
-            if draw_winner(vrf_rand(registrant.vrf_keypair.sk, round_seed, params.modulus), threshold):
-                out = vrf_eval(registrant.vrf_keypair.sk, round_seed, params.modulus)
+            if draw_winner(vrf_rand(registrant.vrf_keypair, round_seed, params.modulus), threshold):
+                out = vrf_eval(registrant.vrf_keypair, round_seed, params.modulus)
                 if not vrf_verify(registrant.vrf_keypair.pk, round_seed, out, params.modulus):
                     continue  # would be rejected by the pool contract
                 winners.append(registrant)
@@ -534,6 +535,7 @@ def run_pool_lifecycle(
     except InsufficientParticipants as exc:
         raise InsufficientWinners(str(exc)) from exc
     shares = {winners[i - 1].participant_id: result.shares[i] for i in indices}
+    precompute_base(result.public_key.pk)  # every claim encrypts to it
 
     signing_keypair = keygen(rng.child("pool-signing").take_bytes(32))
     coordinator = winners[0]

@@ -16,7 +16,16 @@ import json
 from dataclasses import dataclass
 
 from .codec import canonical_json, decode_args, encode_args, to_wire
-from .group import AuthenticationFailure, GroupElement, HybridCiphertext, KeyPair, Signature, keygen, sign
+from .group import (
+    AuthenticationFailure,
+    GroupElement,
+    HybridCiphertext,
+    KeyPair,
+    Signature,
+    keygen,
+    precompute_base,
+    sign,
+)
 from .payments import deserialize_batch, open_verify, verify_batch
 from .rng import Rng
 
@@ -174,6 +183,10 @@ class Chain:
         self._rng = Rng(seed).child(f"chain/{chain_id}")
         self.validator_keypair: KeyPair = keygen(self._rng.child("validator").take_bytes(32))
         self.aggregate_keypair: KeyPair = keygen(self._rng.child("aggregate-signer").take_bytes(32))
+        # Every private transaction is wrapped to the validator key and every
+        # claim checks two aggregate signatures: both serve the whole run.
+        precompute_base(self.validator_keypair.pk)
+        precompute_base(self.aggregate_keypair.pk)
         self.balances: dict[Address, int] = {}
         self.nonces: dict[Address, int] = {}
         self.contracts: dict[Address, object] = {}

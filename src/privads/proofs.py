@@ -198,29 +198,29 @@ def _vrf_rand(gamma: GroupElement, p: int) -> int:
     return int.from_bytes(digest, "big") % p
 
 
-def vrf_rand(vrf_sk: Scalar, seed: bytes, p: int) -> int:
+def vrf_rand(vrf_keypair: KeyPair, seed: bytes, p: int) -> int:
     """Just the random number, no proof.
 
     Matches vrf_eval(...).rand exactly.  Lottery registrants evaluate this
     to learn whether they won; only winners go on to publish the full
-    proved output.
+    proved output.  Both take the keypair as held (pk = sk*G) rather than
+    recompute the public key on every draw.
     """
     if p < 2:
         raise ValueError("modulus must be >= 2")
     if not seed:
         raise ValueError("seed must be non-empty")
-    vrf_pk = G.mul(vrf_sk)
-    gamma = _vrf_point(vrf_pk, seed).mul(vrf_sk)
+    gamma = _vrf_point(vrf_keypair.pk, seed).mul(vrf_keypair.sk)
     return _vrf_rand(gamma, p)
 
 
-def vrf_eval(vrf_sk: Scalar, seed: bytes, p: int) -> VrfOutput:
+def vrf_eval(vrf_keypair: KeyPair, seed: bytes, p: int) -> VrfOutput:
     """Deterministic random number in [0, p) plus proof of correctness."""
     if p < 2:
         raise ValueError("modulus must be >= 2")
     if not seed:
         raise ValueError("seed must be non-empty")
-    vrf_pk = G.mul(vrf_sk)
+    vrf_sk, vrf_pk = vrf_keypair.sk, vrf_keypair.pk
     h = _vrf_point(vrf_pk, seed)
     gamma = h.mul(vrf_sk)
     # The proof nonce is derived, not sampled: evaluation stays a pure

@@ -42,6 +42,7 @@ __all__ = [
     "ShareCommitmentMismatch",
     "max_draw",
     "draw_winner",
+    "commitment_eval",
     "dkg_run",
     "partial_decrypt",
     "verify_partial",
@@ -153,9 +154,13 @@ class ThresholdPublicKey:
         once per index."""
         commitment = self._share_commitments.get(index)
         if commitment is None:
-            powers = [pow(index, j, ORDER) for j in range(len(self.verification))]
-            commitment = self._share_commitments[index] = msm(powers, self.verification)
+            commitment = self._share_commitments[index] = commitment_eval(self.verification, index)
         return commitment
+
+
+def commitment_eval(commitments, x: int) -> GroupElement:
+    """sum(x**j * C_j): a committed polynomial evaluated in the exponent."""
+    return msm([pow(x, j, ORDER) for j in range(len(commitments))], commitments)
 
 
 @dataclass(frozen=True)
@@ -247,12 +252,7 @@ def dkg_run(participants, k: int, channel: SyncChannel, rng, corrupt=None, stric
         for recipient in active:
             for dealer in active:
                 value = channel.private(f"{tag}/deal", dealer, recipient)
-                expected = IDENTITY
-                power = 1
-                for c in commits[dealer]:
-                    expected = expected + c.mul(power)
-                    power = power * recipient % ORDER
-                if G.mul(value) != expected:
+                if G.mul(value) != commitment_eval(commits[dealer], recipient):
                     complaints.append((recipient, dealer))
                     channel.broadcast(f"{tag}/complaint", recipient, dealer)
         if complaints:

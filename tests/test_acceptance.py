@@ -167,7 +167,7 @@ def test_criterion_04_proof_soundness():
     for i in range(200):
         kp = keygen(b"acc4vrf/%d" % i)
         seed = b"seed-%d" % i
-        out = vrf_eval(kp.sk, seed, 10_000)
+        out = vrf_eval(kp, seed, 10_000)
         assert vrf_verify(kp.pk, seed, out, 10_000)
         if i < 100:
             field = i % 6
@@ -223,11 +223,11 @@ def test_criterion_06_lottery_calibration():
     probability = threshold / modulus
     sigma = (draw_pool * probability * (1 - probability)) ** 0.5
     low, high = expected - 3 * sigma, expected + 3 * sigma
-    sks = [keygen(b"lottery/%d" % i).sk for i in range(draw_pool)]
+    kps = [keygen(b"lottery/%d" % i) for i in range(draw_pool)]
     within = 0
     for s in range(seeds):
         seed = hashlib.sha256(b"round-%d" % s).digest()
-        winners = sum(draw_winner(vrf_rand(sk, seed, modulus), threshold) for sk in sks)
+        winners = sum(draw_winner(vrf_rand(kp, seed, modulus), threshold) for kp in kps)
         if low <= winners <= high:
             within += 1
     assert within >= 95, f"only {within}/100 rounds within 3 sigma"

@@ -1,9 +1,11 @@
 """Role drivers: claims, payment requests, advertiser setup/audit, pool."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
+from privads import group
 from privads.actors import (
     AdvertiserAgent,
     CampaignHandle,
@@ -16,11 +18,15 @@ from privads.actors import (
     run_pool_lifecycle,
 )
 from privads.contracts import policy_blob
-from privads.group import keygen, sym_encrypt
+from privads.group import G, H, keygen, sym_encrypt
 from privads.ledger import Chain
 from privads.proofs import vrf_rand
 from privads.rng import Rng
+from privads.runner import run_scenario
+from privads.scenario import load_scenario
 from privads.threshold import PoolParams, draw_winner, max_draw
+
+from conftest import build_campaign
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -204,7 +210,7 @@ class TestPoolLifecycle:
 
         def winners_for(seed):
             return sum(
-                draw_winner(vrf_rand(r.vrf_keypair.sk, seed, params.modulus), threshold)
+                draw_winner(vrf_rand(r.vrf_keypair, seed, params.modulus), threshold)
                 for r in registrants
             )
 
@@ -265,3 +271,32 @@ class TestAdvertiserAudit:
         verdict = adv.audit(handle, pool.threshold_key)
         assert not verdict["ok"]
         assert any(name == f"partials_from_{index}_verify" and not ok for name, ok in verdict["checks"])
+
+
+class TestFixedBaseTables:
+    """Only long-lived keys get a window table that outlives one call."""
+
+    def _claim_table_builds(self, n):
+        campaign = build_campaign(policies=tuple(range(1, n + 1)), impressions=(100,) * n, seed=f"tables-{n}")
+        pool, _ = pool_for(campaign)
+        handle = handle_of(campaign)
+        make_user(campaign, "warm").claim(handle, [1] * n, pool.threshold_key.pk)  # long-lived tables built
+        user = make_user(campaign, "u0")
+        bases, builds = dict(group._table_bases), group._window_table.cache_info().misses
+        user.claim(handle, [1] * n, pool.threshold_key.pk)
+        assert group._table_bases == bases  # the ephemeral key is not registered
+        return group._window_table.cache_info().misses - builds
+
+    def test_small_claim_builds_no_table(self):
+        assert self._claim_table_builds(8) == 0
+
+    def test_break_even_claim_builds_one_table(self):
+        assert self._claim_table_builds(group._TABLE_MIN_MULS) == 1
+
+    def test_run_registers_only_long_lived_keys(self, monkeypatch):
+        monkeypatch.setattr(group, "_table_bases", {(P.x, P.y): None for P in (G, H)})
+        scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+        outcome = run_scenario(load_scenario(scenarios / "honest_small.yaml"))
+        (run,) = outcome.chains
+        long_lived = [G, H, run.pool.threshold_key.pk, run.chain.validator_keypair.pk, run.chain.aggregate_keypair.pk]
+        assert set(group._table_bases) == {(P.x, P.y) for P in long_lived}

@@ -31,7 +31,7 @@ def test_domain_types_roundtrip(rng):
     ct = encrypt(kp.pk, 9, random_scalar(rng))
     sig = sign(kp.sk, b"m", rng)
     proof = prove_decryption(kp, ct, decrypt(kp.sk, ct), rng)
-    out = vrf_eval(kp.sk, b"seed", 100)
+    out = vrf_eval(kp, b"seed", 100)
     note = TransferNote(b"r" * 16, b"a" * 20, commit(5, random_scalar(rng)))
     for obj in (kp.pk, ct, sig, proof, out, note, Commitment(kp.pk)):
         again = decode_args(encode_args({"v": obj}))["v"]

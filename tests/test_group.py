@@ -36,7 +36,7 @@ from privads.group import (
     sym_encrypt,
     verify_sig,
 )
-from privads.group import _P
+from privads.group import _P, _batch_affine, _jac_add, _jac_double, _jac_to_affine, _window_table
 from privads.rng import Rng
 
 
@@ -99,6 +99,39 @@ class TestGroupElement:
         assert G.mul(k) == Q.mul(k)
         R = G.mul(12345)
         assert R.mul(k) == G.mul(12345 * k % ORDER)
+
+
+def _naive_window_table(B):
+    """T[j][d] = d * 2**(4j) * B by repeated point addition, entry by entry."""
+    cols = []
+    col = B
+    for _ in range(64):
+        row, acc = [None], IDENTITY
+        for _ in range(15):
+            acc = acc + col
+            row.append((acc.x, acc.y))
+        cols.append(tuple(row))
+        for _ in range(4):
+            col = col + col
+    return tuple(cols)
+
+
+class TestFixedBaseTables:
+    @pytest.mark.parametrize("which", ["G", "H", "k0", "k1", "k2"])
+    def test_window_table_matches_naive(self, which):
+        base = {"G": G, "H": H}.get(which) or G.mul(random_scalar(Rng(f"table-{which}")))
+        assert _window_table.__wrapped__(base.x, base.y) == _naive_window_table(base)
+
+    def test_batch_affine_matches_per_point(self):
+        jac = [(G.x, G.y, 1)]
+        for _ in range(6):
+            jac.append(_jac_double(*jac[-1]))
+        jac.append(_jac_add(*jac[2], *jac[4]))
+        jac.insert(3, (0, 1, 0))  # the point at infinity
+        assert _batch_affine(jac) == [_jac_to_affine(*j) for j in jac]
+        assert _batch_affine(jac[-1:]) == [_jac_to_affine(*jac[-1])]
+        assert _batch_affine([(0, 1, 0)]) == [None]
+        assert _batch_affine([]) == []
 
 
 def _msm_oracle(scalars, points):

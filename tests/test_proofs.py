@@ -112,7 +112,7 @@ class TestDecryptionProof:
         for i in range(72):
             kp = keygen(b"tv%d" % i)
             seed = b"trial-%d" % i
-            out = vrf_eval(kp.sk, seed, 10_000)
+            out = vrf_eval(kp, seed, 10_000)
             p = out.proof
             cases = [
                 (kp.pk, seed + b"x", out),
@@ -133,30 +133,30 @@ class TestDecryptionProof:
 class TestVrf:
     def test_deterministic(self):
         kp = keygen(b"vrf")
-        a = vrf_eval(kp.sk, b"epoch-1", 1000)
-        b = vrf_eval(kp.sk, b"epoch-1", 1000)
+        a = vrf_eval(kp, b"epoch-1", 1000)
+        b = vrf_eval(kp, b"epoch-1", 1000)
         assert a.rand == b.rand and a.encode() == b.encode()
 
     def test_honest_verifies(self):
         kp = keygen(b"vrf")
-        out = vrf_eval(kp.sk, b"epoch-1", 1000)
+        out = vrf_eval(kp, b"epoch-1", 1000)
         assert 0 <= out.rand < 1000
         assert vrf_verify(kp.pk, b"epoch-1", out, 1000)
 
     def test_wrong_pk_rejected(self):
         kp = keygen(b"vrf")
-        out = vrf_eval(kp.sk, b"epoch-1", 1000)
+        out = vrf_eval(kp, b"epoch-1", 1000)
         assert not vrf_verify(keygen(b"other").pk, b"epoch-1", out, 1000)
 
     def test_rand_tamper_rejected(self):
         kp = keygen(b"vrf")
-        out = vrf_eval(kp.sk, b"epoch-1", 1000)
+        out = vrf_eval(kp, b"epoch-1", 1000)
         forged = type(out)((out.rand + 1) % 1000, out.gamma, out.proof)
         assert not vrf_verify(kp.pk, b"epoch-1", forged, 1000)
 
     def test_seed_substitution_rejected(self):
         kp = keygen(b"vrf")
-        out = vrf_eval(kp.sk, b"epoch-1", 1000)
+        out = vrf_eval(kp, b"epoch-1", 1000)
         assert not vrf_verify(kp.pk, b"epoch-2", out, 1000)
 
     def test_uniformity(self):
@@ -164,14 +164,14 @@ class TestVrf:
         kp = keygen(b"vrf-uniform")
         p = 2**30
         n = 10_000
-        total = sum(vrf_eval(kp.sk, b"seed-%d" % i, p).rand for i in range(n))
+        total = sum(vrf_eval(kp, b"seed-%d" % i, p).rand for i in range(n))
         mean = total / n / p
         assert abs(mean - 0.5) < 0.02
 
     def test_distinct_keys_distinct_rand(self):
         p = 2**62
-        a = vrf_eval(keygen(b"k1").sk, b"seed", p)
-        b = vrf_eval(keygen(b"k2").sk, b"seed", p)
+        a = vrf_eval(keygen(b"k1"), b"seed", p)
+        b = vrf_eval(keygen(b"k2"), b"seed", p)
         assert a.rand != b.rand
 
     def test_rand_only_path_matches_full_eval(self):
@@ -180,4 +180,4 @@ class TestVrf:
         kp = keygen(b"vrf-fast")
         for i in range(20):
             seed = b"s%d" % i
-            assert vrf_rand(kp.sk, seed, 997) == vrf_eval(kp.sk, seed, 997).rand
+            assert vrf_rand(kp, seed, 997) == vrf_eval(kp, seed, 997).rand

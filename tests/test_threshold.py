@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from privads.group import G, ORDER, encrypt, decrypt, random_scalar
+from privads.group import G, IDENTITY, ORDER, KeyPair, encrypt, decrypt, random_scalar
 from privads.proofs import dleq_first_invalid, dleq_prove, vrf_rand
 from privads.rng import Rng
 from privads.threshold import (
@@ -29,6 +29,7 @@ from privads.threshold import (
     SyncChannel,
     ThresholdPublicKey,
     combine_partials,
+    commitment_eval,
     dkg_run,
     draw_winner,
     lagrange_coefficients,
@@ -88,8 +89,8 @@ class TestLottery:
         # winner count over the pool is Binomial(draw_pool, expected/draw_pool).
         params = PoolParams(expected=20, threshold=3, draw_pool=200, modulus=2**30)
         thr = max_draw(params)
-        sks = [random_scalar(rng) for _ in range(params.draw_pool)]
-        winners = sum(draw_winner(vrf_rand(sk, b"round-seed", params.modulus), thr) for sk in sks)
+        kps = [KeyPair(sk, G.mul(sk)) for sk in (random_scalar(rng) for _ in range(params.draw_pool))]
+        winners = sum(draw_winner(vrf_rand(kp, b"round-seed", params.modulus), thr) for kp in kps)
         mean = params.expected
         sigma = (params.draw_pool * (mean / params.draw_pool) * (1 - mean / params.draw_pool)) ** 0.5
         assert abs(winners - mean) <= 3 * sigma
@@ -117,6 +118,21 @@ class TestDkg:
         result = dkg_run([1, 2, 3, 4], 2, SyncChannel(), rng, corrupt={3: {1}})
         assert result.excluded == [3]
         assert set(result.shares) == {1, 2, 4}
+
+    @pytest.mark.parametrize("k", [1, 2, 11])
+    def test_commitment_eval_matches_per_term_sum(self, rng, k):
+        commitments = [G.mul(random_scalar(rng)) for _ in range(k)]
+        for x in (1, 2, 7, 24):
+            expected = IDENTITY
+            for j, c in enumerate(commitments):
+                expected = expected + c.mul(x**j)
+            assert commitment_eval(commitments, x) == expected
+
+    def test_corrupt_dealer_excluded_at_large_threshold(self, rng):
+        # k = 9 checks every sub-share through the bucket-method msm
+        result = dkg_run(list(range(1, 11)), 9, SyncChannel(), rng, corrupt={4: {7}})
+        assert result.excluded == [4]
+        assert set(result.shares) == set(range(1, 11)) - {4}
 
     def test_strict_mode_raises(self, rng):
         with pytest.raises(ComplaintAgainstDealer) as exc:
