@@ -131,7 +131,7 @@ class UserAgent:
             raise ValueError(f"interaction vector exceeds per-period cap {self.interaction_cap}")
         if any(v < 0 for v in vector):
             raise ValueError("interaction counts must be non-negative")
-        enc_vec = encrypt_vector(self.ephemeral.pk, vector, self.rng)
+        enc_vec = encrypt_vector(self.ephemeral, vector, self.rng)
         enc_vec_prime = encrypt_vector(threshold_key, vector, self.rng)
         return handle.chain.call(
             self.account,
@@ -390,7 +390,7 @@ class FacilitatorAgent:
             hybrid_encrypt(chain.validator_keypair.pk, slot_keys[slot], self.rng)
             for slot in range(catalog_size)
         ]
-        sig = sign(self.keypair.sk, encode_args(enc_keys), self.rng, tag=b"sig/enc-keys")
+        sig = sign(self.keypair, encode_args(enc_keys), self.rng, tag=b"sig/enc-keys")
         chain.call(self.account, psc_address, "store_encrypted_keys", {"enc_keys": enc_keys, "sig": sig})
         for adv in advertisers:
             chain.call(
@@ -416,7 +416,7 @@ class FacilitatorAgent:
             self.diverted = surplus
         tau = owed + surplus
         message = encode_args(["settlement", handle.fsc_address, tau, fsc.settlement_counter])
-        sig = sign(self.keypair.sk, message, self.rng, tag=b"sig/settlement")
+        sig = sign(self.keypair, message, self.rng, tag=b"sig/settlement")
         handle.chain.call(self.account, handle.fsc_address, "settlement_request", {"amount": tau, "sig": sig})
 
         payments = []

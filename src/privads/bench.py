@@ -51,7 +51,7 @@ def time_interaction_encryption(catalog_size: int, repeats: int = 5) -> dict:
     def op():
         kp = keygen(b"bench-enc-%d-%d" % (catalog_size, counter[0]))
         counter[0] += 1
-        encrypt_vector(kp.pk, vector, rng)
+        encrypt_vector(kp, vector, rng)
 
     result = _timed(op, repeats)
     result["catalog_size"] = catalog_size

@@ -178,9 +178,15 @@ def _jac_to_affine(X, Y, Z, p=_P):
     return X * zi2 % p, Y * zi2 * zi % p
 
 
-_WINDOW = 4
-_WINDOW_MASK = (1 << _WINDOW) - 1
-_WINDOW_COLS = -(-256 // _WINDOW)
+# Fixed-base windows: signed 6-bit digits in (-32, 32], so a table holds the
+# multiples 1..32 of each column base and a negative digit adds (x, p - y).
+# A 256-bit scalar needs 256 // 6 + 1 = 43 digits: the carry out of the top
+# full digit lands in the last column.
+_WINDOW = 6
+_WINDOW_FULL = 1 << _WINDOW
+_WINDOW_HALF = _WINDOW_FULL >> 1
+_WINDOW_MASK = _WINDOW_FULL - 1
+_WINDOW_COLS = 256 // _WINDOW + 1
 
 
 def _batch_affine(points: Sequence[tuple]) -> list:
@@ -209,7 +215,8 @@ def _batch_affine(points: Sequence[tuple]) -> list:
 # spares a rebuild when a short-lived base comes back within 8 builds.
 @lru_cache(maxsize=8)
 def _window_table(x: int, y: int) -> tuple:
-    """Per-base table T[j][d] = affine d * 2**(4j) * B for windowed mult.
+    """Per-base table T[j][d] = affine d * 2**(6j) * B, d in 1..32, for
+    signed windowed multiplication (T[j][0] is None).
 
     The column bases come from a Jacobian doubling chain and the multiples
     from mixed additions; each list goes affine in one batch inversion.
@@ -224,22 +231,28 @@ def _window_table(x: int, y: int) -> tuple:
     for cx, cy in _batch_affine(jac_cols):
         acc = (cx, cy, 1)
         multiples.append(acc)
-        for _ in range(_WINDOW_MASK - 1):
+        for _ in range(_WINDOW_HALF - 1):
             acc = _jac_add_affine(*acc, cx, cy)
             multiples.append(acc)
     flat = _batch_affine(multiples)
-    return tuple((None, *flat[j : j + _WINDOW_MASK]) for j in range(0, len(flat), _WINDOW_MASK))
+    return tuple((None, *flat[j : j + _WINDOW_HALF]) for j in range(0, len(flat), _WINDOW_HALF))
 
 
 def _mul_windowed(k: int, table) -> tuple:
+    """k * B (Jacobian) for 0 <= k < 2**256 from B's window table: one mixed
+    addition per nonzero signed digit."""
     acc = _INF
     j = 0
     while k:
         d = k & _WINDOW_MASK
-        if d:
+        k >>= _WINDOW
+        if d > _WINDOW_HALF:  # digit d - 64, carrying one into k
+            k += 1
+            e = table[j][_WINDOW_FULL - d]
+            acc = _jac_add_affine(*acc, e[0], _P - e[1])
+        elif d:
             e = table[j][d]
             acc = _jac_add_affine(*acc, e[0], e[1])
-        k >>= _WINDOW
         j += 1
     return acc
 
@@ -293,13 +306,13 @@ def _mul_var(k: int, x: int, y: int, p=_P) -> tuple:
     k1, k2 = _glv_split(k)
     s1, s2 = (k1 < 0), (k2 < 0)
     n1, n2 = _naf_digits(abs(k1)), _naf_digits(abs(k2))
-    # odd multiples 1P, 3P, 5P, 7P of each half-base
+    # odd multiples 1P, 3P, 5P, 7P of each half-base, affine in one batch
     y1 = (-y) % p if s1 else y
-    odd1 = [(x, y1)]
-    two = _jac_to_affine(*_jac_double(x, y1, 1))
-    for _ in range(3):
-        prev = odd1[-1]
-        odd1.append(_jac_to_affine(*_jac_add_affine(prev[0], prev[1], 1, two[0], two[1])))
+    two = _jac_double(x, y1, 1)
+    odd = [_jac_add_affine(*two, x, y1)]
+    for _ in range(2):
+        odd.append(_jac_add(*odd[-1], *two))
+    odd1 = [(x, y1), *_batch_affine(odd)]
     flip = s1 != s2
     odd2 = [(_BETA * q[0] % p, (-q[1]) % p if flip else q[1]) for q in odd1]
     acc = _INF
@@ -352,13 +365,7 @@ class GroupElement:
         k %= ORDER
         if k == 0 or self.is_identity:
             return IDENTITY
-        key = (self.x, self.y)
-        if key in _table_bases:
-            table = _table_bases[key]
-            if table is None:
-                table = _table_bases[key] = _window_table(*key)
-            return _from_jac(_mul_windowed(k, table))
-        return _from_jac(_mul_var(k, self.x, self.y))
+        return _from_jac(_mul_jac(k, self.x, self.y))
 
     __rmul__ = mul
 
@@ -415,18 +422,23 @@ def precompute_base(point: GroupElement) -> None:
 precompute_base(G)
 
 
+def _mul_jac(k: int, x: int, y: int) -> tuple:
+    """k * (x, y) in Jacobian coordinates, 0 <= k < ORDER: through the
+    base's window table if it is long-lived (built on first use), else the
+    variable-base path."""
+    key = (x, y)
+    if key not in _table_bases:
+        return _mul_var(k, x, y)
+    table = _table_bases[key]
+    if table is None:
+        table = _table_bases[key] = _window_table(x, y)
+    return _mul_windowed(k, table)
+
+
 # Below this many distinct terms a multi-scalar multiply runs one multiply
 # per term; from here on Pippenger's bucket method is faster (measured with
 # 256-bit scalars on CPython 3.11: per-term wins at 6 terms, loses at 8).
 _PIPPENGER_MIN_TERMS = 8
-
-# From this many multiplies of one base, building its window table for
-# those multiplies alone beats the variable-base path.  Measured on CPython
-# 3.11 with 256-bit scalars (median of 5 runs, 2-core x86-64): a build takes
-# 16.7 ms and a windowed multiply 0.68 ms against 1.73 ms variable-base, so
-# the table pays from 16.7 / 1.05 = 16 multiplies on.
-_TABLE_MIN_MULS = 16
-
 
 def msm(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
     """sum(k_i * P_i) in one pass: the package's multi-scalar multiply.
@@ -584,14 +596,9 @@ class Ciphertext:
 
 
 def encrypt(pk: GroupElement, m: int, r: Scalar, bound: int = ANALYTICS_BOUND) -> Ciphertext:
-    return _encrypt(pk.mul, m, r, bound)
-
-
-def _encrypt(mask, m: int, r: Scalar, bound: int) -> Ciphertext:
-    """Encryption with the mask r*pk computed by mask(r)."""
     if not 0 <= m < bound:
         raise PlaintextOutOfBound(f"message {m} outside [0, {bound})")
-    return Ciphertext(G.mul(r), G.mul(m) + mask(r))
+    return Ciphertext(G.mul(r), G.mul(m) + pk.mul(r))
 
 
 def decrypt(sk: Scalar, ct: Ciphertext) -> GroupElement:
@@ -617,21 +624,34 @@ def combine_ciphertexts(weights: Sequence[int], cts: Sequence[Ciphertext]) -> Ci
     return Ciphertext(msm(weights, [ct.c1 for ct in cts]), msm(weights, [ct.c2 for ct in cts]))
 
 
-def encrypt_vector(pk: GroupElement, msgs: Sequence[int], rng, bound: int = ANALYTICS_BOUND) -> list[Ciphertext]:
-    """Encrypt each entry under pk.
+def encrypt_vector(
+    key: KeyPair | GroupElement, msgs: Sequence[int], rng, bound: int = ANALYTICS_BOUND
+) -> list[Ciphertext]:
+    """Encrypt each entry under a key pair or a bare public key.
 
-    A long-lived pk multiplies through its own table.  Any other pk is not
-    registered: with at least _TABLE_MIN_MULS entries it gets a window
-    table for this call, below that each mask is a variable-base multiply.
+    The key holder knows sk, so m*G + r*pk is (m + r*sk)*G and both halves
+    of each ciphertext are multiplies through G's table.  Under a bare pk
+    the mask r*pk goes through pk's table if pk is long-lived (the pool
+    threshold key), else the variable-base path.  All 2N points stay
+    Jacobian until one batch conversion.
     """
-    mask = pk.mul
-    if len(msgs) >= _TABLE_MIN_MULS and not pk.is_identity and (pk.x, pk.y) not in _table_bases:
-        table = _window_table(pk.x, pk.y)
-
-        def mask(r):
-            return _from_jac(_mul_windowed(r, table))
-
-    return [_encrypt(mask, m, random_scalar(rng), bound) for m in msgs]
+    for m in msgs:
+        if not 0 <= m < bound:
+            raise PlaintextOutOfBound(f"message {m} outside [0, {bound})")
+    points = []
+    if isinstance(key, KeyPair):
+        for m in msgs:
+            r = random_scalar(rng)
+            points.append(_mul_jac(r, _GX, _GY))
+            points.append(_mul_jac((m + r * key.sk) % ORDER, _GX, _GY))
+    else:
+        for m in msgs:
+            r = random_scalar(rng)
+            mask = _INF if key.is_identity else _mul_jac(r, key.x, key.y)
+            points.append(_mul_jac(r, _GX, _GY))
+            points.append(_jac_add(*_mul_jac(m, _GX, _GY), *mask))
+    flat = [IDENTITY if a is None else GroupElement(*a) for a in _batch_affine(points)]
+    return [Ciphertext(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -698,12 +718,11 @@ class Signature:
         return scalar_bytes(self.challenge) + scalar_bytes(self.response)
 
 
-def sign(sk: Scalar, msg: bytes, rng, tag: bytes = b"sig/default") -> Signature:
-    pk = G.mul(sk)
+def sign(kp: KeyPair, msg: bytes, rng, tag: bytes = b"sig/default") -> Signature:
     k = random_scalar(rng)
     R = G.mul(k)
-    c = hash_to_scalar(tag, pk.encode(), R.encode(), msg)
-    s = (k - c * sk) % ORDER
+    c = hash_to_scalar(tag, kp.pk.encode(), R.encode(), msg)
+    s = (k - c * kp.sk) % ORDER
     return Signature(c, s)
 
 

@@ -163,7 +163,7 @@ class ExecutionContext:
         return hybrid_decrypt(self.chain.validator_keypair.sk, blob)
 
     def sign_aggregate(self, message: bytes) -> Signature:
-        return sign(self.chain.aggregate_keypair.sk, message, self.rng, tag=b"sig/aggregate")
+        return sign(self.chain.aggregate_keypair, message, self.rng, tag=b"sig/aggregate")
 
     def contract(self, address: Address):
         try:

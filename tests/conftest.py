@@ -107,7 +107,7 @@ def build_campaign(
             {"index": i, "enc_policy": sym_encrypt(key, policy_blob(policies[i]), rng)},
         )
         enc_keys.append(hybrid_encrypt(chain.validator_keypair.pk, key, rng))
-    sig = sign(cf.sk, encode_args(enc_keys), rng, tag=b"sig/enc-keys")
+    sig = sign(cf, encode_args(enc_keys), rng, tag=b"sig/enc-keys")
     chain.call(cf_account, psc_address, "store_encrypted_keys", {"enc_keys": enc_keys, "sig": sig})
 
     advertisers = []

@@ -276,22 +276,38 @@ class TestAdvertiserAudit:
 class TestFixedBaseTables:
     """Only long-lived keys get a window table that outlives one call."""
 
-    def _claim_table_builds(self, n):
+    def _claim(self, n, monkeypatch):
+        """One N-slot claim after a warm-up claim has built the long-lived
+        tables: the user, the window tables it built and the base of every
+        variable-base multiply it made."""
         campaign = build_campaign(policies=tuple(range(1, n + 1)), impressions=(100,) * n, seed=f"tables-{n}")
         pool, _ = pool_for(campaign)
         handle = handle_of(campaign)
-        make_user(campaign, "warm").claim(handle, [1] * n, pool.threshold_key.pk)  # long-lived tables built
+        make_user(campaign, "warm").claim(handle, [1] * n, pool.threshold_key.pk)
         user = make_user(campaign, "u0")
         bases, builds = dict(group._table_bases), group._window_table.cache_info().misses
+        var_bases = []
+        mul_var = group._mul_var
+
+        def counting_mul_var(k, x, y, *rest):
+            var_bases.append((x, y))
+            return mul_var(k, x, y, *rest)
+
+        monkeypatch.setattr(group, "_mul_var", counting_mul_var)
         user.claim(handle, [1] * n, pool.threshold_key.pk)
         assert group._table_bases == bases  # the ephemeral key is not registered
-        return group._window_table.cache_info().misses - builds
+        return user, group._window_table.cache_info().misses - builds, var_bases
 
-    def test_small_claim_builds_no_table(self):
-        assert self._claim_table_builds(8) == 0
+    def test_small_claim_builds_no_table(self, monkeypatch):
+        assert self._claim(8, monkeypatch)[1] == 0
 
-    def test_break_even_claim_builds_one_table(self):
-        assert self._claim_table_builds(group._TABLE_MIN_MULS) == 1
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_claim_keeps_ephemeral_key_off_tables_and_variable_base(self, n, monkeypatch):
+        # The key holder encrypts through G's table alone: the ephemeral
+        # key gets no table and no variable-base multiply at any size.
+        user, builds, var_bases = self._claim(n, monkeypatch)
+        assert builds == 0
+        assert (user.ephemeral.pk.x, user.ephemeral.pk.y) not in var_bases
 
     def test_run_registers_only_long_lived_keys(self, monkeypatch):
         monkeypatch.setattr(group, "_table_bases", {(P.x, P.y): None for P in (G, H)})

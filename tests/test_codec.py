@@ -29,7 +29,7 @@ def test_bytes_keys_and_values(rng):
 def test_domain_types_roundtrip(rng):
     kp = keygen(b"codec")
     ct = encrypt(kp.pk, 9, random_scalar(rng))
-    sig = sign(kp.sk, b"m", rng)
+    sig = sign(kp, b"m", rng)
     proof = prove_decryption(kp, ct, decrypt(kp.sk, ct), rng)
     out = vrf_eval(kp, b"seed", 100)
     note = TransferNote(b"r" * 16, b"a" * 20, commit(5, random_scalar(rng)))

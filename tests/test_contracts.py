@@ -96,7 +96,7 @@ class TestPolicyStorage:
         campaign = build_campaign(stake=False)
         rng = campaign.rng
         keys = [hybrid_encrypt(campaign.chain.validator_keypair.pk, b"k" * 32, rng) for _ in range(3)]
-        sig = sign(campaign.cf.sk, encode_args(keys), rng, tag=b"sig/enc-keys")
+        sig = sign(campaign.cf, encode_args(keys), rng, tag=b"sig/enc-keys")
         tampered = keys[::-1]
         rid = campaign.cf_call(
             campaign.psc_address, "store_encrypted_keys", {"enc_keys": tampered, "sig": sig}
@@ -108,7 +108,7 @@ class TestPolicyStorage:
         campaign = build_campaign(stake=False)
         rng = campaign.rng
         keys = [hybrid_encrypt(campaign.chain.validator_keypair.pk, b"k" * 32, rng) for _ in range(3)]
-        sig = sign(keygen(b"not-cf").sk, encode_args(keys), rng, tag=b"sig/enc-keys")
+        sig = sign(keygen(b"not-cf"), encode_args(keys), rng, tag=b"sig/enc-keys")
         rid = campaign.cf_call(
             campaign.psc_address, "store_encrypted_keys", {"enc_keys": keys, "sig": sig}
         )
@@ -349,11 +349,11 @@ class TestAggrClicks:
     def test_signed_update_accumulates(self, campaign):
         pool_kp = self._pool(campaign)
         totals = [3, 0, 2]
-        sig = sign(pool_kp.sk, encode_args(totals), campaign.rng, tag=b"sig/aggr-clicks")
+        sig = sign(pool_kp, encode_args(totals), campaign.rng, tag=b"sig/aggr-clicks")
         campaign.cf_call(campaign.fsc_address, "store_aggr_clicks", {"totals": totals, "sig": sig})
         campaign.mine()
         assert campaign.fsc.aggr_clicks == [3, 0, 2]
-        sig2 = sign(pool_kp.sk, encode_args(totals), campaign.rng, tag=b"sig/aggr-clicks")
+        sig2 = sign(pool_kp, encode_args(totals), campaign.rng, tag=b"sig/aggr-clicks")
         campaign.cf_call(campaign.fsc_address, "store_aggr_clicks", {"totals": totals, "sig": sig2})
         campaign.mine()
         assert campaign.fsc.aggr_clicks == [6, 0, 4]
@@ -361,7 +361,7 @@ class TestAggrClicks:
     def test_forged_signature_rejected(self, campaign):
         self._pool(campaign)
         totals = [1, 1, 1]
-        sig = sign(keygen(b"forger").sk, encode_args(totals), campaign.rng, tag=b"sig/aggr-clicks")
+        sig = sign(keygen(b"forger"), encode_args(totals), campaign.rng, tag=b"sig/aggr-clicks")
         rid = campaign.cf_call(campaign.fsc_address, "store_aggr_clicks", {"totals": totals, "sig": sig})
         campaign.mine()
         assert "BadSignature" in campaign.chain.receipt(rid).error
@@ -481,14 +481,14 @@ def settle_campaign(campaign, kps_with_amounts, pool_totals, underpay_addr=None,
         "register_pool",
         {"pk": pool_kp.pk, "threshold": 1, "recovery_bound": 2**16},
     )
-    sig = sign(pool_kp.sk, encode_args(pool_totals), rng, tag=b"sig/aggr-clicks")
+    sig = sign(pool_kp, encode_args(pool_totals), rng, tag=b"sig/aggr-clicks")
     campaign.cf_call(campaign.fsc_address, "store_aggr_clicks", {"totals": pool_totals, "sig": sig})
     campaign.mine()
 
     pending = campaign.fsc.payment_requests
     total = sum(r["amount"] for r in pending) + surplus
     message = encode_args(["settlement", campaign.fsc_address, total, campaign.fsc.settlement_counter])
-    sig = sign(campaign.cf.sk, message, rng, tag=b"sig/settlement")
+    sig = sign(campaign.cf, message, rng, tag=b"sig/settlement")
     campaign.cf_call(campaign.fsc_address, "settlement_request", {"amount": total, "sig": sig})
     campaign.mine()
 
@@ -528,14 +528,14 @@ class TestSettlementAndClose:
     def test_overdraw_rejected(self, campaign):
         escrow = campaign.chain.balances[campaign.fsc_address]
         message = encode_args(["settlement", campaign.fsc_address, escrow + 1, 0])
-        sig = sign(campaign.cf.sk, message, campaign.rng, tag=b"sig/settlement")
+        sig = sign(campaign.cf, message, campaign.rng, tag=b"sig/settlement")
         rid = campaign.cf_call(campaign.fsc_address, "settlement_request", {"amount": escrow + 1, "sig": sig})
         campaign.mine()
         assert "Overdraw" in campaign.chain.receipt(rid).error
 
     def test_non_cf_signature_rejected(self, campaign):
         message = encode_args(["settlement", campaign.fsc_address, 1, 0])
-        sig = sign(keygen(b"evil").sk, message, campaign.rng, tag=b"sig/settlement")
+        sig = sign(keygen(b"evil"), message, campaign.rng, tag=b"sig/settlement")
         rid = campaign.cf_call(campaign.fsc_address, "settlement_request", {"amount": 1, "sig": sig})
         campaign.mine()
         assert "BadSignature" in campaign.chain.receipt(rid).error
@@ -596,7 +596,7 @@ class TestSettlementAndClose:
         campaign.cf_call(
             campaign.fsc_address, "register_pool", {"pk": pool_kp.pk, "threshold": 1, "recovery_bound": 16}
         )
-        sig = sign(pool_kp.sk, encode_args([0, 0, 0]), campaign.rng, tag=b"sig/aggr-clicks")
+        sig = sign(pool_kp, encode_args([0, 0, 0]), campaign.rng, tag=b"sig/aggr-clicks")
         campaign.cf_call(campaign.fsc_address, "store_aggr_clicks", {"totals": [0, 0, 0], "sig": sig})
         campaign.mine()
         while campaign.chain.height < 6:

@@ -7,6 +7,7 @@ code path under test.
 
 import pytest
 
+from privads import group
 from privads.group import (
     G,
     H,
@@ -28,6 +29,7 @@ from privads.group import (
     hybrid_encrypt,
     keygen,
     msm,
+    precompute_base,
     random_scalar,
     recover_plaintext,
     scalar_mul_ciphertext,
@@ -36,7 +38,16 @@ from privads.group import (
     sym_encrypt,
     verify_sig,
 )
-from privads.group import _P, _batch_affine, _jac_add, _jac_double, _jac_to_affine, _window_table
+from privads.group import (
+    _P,
+    _batch_affine,
+    _jac_add,
+    _jac_double,
+    _jac_to_affine,
+    _mul_var,
+    _mul_windowed,
+    _window_table,
+)
 from privads.rng import Rng
 
 
@@ -102,18 +113,34 @@ class TestGroupElement:
 
 
 def _naive_window_table(B):
-    """T[j][d] = d * 2**(4j) * B by repeated point addition, entry by entry."""
+    """T[j][d] = d * 2**(6j) * B, d = 1..32, for 43 columns, by repeated
+    point addition, entry by entry."""
     cols = []
     col = B
-    for _ in range(64):
+    for _ in range(43):
         row, acc = [None], IDENTITY
-        for _ in range(15):
+        for _ in range(32):
             acc = acc + col
             row.append((acc.x, acc.y))
         cols.append(tuple(row))
-        for _ in range(4):
+        for _ in range(6):
             col = col + col
     return tuple(cols)
+
+
+# Every 6-bit digit of this scalar is 33, just above the signed range: each
+# becomes -31 or -30 with a carry, and the last carry lands in column 42.
+_ALL_DIGITS_33 = sum(33 << (6 * j) for j in range(42))
+
+
+@pytest.fixture
+def registered(monkeypatch):
+    """G, H and a random key, each multiplied through a long-lived table
+    (the random key is registered in a copy of the table map)."""
+    monkeypatch.setattr(group, "_table_bases", dict(group._table_bases))
+    P = G.mul(random_scalar(Rng("table-registered")))
+    precompute_base(P)
+    return [G, H, P]
 
 
 class TestFixedBaseTables:
@@ -121,6 +148,19 @@ class TestFixedBaseTables:
     def test_window_table_matches_naive(self, which):
         base = {"G": G, "H": H}.get(which) or G.mul(random_scalar(Rng(f"table-{which}")))
         assert _window_table.__wrapped__(base.x, base.y) == _naive_window_table(base)
+
+    @pytest.mark.parametrize("k", [1, 31, 32, 33, 63, 64, ORDER - 1, _ALL_DIGITS_33])
+    def test_windowed_matches_variable_base_at_digit_edges(self, registered, k):
+        for B in registered:
+            table = _window_table(B.x, B.y)
+            assert _jac_to_affine(*_mul_windowed(k, table)) == _jac_to_affine(*_mul_var(k, B.x, B.y))
+
+    def test_windowed_matches_variable_base_random(self, registered):
+        rng = Rng("windowed-random")
+        for B in registered:
+            for _ in range(200):
+                k = random_scalar(rng)
+                assert B.mul(k) == GroupElement(*_jac_to_affine(*_mul_var(k, B.x, B.y)))
 
     def test_batch_affine_matches_per_point(self):
         jac = [(G.x, G.y, 1)]
@@ -234,6 +274,31 @@ class TestEncryption:
         with pytest.raises(PlaintextOutOfBound):
             encrypt(kp.pk, 2**32, random_scalar(rng))
 
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_vector_as_key_holder_matches_public_key(self, kp, n):
+        values = Rng(f"vec-{n}")
+        msgs = [values.randrange(1, 10) if i % 3 else 0 for i in range(n)]
+        seed = f"encrypt-vector-{n}"
+        as_holder = encrypt_vector(kp, msgs, Rng(seed))
+        assert as_holder == encrypt_vector(kp.pk, msgs, Rng(seed))
+        r_rng = Rng(seed)
+        assert as_holder == [encrypt(kp.pk, m, random_scalar(r_rng)) for m in msgs]
+
+    def test_vector_under_long_lived_key_matches_per_entry(self, registered):
+        P = registered[2]
+        msgs = [0, 5, 0, 2**31]
+        r_rng = Rng("encrypt-vector-registered")
+        expected = [encrypt(P, m, random_scalar(r_rng)) for m in msgs]
+        assert encrypt_vector(P, msgs, Rng("encrypt-vector-registered")) == expected
+
+    @pytest.mark.parametrize("bad", [2**32, -1])
+    def test_vector_out_of_bound_rejected(self, rng, kp, bad):
+        for key in (kp, kp.pk):
+            with pytest.raises(PlaintextOutOfBound):
+                encrypt_vector(key, [1, bad], rng)
+        with pytest.raises(PlaintextOutOfBound):
+            encrypt_vector(kp, [7], rng, bound=7)
+
     def test_add_identity_ciphertext(self, rng, kp):
         ct = encrypt(kp.pk, 9, random_scalar(rng))
         zero = encrypt(kp.pk, 0, random_scalar(rng))
@@ -305,19 +370,19 @@ class TestRecovery:
 
 class TestSignatures:
     def test_roundtrip(self, rng, kp):
-        sig = sign(kp.sk, b"settlement request", rng)
+        sig = sign(kp, b"settlement request", rng)
         assert verify_sig(kp.pk, b"settlement request", sig)
 
     def test_bit_flip_rejected(self, rng, kp):
-        sig = sign(kp.sk, b"settlement request", rng)
+        sig = sign(kp, b"settlement request", rng)
         assert not verify_sig(kp.pk, b"settlement sequest", sig)
 
     def test_wrong_pk_rejected(self, rng, kp):
-        sig = sign(kp.sk, b"msg", rng)
+        sig = sign(kp, b"msg", rng)
         assert not verify_sig(keygen(b"imposter").pk, b"msg", sig)
 
     def test_domain_separation(self, rng, kp):
-        sig = sign(kp.sk, b"msg", rng, tag=b"sig/aggregate")
+        sig = sign(kp, b"msg", rng, tag=b"sig/aggregate")
         assert not verify_sig(kp.pk, b"msg", sig, tag=b"sig/default")
         assert verify_sig(kp.pk, b"msg", sig, tag=b"sig/aggregate")
 
