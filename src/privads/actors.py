@@ -487,7 +487,6 @@ class PoolResult:
     threshold_key: ThresholdPublicKey
     shares: dict  # participant_id -> KeyShare
     winners: list  # participant ids in index order
-    signing_keypair: KeyPair
     draws: int = 1
     vrf_outputs: dict = field(default_factory=dict)
 
@@ -537,7 +536,6 @@ def run_pool_lifecycle(
     shares = {winners[i - 1].participant_id: result.shares[i] for i in indices}
     precompute_base(result.public_key.pk)  # every claim encrypts to it
 
-    signing_keypair = keygen(rng.child("pool-signing").take_bytes(32))
     coordinator = winners[0]
     handle.chain.create_account(coordinator.account)
     handle.chain.call(
@@ -551,7 +549,7 @@ def run_pool_lifecycle(
         handle.fsc_address,
         "register_pool",
         {
-            "pk": signing_keypair.pk,
+            "pk": keygen(rng.child("pool-signing").take_bytes(32)).pk,
             "threshold": params.threshold,
             "recovery_bound": recovery_bound or handle.fsc.recovery_bound,
         },
@@ -560,7 +558,6 @@ def run_pool_lifecycle(
         result.public_key,
         shares,
         [w.participant_id for w in winners],
-        signing_keypair,
         draws=attempt + 1,
         vrf_outputs=outputs,
     )

@@ -2,9 +2,10 @@
 
 verify_run re-executes the scenario embedded in the report from its seed
 (the seed regenerates every secret, which is the test-only key escrow),
-recomputes each reward with the plaintext dot-product oracle, checks the
-block log's hash chain record by record, and compares the replayed chain
-state against the log.  Every discrepancy is returned as a finding.
+checks the block log's hash chain record by record, compares the replayed
+report and chain state against the stored ones, and reports the replayed
+run's own violations (its reward oracle and conservation checks).  Every
+discrepancy is returned as a finding.
 """
 
 from __future__ import annotations
@@ -83,30 +84,8 @@ def verify_run(report_path, blocks_path) -> tuple:
         if replayed != stored:
             findings.append(f"chain {run.chain.chain_id}: replayed block hashes differ from the log")
 
-    # 3. plaintext reward oracle against the stored report
-    policies = scenario.policy_vector()
-    users_section = sections.get("users", {"rows": []})
-    for row in users_section["rows"]:
-        index = int(row["user"].removeprefix("user"))
-        oracle = sum(
-            sum(p * x for p, x in zip(policies, scenario.interaction_vector(index, period)))
-            for period in range(scenario.payout_periods)
-        )
-        if row["claimed"] != oracle:
-            findings.append(f"{row['user']}: reported claim {row['claimed']} != oracle {oracle}")
-        if row["paid"] != oracle and not row["complaints"]:
-            findings.append(f"{row['user']}: paid {row['paid']} != oracle {oracle} with no complaint")
-
-    # 4. conservation equations recorded in the report
-    for row in sections.get("conservation", {"rows": []})["rows"]:
-        if not row["holds"]:
-            status = next(
-                (c["status"] for c in sections.get("chains", {"rows": []})["rows"] if c["chain"] == row["chain"]),
-                "active",
-            )
-            if status != "failed":
-                findings.append(
-                    f"chain {row['chain']} advertiser {row['advertiser']}: conservation equation violated"
-                )
+    # 3. the replayed run's own verdict: reward oracle, analytics totals,
+    # stake equations and token conservation, as the runner checks them
+    findings.extend(outcome.violations)
 
     return not findings, findings

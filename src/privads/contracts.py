@@ -7,11 +7,14 @@ escrows advertiser stakes, buffers verified payment requests, settles
 fees/refunds at campaign close, and adjudicates misbehavior complaints.
 Any validated complaint flips its status to "failed", which is absorbing:
 no fee payout or further settlement happens afterwards.
+
+Each contract lists its transaction entry points in FUNCTIONS; a call to
+any other name fails with UnknownFunction.
 """
 
 from __future__ import annotations
 
-from .codec import encode_args, to_wire
+from .codec import encode_args
 from .group import (
     G,
     GroupElement,
@@ -44,10 +47,35 @@ def aggregate_message(user_pk: GroupElement, ct: Ciphertext) -> bytes:
     return encode_args({"user_pk": user_pk, "aggregate": ct})
 
 
-class PolicyContract:
+class _Contract:
+    """Dispatch of a transaction to the entry point its subclass lists in FUNCTIONS."""
+
+    def call(self, ctx: ExecutionContext, function: str, args):
+        # Looked up by name on every call, so a method replaced on the class
+        # (a tracing wrapper, say) is the one that runs.
+        if function not in self.FUNCTIONS:
+            raise ContractError("UnknownFunction", function)
+        return getattr(self, function)(ctx, args)
+
+    def _require_cf(self, ctx):
+        if ctx.sender != self.cf_account:
+            raise ContractError("NotCF")
+
+
+class PolicyContract(_Contract):
     """Per-catalog reward computation and payment-request validation."""
 
     KIND = "psc"
+    FUNCTIONS = frozenset(
+        {
+            "store_policy",
+            "store_encrypted_keys",
+            "store_threshold_key",
+            "compute_aggregate",
+            "payment_request",
+            "advance_period",
+        }
+    )
 
     def __init__(self, address: Address, deployer: Address, params: dict):
         self.address = address
@@ -68,27 +96,7 @@ class PolicyContract:
         # first use once fsc.init has frozen enc_policies and enc_keys.
         self._policy_values: tuple | None = None
 
-    # -- dispatch ------------------------------------------------------------
-
-    def call(self, ctx: ExecutionContext, function: str, args):
-        handlers = {
-            "store_policy": self.store_policy,
-            "store_encrypted_keys": self.store_encrypted_keys,
-            "store_threshold_key": self.store_threshold_key,
-            "compute_aggregate": self.compute_aggregate,
-            "get_aggregate": self.get_aggregate_call,
-            "payment_request": self.payment_request,
-            "advance_period": self.advance_period,
-        }
-        if function not in handlers:
-            raise ContractError("UnknownFunction", function)
-        return handlers[function](ctx, args)
-
     # -- campaign setup -------------------------------------------------------
-
-    def _require_cf(self, ctx):
-        if ctx.sender != self.cf_account:
-            raise ContractError("NotCF")
 
     def _fsc(self, ctx) -> "FundContract":
         return ctx.contract(self.fsc_address)
@@ -160,10 +168,6 @@ class PolicyContract:
             raise ContractError("UnknownUser")
         return self.aggregates[key], self.aggregate_signatures[key]
 
-    def get_aggregate_call(self, ctx, args):
-        ct, sig = self.get_aggregate(args["user_pk"])
-        return {"aggregate": ct, "sig": sig}
-
     # -- payment requests -------------------------------------------------------
 
     def payment_request(self, ctx, args):
@@ -204,28 +208,41 @@ class PolicyContract:
     # -- state -------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        return to_wire(
-            {
-                "kind": self.KIND,
-                "cf": self.cf_account,
-                "catalog_size": self.catalog_size,
-                "enc_policies": [p for p in self.enc_policies],
-                "enc_keys": [k for k in self.enc_keys],
-                "threshold_key": self.threshold_key,
-                "aggregates": {k: v for k, v in sorted(self.aggregates.items())},
-                "aggregate_sigs": {k: v for k, v in sorted(self.aggregate_signatures.items())},
-                "reported": [[p, k, list(v)] for p, k, v in self.reported_vectors],
-                "requested": sorted(self.requested_this_period),
-                "period": self.period,
-                "reward_cap": self.reward_cap,
-            }
-        )
+        """Plain state values; codec.canonical_json wires and sorts them."""
+        return {
+            "kind": self.KIND,
+            "cf": self.cf_account,
+            "catalog_size": self.catalog_size,
+            "enc_policies": self.enc_policies,
+            "enc_keys": self.enc_keys,
+            "threshold_key": self.threshold_key,
+            "aggregates": self.aggregates,
+            "aggregate_sigs": self.aggregate_signatures,
+            "reported": self.reported_vectors,
+            "requested": sorted(self.requested_this_period),
+            "period": self.period,
+            "reward_cap": self.reward_cap,
+        }
 
 
-class FundContract:
+class FundContract(_Contract):
     """Escrow, buffered payments, settlement, analytics, and complaints."""
 
     KIND = "fsc"
+    FUNCTIONS = frozenset(
+        {
+            "link_psc",
+            "store_adv_id",
+            "store_funds",
+            "register_pool",
+            "post_analytics",
+            "settlement_request",
+            "payment_processed",
+            "finalize",
+            "raise_complaint",
+            "claim_insufficient_refund",
+        }
+    )
 
     def __init__(self, address: Address, deployer: Address, params: dict):
         self.address = address
@@ -253,38 +270,7 @@ class FundContract:
         self.top_up_due: dict[str, int] = {}
         self.fees_paid = False
         self.refunds_done = False
-        self.analytics_ready = False
         self.complaints: list[dict] = []
-
-    # -- dispatch ------------------------------------------------------------
-
-    def call(self, ctx: ExecutionContext, function: str, args):
-        handlers = {
-            "link_psc": self.link_psc,
-            "store_adv_id": self.store_adv_id,
-            "store_funds": self.store_funds,
-            "register_pool": self.register_pool,
-            "store_aggr_clicks": self.store_aggr_clicks,
-            "post_analytics": self.post_analytics,
-            "settlement_request": self.settlement_request,
-            "payment_processed": self.payment_processed,
-            "finalize": self.finalize,
-            "refund_advertisers": self.refund_advertisers_call,
-            "pay_processing_fees": self.pay_processing_fees_call,
-            "raise_complaint": self.raise_complaint,
-            "claim_insufficient_refund": self.claim_insufficient_refund,
-        }
-        if function not in handlers:
-            raise ContractError("UnknownFunction", function)
-        return handlers[function](ctx, args)
-
-    def _require_cf(self, ctx):
-        if ctx.sender != self.cf_account:
-            raise ContractError("NotCF")
-
-    def _require_alive(self):
-        if self.status == "failed":
-            raise ContractError("CampaignFailed")
 
     def link_psc(self, ctx, args):
         self._require_cf(ctx)
@@ -345,23 +331,11 @@ class FundContract:
         self.recovery_bound = args.get("recovery_bound", self.recovery_bound)
         return None
 
-    def store_aggr_clicks(self, ctx, args):
-        totals = args["totals"]
-        sig = args["sig"]
-        if self.pool_pk is None:
-            raise ContractError("NoPoolKey")
-        if len(totals) != self.catalog_size:
-            raise ContractError("LengthMismatch")
-        if not verify_sig(self.pool_pk, encode_args(totals), sig, tag=b"sig/aggr-clicks"):
-            raise ContractError("BadSignature")
-        self.aggr_clicks = [a + b for a, b in zip(self.aggr_clicks, totals)]
-        self.analytics_ready = True
-        return None
-
     def post_analytics(self, ctx, args):
         """One consensus participant posts the summed ciphertexts plus its
         partial decryptions; at threshold the contract combines and
-        accumulates the recovered per-ad totals."""
+        accumulates the recovered per-ad totals.  A rejected post leaves
+        no trace."""
         if self.pool_threshold is None:
             raise ContractError("NoPoolKey")
         enc_totals = args["enc_totals"]
@@ -377,24 +351,25 @@ class FundContract:
                 raise ContractError("ThresholdKeyMismatch")
         if tpk_vector and tpk_vector[0] != tpk_pk:
             raise ContractError("ThresholdKeyMismatch", "vector head must be the public key")
-        if self.analytics_enc_totals is None:
-            self.analytics_enc_totals = list(enc_totals)
-            self.analytics_tpk = ThresholdPublicKey(tpk_pk, tuple(tpk_vector))
-        else:
-            if [ct.encode() for ct in enc_totals] != [ct.encode() for ct in self.analytics_enc_totals]:
-                raise ContractError("AnalyticsMismatch", "posted ciphertexts disagree")
+        tpk = self.analytics_tpk
+        if tpk is None:
+            tpk = ThresholdPublicKey(tpk_pk, tuple(tpk_vector))
+        elif [ct.encode() for ct in enc_totals] != [ct.encode() for ct in self.analytics_enc_totals]:
+            raise ContractError("AnalyticsMismatch", "posted ciphertexts disagree")
         if index in self.analytics_partials:
             raise ContractError("DuplicatePost", str(index))
         if any(partial.index != index for partial in partials):
             raise ContractError("IndexMismatch")
         try:
-            verify_partials(self.analytics_tpk, self.analytics_enc_totals, partials)
+            verify_partials(tpk, enc_totals, partials)
         except InvalidShareProof:
             raise ContractError("InvalidShareProof", str(index)) from None
+        if self.analytics_tpk is None:
+            self.analytics_enc_totals = list(enc_totals)
+            self.analytics_tpk = tpk
         self.analytics_partials[index] = list(partials)
         if self.analytics_totals is None and len(self.analytics_partials) >= self.pool_threshold:
             self._combine_analytics()
-            self._maybe_close(ctx)
         return {"posted": index, "combined": self.analytics_totals is not None}
 
     def _combine_analytics(self):
@@ -407,7 +382,6 @@ class FundContract:
             totals.append(recover_plaintext(point, self.recovery_bound))
         self.analytics_totals = totals
         self.aggr_clicks = [a + b for a, b in zip(self.aggr_clicks, totals)]
-        self.analytics_ready = True
 
     # -- payments -------------------------------------------------------------------
 
@@ -416,7 +390,8 @@ class FundContract:
         self.payment_requests.append({"addr": payout_address, "amount": amount, "user_pk": user_pk})
 
     def settlement_request(self, ctx, args):
-        self._require_alive()
+        if self.status == "failed":
+            raise ContractError("CampaignFailed")
         amount = args["amount"]
         sig = args["sig"]
         message = encode_args(["settlement", self.address, amount, self.settlement_counter])
@@ -441,27 +416,15 @@ class FundContract:
         if addr in self.payed_requests:
             return {"already": True}
         self.payed_requests[addr] = tx_ref
-        done = len(self.payed_requests) == len(self.payment_requests)
-        if done:
-            self._maybe_close(ctx)
+        done = self._all_paid()
+        if done and self.analytics_totals is not None and not self.refunds_done:
+            self._close(ctx)
         return {"already": False, "all_paid": done}
 
     # -- campaign close ----------------------------------------------------------------
 
-    def _campaign_over(self, ctx) -> bool:
-        all_paid = self.payment_requests and len(self.payed_requests) == len(self.payment_requests)
-        return bool(all_paid) or ctx.height >= self.epoch_blocks
-
-    def _maybe_close(self, ctx):
-        """Once every buffered request is paid and analytics landed, pay the
-        processing fees and run refunds.  A failed status blocks both."""
-        all_paid = self.payment_requests and len(self.payed_requests) == len(self.payment_requests)
-        if not all_paid or not self.analytics_ready or self.refunds_done:
-            return
-        if self.status == "failed":
-            return
-        self.pay_processing_fees(ctx)
-        self._refund(ctx)
+    def _all_paid(self) -> bool:
+        return bool(self.payment_requests) and len(self.payed_requests) == len(self.payment_requests)
 
     def _policies(self, ctx) -> list[int]:
         psc = ctx.contract(self.psc_address)
@@ -473,55 +436,33 @@ class FundContract:
 
     def finalize(self, ctx, args):
         """Explicit campaign close (epoch elapsed or everything paid)."""
-        if not self._campaign_over(ctx):
+        if not (self._all_paid() or ctx.height >= self.epoch_blocks):
             raise ContractError("CampaignActive")
         if self.refunds_done:
             raise ContractError("AlreadyFinalized")
-        if self.status != "failed":
-            self.pay_processing_fees(ctx)
-            self._refund(ctx)
+        self._close(ctx)
         return None
 
-    def pay_processing_fees_call(self, ctx, args):
-        self._require_alive()
-        if not self._campaign_over(ctx):
-            raise ContractError("CampaignActive")
-        self.pay_processing_fees(ctx)
-        return None
-
-    def pay_processing_fees(self, ctx):
-        self._require_alive()
-        if self.fees_paid:
+    def _close(self, ctx):
+        """The one campaign close: pay the processing fees, then refund each
+        advertiser stake - spent - fee.  A failed status blocks both.
+        Shortfalls are paid out as far as the escrow allows and leave an
+        auditable gap."""
+        if self.status == "failed":
             return
+        policies = self._policies(ctx)
         total_fees = sum(r["fee"] for r in self.advertisers.values())
-        balance = ctx.chain.balances.get(self.address, 0)
-        if total_fees > balance:
+        if total_fees > ctx.chain.balances.get(self.address, 0):
             raise ContractError("Overdraw", "escrow cannot cover fees")
         ctx.transfer(self.address, self.cf_account, total_fees)
         self.fees_paid = True
-
-    def refund_advertisers_call(self, ctx, args):
-        if not self._campaign_over(ctx):
-            raise ContractError("CampaignActive")
-        if self.refunds_done:
-            raise ContractError("AlreadyFinalized")
-        self._refund(ctx)
-        return {"refunds": dict(self.refunds_paid)}
-
-    def _refund(self, ctx):
-        """refund = stake - spent - fee per advertiser; shortfalls are paid
-        out as far as the escrow allows and leave an auditable gap."""
-        policies = self._policies(ctx)
-        for adv_id in self.advertisers:
-            record = self.advertisers[adv_id]
-            spent = self._spent(policies, adv_id)
-            owed = record["staked"] - spent - record["fee"]
+        for adv_id, record in self.advertisers.items():
+            owed = record["staked"] - self._spent(policies, adv_id) - record["fee"]
             if owed < 0:
                 # overspent campaign: the difference is requested back
                 self.top_up_due[adv_id] = -owed
                 owed = 0
-            balance = ctx.chain.balances.get(self.address, 0)
-            paid = min(owed, balance)
+            paid = min(owed, ctx.chain.balances.get(self.address, 0))
             if paid:
                 ctx.transfer(self.address, record["account"], paid)
             self.refunds_paid[adv_id] = paid
@@ -580,27 +521,26 @@ class FundContract:
     # -- state ----------------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        return to_wire(
-            {
-                "kind": self.KIND,
-                "cf": self.cf_account,
-                "init": self.init,
-                "status": self.status,
-                "advertisers": {k: v for k, v in sorted(self.advertisers.items())},
-                "payment_requests": self.payment_requests,
-                "payed": {k: v for k, v in sorted(self.payed_requests.items())},
-                "aggr_clicks": self.aggr_clicks,
-                "pool_pk": self.pool_pk,
-                "pool_threshold": self.pool_threshold,
-                "analytics_totals": self.analytics_totals,
-                "analytics_ready": self.analytics_ready,
-                "analytics_posts": sorted(self.analytics_partials),
-                "settled_total": self.settled_total,
-                "refunds": {k: v for k, v in sorted(self.refunds_paid.items())},
-                "top_up_due": {k: v for k, v in sorted(self.top_up_due.items())},
-                "fees_paid": self.fees_paid,
-                "refunds_done": self.refunds_done,
-                "complaints": self.complaints,
-                "epoch_blocks": self.epoch_blocks,
-            }
-        )
+        """Plain state values; codec.canonical_json wires and sorts them."""
+        return {
+            "kind": self.KIND,
+            "cf": self.cf_account,
+            "init": self.init,
+            "status": self.status,
+            "advertisers": self.advertisers,
+            "payment_requests": self.payment_requests,
+            "payed": self.payed_requests,
+            "aggr_clicks": self.aggr_clicks,
+            "pool_pk": self.pool_pk,
+            "pool_threshold": self.pool_threshold,
+            "analytics_totals": self.analytics_totals,
+            "analytics_ready": self.analytics_totals is not None,
+            "analytics_posts": sorted(self.analytics_partials),
+            "settled_total": self.settled_total,
+            "refunds": self.refunds_paid,
+            "top_up_due": self.top_up_due,
+            "fees_paid": self.fees_paid,
+            "refunds_done": self.refunds_done,
+            "complaints": self.complaints,
+            "epoch_blocks": self.epoch_blocks,
+        }

@@ -41,7 +41,6 @@ __all__ = [
     "UnknownSender",
     "address_from_pk",
     "private_wrap",
-    "multi_chain",
 ]
 
 Address = bytes  # 20 bytes
@@ -349,12 +348,13 @@ class Chain:
     # -- state -------------------------------------------------------------
 
     def state_view(self) -> dict:
-        """Full structured chain state (the hashing pre-image)."""
+        """Full chain state (the hashing pre-image), as plain values that
+        codec.canonical_json wires."""
         return {
             "balances": {a.hex(): v for a, v in sorted(self.balances.items())},
             "nonces": {a.hex(): v for a, v in sorted(self.nonces.items())},
             "contracts": {a.hex(): self.contracts[a].state_dict() for a in sorted(self.contracts)},
-            "notes": [to_wire(self.notes[ref]) for ref in sorted(self.notes)],
+            "notes": [self.notes[ref] for ref in sorted(self.notes)],
             "redeemed": sorted(ref.hex() for ref, done in self.redeemed.items() if done),
             "pool_value": self.note_pool_value,
         }
@@ -374,9 +374,3 @@ class Chain:
             for block in self.blocks:
                 fh.write(json.dumps(block.record(), sort_keys=True, separators=(",", ":")) + "\n")
 
-
-def multi_chain(n: int, seed, genesis_per_chain) -> list[Chain]:
-    """n fully independent chains; genesis_per_chain[i] maps address->balance."""
-    if n < 1:
-        raise ValueError("need at least one chain")
-    return [Chain(i, seed, genesis_per_chain[i] if genesis_per_chain else None) for i in range(n)]

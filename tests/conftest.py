@@ -6,9 +6,10 @@ import pytest
 
 from privads.codec import encode_args
 from privads.contracts import FundContract, PolicyContract, policy_blob
-from privads.group import KeyPair, dh_agree, hybrid_encrypt, keygen, sign, sym_encrypt
+from privads.group import KeyPair, dh_agree, encrypt_vector, hybrid_encrypt, keygen, sign, sym_encrypt
 from privads.ledger import Chain, address_from_pk
 from privads.rng import Rng
+from privads.threshold import SyncChannel, dkg_run, partial_decrypt
 
 
 @dataclass
@@ -128,6 +129,47 @@ def build_campaign(
             chain.call(account, fsc_address, "store_funds", {"id": adv_id, "amount": budget + fee_})
         chain.mine_block()
     return campaign
+
+
+def register_pool(campaign, participants=(1,), threshold=1):
+    """Run a DKG among `participants` and register it as the campaign's
+    analytics pool; returns the DKG result."""
+    pool = dkg_run(list(participants), threshold, SyncChannel(), campaign.rng)
+    campaign.cf_call(
+        campaign.fsc_address,
+        "register_pool",
+        {"pk": keygen(b"pool-signing").pk, "threshold": threshold, "recovery_bound": 2**12},
+    )
+    campaign.mine()
+    return pool
+
+
+def post_analytics(campaign, pool, enc_totals, index=1, partials=None):
+    """Post participant `index`'s partial decryptions of enc_totals (its
+    honest ones unless `partials` is given); returns the receipt."""
+    if partials is None:
+        partials = [partial_decrypt(pool.shares[index], ct, campaign.rng) for ct in enc_totals]
+    rid = campaign.cf_call(
+        campaign.fsc_address,
+        "post_analytics",
+        {
+            "enc_totals": enc_totals,
+            "tpk_pk": pool.public_key.pk,
+            "tpk_vector": list(pool.public_key.verification),
+            "index": index,
+            "partials": partials,
+        },
+    )
+    campaign.mine()
+    return campaign.chain.receipt(rid)
+
+
+def land_analytics(campaign, totals):
+    """Register a one-member pool and post `totals` through it, so the fund
+    contract combines them at once."""
+    pool = register_pool(campaign)
+    receipt = post_analytics(campaign, pool, encrypt_vector(pool.public_key.pk, totals, campaign.rng))
+    assert receipt.ok, receipt.error
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Role drivers: claims, payment requests, advertiser setup/audit, pool."""
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -187,9 +188,7 @@ class TestPoolLifecycle:
         campaign.mine()
         # only one of the required two participants posts
         first = pool.winners[0]
-        one_pool = type(pool)(
-            pool.threshold_key, pool.shares, [first], pool.signing_keypair, pool.draws, pool.vrf_outputs
-        )
+        one_pool = dataclasses.replace(pool, winners=[first])
         pool_analytics(one_pool, registrants, handle_of(campaign), Rng("analytics"))
         campaign.mine()
         assert campaign.fsc.analytics_totals is None

@@ -4,9 +4,13 @@ The reward expectations are computed with a plain dot-product oracle; the
 refund expectations with plain stake/spent/fee arithmetic.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from privads.codec import encode_args
+from privads.contracts import FundContract, PolicyContract
 from privads.group import (
     G,
     decrypt,
@@ -20,9 +24,9 @@ from privads.group import (
 from privads.ledger import address_from_pk
 from privads.payments import build_batch, serialize_batch
 from privads.proofs import prove_decryption
-from privads.threshold import SyncChannel, dkg_run, partial_decrypt
+from privads.threshold import partial_decrypt
 
-from conftest import build_campaign
+from conftest import build_campaign, land_analytics, post_analytics, register_pool
 
 
 def claim(campaign, vector, tag="user"):
@@ -291,6 +295,21 @@ class TestPaymentRequest:
         assert "NotPrivate" in campaign.chain.receipt(rid).error
 
 
+class TestPeriods:
+    def test_advance_period_reopens_requests(self, campaign):
+        kp = claim(campaign, [3, 0, 2])
+        request_payment(campaign, kp)
+        outsider = address_from_pk(keygen(b"outsider").pk)
+        campaign.chain.create_account(outsider)
+        rid = campaign.chain.call(outsider, campaign.psc_address, "advance_period", {})
+        campaign.mine()
+        assert "NotCF" in campaign.chain.receipt(rid).error
+        rid = campaign.cf_call(campaign.psc_address, "advance_period", {})
+        campaign.mine()
+        assert campaign.chain.receipt(rid).ok
+        assert campaign.psc.period == 1 and campaign.psc.requested_this_period == set()
+
+
 class TestStaking:
     def test_all_stakes_flip_init(self):
         campaign = build_campaign(
@@ -335,82 +354,38 @@ class TestStaking:
         assert "AlreadyInitialized" in campaign.chain.receipt(rid).error
 
 
-class TestAggrClicks:
-    def _pool(self, campaign):
-        pool_kp = keygen(b"pool-signing")
-        campaign.cf_call(
-            campaign.fsc_address,
-            "register_pool",
-            {"pk": pool_kp.pk, "threshold": 2, "recovery_bound": 2**16},
-        )
-        campaign.mine()
-        return pool_kp
-
-    def test_signed_update_accumulates(self, campaign):
-        pool_kp = self._pool(campaign)
-        totals = [3, 0, 2]
-        sig = sign(pool_kp, encode_args(totals), campaign.rng, tag=b"sig/aggr-clicks")
-        campaign.cf_call(campaign.fsc_address, "store_aggr_clicks", {"totals": totals, "sig": sig})
-        campaign.mine()
-        assert campaign.fsc.aggr_clicks == [3, 0, 2]
-        sig2 = sign(pool_kp, encode_args(totals), campaign.rng, tag=b"sig/aggr-clicks")
-        campaign.cf_call(campaign.fsc_address, "store_aggr_clicks", {"totals": totals, "sig": sig2})
-        campaign.mine()
-        assert campaign.fsc.aggr_clicks == [6, 0, 4]
-
-    def test_forged_signature_rejected(self, campaign):
-        self._pool(campaign)
-        totals = [1, 1, 1]
-        sig = sign(keygen(b"forger"), encode_args(totals), campaign.rng, tag=b"sig/aggr-clicks")
-        rid = campaign.cf_call(campaign.fsc_address, "store_aggr_clicks", {"totals": totals, "sig": sig})
-        campaign.mine()
-        assert "BadSignature" in campaign.chain.receipt(rid).error
-
-
 class TestAnalyticsPosts:
     def test_threshold_combination(self, campaign):
-        rng = campaign.rng
-        result = dkg_run([1, 2, 3], 2, SyncChannel(), rng)
-        campaign.cf_call(
-            campaign.fsc_address,
-            "register_pool",
-            {"pk": keygen(b"pool-signing").pk, "threshold": 2, "recovery_bound": 2**12},
-        )
-        campaign.mine()
+        pool = register_pool(campaign, (1, 2, 3), threshold=2)
         totals_plain = [5, 0, 7]
-        enc_totals = encrypt_vector(result.public_key.pk, totals_plain, rng)
+        enc_totals = encrypt_vector(pool.public_key.pk, totals_plain, campaign.rng)
         for index in (1, 2):
-            partials = [partial_decrypt(result.shares[index], ct, rng) for ct in enc_totals]
-            rid = campaign.cf_call(
-                campaign.fsc_address,
-                "post_analytics",
-                {
-                    "enc_totals": enc_totals,
-                    "tpk_pk": result.public_key.pk,
-                    "tpk_vector": list(result.public_key.verification),
-                    "index": index,
-                    "partials": partials,
-                },
-            )
-            campaign.mine()
-            assert campaign.chain.receipt(rid).ok, campaign.chain.receipt(rid).error
+            receipt = post_analytics(campaign, pool, enc_totals, index)
+            assert receipt.ok, receipt.error
         assert campaign.fsc.analytics_totals == totals_plain
         assert campaign.fsc.aggr_clicks == totals_plain
+
+    def test_rejected_first_post_stores_nothing(self, campaign):
+        pool = register_pool(campaign, (1, 2, 3), threshold=2)
+        enc_totals = encrypt_vector(pool.public_key.pk, [5, 0, 7], campaign.rng)
+        junk_totals = encrypt_vector(pool.public_key.pk, [9, 9, 9], campaign.rng)
+        junk = [partial_decrypt(pool.shares[3], ct, campaign.rng) for ct in enc_totals]
+        receipt = post_analytics(campaign, pool, junk_totals, 3, partials=junk)
+        assert "InvalidShareProof" in receipt.error
+        assert campaign.fsc.analytics_enc_totals is None and campaign.fsc.analytics_tpk is None
+        for index in (1, 2):
+            receipt = post_analytics(campaign, pool, enc_totals, index)
+            assert receipt.ok, receipt.error
+        assert campaign.fsc.analytics_totals == [5, 0, 7]
 
     def test_each_partial_checked_once_in_a_batch(self, campaign, monkeypatch):
         import privads.proofs
         import privads.threshold
 
         rng = campaign.rng
-        result = dkg_run([1, 2, 3], 2, SyncChannel(), rng)
-        campaign.cf_call(
-            campaign.fsc_address,
-            "register_pool",
-            {"pk": keygen(b"pool-signing").pk, "threshold": 2, "recovery_bound": 2**12},
-        )
-        campaign.mine()
-        enc_totals = encrypt_vector(result.public_key.pk, [5, 0, 7], rng)
-        posts = {i: [partial_decrypt(result.shares[i], ct, rng) for ct in enc_totals] for i in (1, 2)}
+        pool = register_pool(campaign, (1, 2, 3), threshold=2)
+        enc_totals = encrypt_vector(pool.public_key.pk, [5, 0, 7], rng)
+        posts = {i: [partial_decrypt(pool.shares[i], ct, rng) for ct in enc_totals] for i in (1, 2)}
         single, batched = [], []
 
         def counted_single(*args):
@@ -426,47 +401,19 @@ class TestAnalyticsPosts:
         monkeypatch.setattr(privads.threshold, "dleq_verify", counted_single)
         monkeypatch.setattr(privads.threshold, "dleq_first_invalid", counted_batch)
         for index, partials in posts.items():
-            campaign.cf_call(
-                campaign.fsc_address,
-                "post_analytics",
-                {
-                    "enc_totals": enc_totals,
-                    "tpk_pk": result.public_key.pk,
-                    "tpk_vector": list(result.public_key.verification),
-                    "index": index,
-                    "partials": partials,
-                },
-            )
-            campaign.mine()
+            post_analytics(campaign, pool, enc_totals, index, partials=partials)
         assert campaign.fsc.analytics_totals == [5, 0, 7]
         assert single == []
         assert batched == [3, 3]
 
     def test_forged_partial_rejected(self, campaign):
         rng = campaign.rng
-        result = dkg_run([1, 2], 2, SyncChannel(), rng)
-        campaign.cf_call(
-            campaign.fsc_address,
-            "register_pool",
-            {"pk": keygen(b"pool-signing").pk, "threshold": 2, "recovery_bound": 2**12},
-        )
-        campaign.mine()
-        enc_totals = encrypt_vector(result.public_key.pk, [1, 2, 3], rng)
-        partials = [partial_decrypt(result.shares[1], ct, rng) for ct in enc_totals]
+        pool = register_pool(campaign, (1, 2), threshold=2)
+        enc_totals = encrypt_vector(pool.public_key.pk, [1, 2, 3], rng)
+        partials = [partial_decrypt(pool.shares[1], ct, rng) for ct in enc_totals]
         forged = [type(p)(p.index, p.share_point + G, p.proof) for p in partials]
-        rid = campaign.cf_call(
-            campaign.fsc_address,
-            "post_analytics",
-            {
-                "enc_totals": enc_totals,
-                "tpk_pk": result.public_key.pk,
-                "tpk_vector": list(result.public_key.verification),
-                "index": 1,
-                "partials": forged,
-            },
-        )
-        campaign.mine()
-        assert "InvalidShareProof" in campaign.chain.receipt(rid).error
+        receipt = post_analytics(campaign, pool, enc_totals, 1, partials=forged)
+        assert "InvalidShareProof" in receipt.error
 
 
 def settle_campaign(campaign, kps_with_amounts, pool_totals, underpay_addr=None, surplus=0):
@@ -475,15 +422,7 @@ def settle_campaign(campaign, kps_with_amounts, pool_totals, underpay_addr=None,
     Returns {payout_addr: (tx_ref, blinding, amount_paid)}.
     """
     rng = campaign.rng
-    pool_kp = keygen(b"pool-signing")
-    campaign.cf_call(
-        campaign.fsc_address,
-        "register_pool",
-        {"pk": pool_kp.pk, "threshold": 1, "recovery_bound": 2**16},
-    )
-    sig = sign(pool_kp, encode_args(pool_totals), rng, tag=b"sig/aggr-clicks")
-    campaign.cf_call(campaign.fsc_address, "store_aggr_clicks", {"totals": pool_totals, "sig": sig})
-    campaign.mine()
+    land_analytics(campaign, pool_totals)
 
     pending = campaign.fsc.payment_requests
     total = sum(r["amount"] for r in pending) + surplus
@@ -592,13 +531,7 @@ class TestSettlementAndClose:
     def test_epoch_elapse_allows_finalize(self):
         # short epoch; refunds run on the zero-click totals once it elapses
         campaign = build_campaign(epoch_blocks=6)
-        pool_kp = keygen(b"pool-signing")
-        campaign.cf_call(
-            campaign.fsc_address, "register_pool", {"pk": pool_kp.pk, "threshold": 1, "recovery_bound": 16}
-        )
-        sig = sign(pool_kp, encode_args([0, 0, 0]), campaign.rng, tag=b"sig/aggr-clicks")
-        campaign.cf_call(campaign.fsc_address, "store_aggr_clicks", {"totals": [0, 0, 0], "sig": sig})
-        campaign.mine()
+        land_analytics(campaign, [0, 0, 0])
         while campaign.chain.height < 6:
             campaign.mine()
         rid = campaign.cf_call(campaign.fsc_address, "finalize", {})
@@ -643,12 +576,18 @@ class TestComplaints:
         receipt = campaign.chain.receipt(rid)
         assert receipt.ok and receipt.ret["verdict"] == "cf_flagged"
         assert campaign.fsc.status == "failed"
-        # fees withheld: the final payment_processed no longer pays out
+        # fees and refunds withheld: neither the final payment_processed nor
+        # finalize, nor any retired close path, moves escrowed tokens
         before = campaign.chain.balances[campaign.cf_account]
+        escrow = campaign.chain.balances[campaign.fsc_address]
         campaign.cf_call(campaign.fsc_address, "payment_processed", {"tx_ref": tx_ref, "addr": payout})
+        for function in ("finalize", "refund_advertisers", "pay_processing_fees"):
+            campaign.cf_call(campaign.fsc_address, function, {})
         campaign.mine()
-        assert not campaign.fsc.fees_paid
+        assert not campaign.fsc.fees_paid and not campaign.fsc.refunds_done
+        assert campaign.fsc.refunds_paid == {}
         assert campaign.chain.balances[campaign.cf_account] == before
+        assert campaign.chain.balances[campaign.fsc_address] == escrow
 
     def test_correct_payment_complaint_rejected(self):
         campaign, kp, payout, tx_ref, blinding, paid = self._settled(underpay=False)
@@ -709,3 +648,28 @@ class TestComplaints:
         rid = campaign.cf_call(campaign.fsc_address, "claim_insufficient_refund", {"id": "ghost"})
         campaign.mine()
         assert "UnknownAdvertiser" in campaign.chain.receipt(rid).error
+
+
+class TestEntryPoints:
+    def test_every_entry_point_is_called_and_retired_ones_are_unknown(self, campaign):
+        tests = Path(__file__).resolve().parent
+        sources = [tests.parent / "src" / "privads" / "actors.py", *sorted(tests.glob("*.py"))]
+        literals = {
+            node.value
+            for path in sources
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        for contract in (PolicyContract, FundContract):
+            assert contract.FUNCTIONS - literals == set(), contract.__name__
+            assert all(callable(getattr(contract, name)) for name in contract.FUNCTIONS)
+        retired = [
+            (campaign.psc_address, "get_aggregate"),
+            (campaign.fsc_address, "store_aggr_clicks"),
+            (campaign.fsc_address, "refund_advertisers"),
+            (campaign.fsc_address, "pay_processing_fees"),
+        ]
+        rids = [campaign.cf_call(target, function, {}) for target, function in retired]
+        campaign.mine()
+        for rid, (_, function) in zip(rids, retired):
+            assert campaign.chain.receipt(rid).error == f"UnknownFunction: {function}"

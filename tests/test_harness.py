@@ -273,10 +273,10 @@ class TestCli:
 
 
 class TestAudit:
-    def _run(self, tmp_path, name="strawman"):
+    def _run(self, tmp_path, name="strawman", scenario=None):
         report = tmp_path / "report.jsonl"
         blocks = tmp_path / "blocks.jsonl"
-        outcome = run_scenario(load_scenario(SCENARIOS / f"{name}.yaml"))
+        outcome = run_scenario(scenario or load_scenario(SCENARIOS / f"{name}.yaml"))
         report.write_bytes(report_bytes(outcome.sections))
         write_block_log(outcome.chains, blocks)
         return report, blocks
@@ -285,6 +285,19 @@ class TestAudit:
         report, blocks = self._run(tmp_path)
         ok, findings = verify_run(report, blocks)
         assert ok, findings
+
+    def test_zero_user_run_verifies(self, tmp_path):
+        # no payment request ever closes the campaign, so no refund is due
+        scenario = Scenario.from_dict(
+            {
+                "catalog_size": 2,
+                "advertisers": [{"id": "a", "ads": [0, 1], "policies": [1, 2], "impressions": [5, 5]}],
+                "users": {"count": 0},
+                "pool": {"participants": 1, "threshold": 1, "draw_pool": 2},
+            }
+        )
+        report, blocks = self._run(tmp_path, scenario=scenario)
+        assert verify_run(report, blocks) == (True, [])
 
     def test_mutated_block_detected(self, tmp_path):
         report, blocks = self._run(tmp_path)

@@ -11,7 +11,6 @@ from privads.ledger import (
     Chain,
     Transaction,
     UnknownSender,
-    multi_chain,
     private_wrap,
 )
 from privads.payments import build_batch, serialize_batch
@@ -211,15 +210,8 @@ class TestConservationAndNotes:
 
 
 class TestMultiChain:
-    def test_single_chain_equivalent(self):
-        chains = multi_chain(1, "mc", [{_addr(1): 100}])
-        solo = Chain(0, "mc", {_addr(1): 100})
-        chains[0].call(_addr(1), None, "transfer", {"to": _addr(2), "amount": 10})
-        solo.call(_addr(1), None, "transfer", {"to": _addr(2), "amount": 10})
-        assert chains[0].mine_block().state_hash == solo.mine_block().state_hash
-
     def test_chains_are_independent(self):
-        chains = multi_chain(3, "mc", [{_addr(1): 100}, {_addr(1): 100}, {_addr(1): 100}])
+        chains = [Chain(i, "mc", {_addr(1): 100}) for i in range(3)]
         before = [c.state_hash() for c in chains]
         chains[0].call(_addr(1), None, "transfer", {"to": _addr(2), "amount": 10})
         chains[0].mine_block()
@@ -228,9 +220,5 @@ class TestMultiChain:
         assert after[1] == before[1] and after[2] == before[2]
 
     def test_validator_keys_differ(self):
-        chains = multi_chain(2, "mc", [{}, {}])
+        chains = [Chain(i, "mc", {}) for i in range(2)]
         assert chains[0].validator_keypair.pk != chains[1].validator_keypair.pk
-
-    def test_needs_positive_count(self):
-        with pytest.raises(ValueError):
-            multi_chain(0, "mc", [])
