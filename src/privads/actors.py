@@ -99,7 +99,6 @@ class CampaignHandle:
 class UserAgent:
     user_id: str
     rng: Rng
-    account: bytes = b""
     interaction_cap: int = 1000
     recovery_bound: int = 2**20
     ephemeral: KeyPair | None = None
@@ -109,20 +108,20 @@ class UserAgent:
     claimed: dict = field(default_factory=dict)  # period -> submitted amount
     payouts: dict = field(default_factory=dict)  # period -> payout address
     ephemerals: dict = field(default_factory=dict)  # period -> ephemeral pk bytes
+    accounts: dict = field(default_factory=dict)  # period -> sender address of the ephemeral pk
     received: dict = field(default_factory=dict)  # period -> (tx_ref, blinding, amount)
     complaints: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.account:
-            self.account = address_from_pk(keygen(b"user-account/" + self.user_id.encode()).pk)
-
     def new_period(self, period: int):
         """Fresh ephemeral keypair and payout account: one per payout period,
-        never reused, so requests stay unlinkable across periods."""
+        never reused, so requests stay unlinkable across periods.  The
+        period's transactions go out from the ephemeral key's own address,
+        so no sender links two periods either."""
         self.period = period
         self.ephemeral = keygen(self.rng.child(f"ephemeral/{period}").take_bytes(32))
         self.payout_kp = keygen(self.rng.child(f"payout/{period}").take_bytes(32))
         self.ephemerals[period] = self.ephemeral.pk.encode()
+        self.accounts[period] = address_from_pk(self.ephemeral.pk)
 
     def claim(self, handle: CampaignHandle, vector, threshold_key) -> str:
         """Encrypt the interaction vector under the ephemeral key (rewards)
@@ -133,8 +132,9 @@ class UserAgent:
             raise ValueError("interaction counts must be non-negative")
         enc_vec = encrypt_vector(self.ephemeral, vector, self.rng)
         enc_vec_prime = encrypt_vector(threshold_key, vector, self.rng)
+        handle.chain.create_account(self.accounts[self.period])  # the claim is its first use
         return handle.chain.call(
-            self.account,
+            self.accounts[self.period],
             handle.psc_address,
             "compute_aggregate",
             {"user_pk": self.ephemeral.pk, "enc_vec": enc_vec, "enc_vec_prime": enc_vec_prime},
@@ -161,7 +161,7 @@ class UserAgent:
         self.claimed[self.period] = amount
         self.payouts[self.period] = payout_address
         return handle.chain.call(
-            self.account,
+            self.accounts[self.period],
             handle.psc_address,
             "payment_request",
             {
@@ -188,7 +188,7 @@ class UserAgent:
             return None
         self.complaints.append({"period": period, "expected": self.claimed[period], "paid": amount})
         return handle.chain.call(
-            self.account,
+            self.accounts[period],
             handle.fsc_address,
             "raise_complaint",
             {
@@ -258,9 +258,10 @@ class AdvertiserAgent:
             {"id": self.adv_id, "amount": self.budget + self.fee},
         )
 
-    def audit(self, handle: CampaignHandle, tpk: ThresholdPublicKey) -> dict:
+    def audit(self, handle: CampaignHandle) -> dict:
         """Recompute the homomorphic analytics sum, verify the posted partial
-        decryptions, and check the refund equation; file a claim on mismatch.
+        decryptions against the registered pool key, and check the refund
+        equation; file a claim on mismatch.
 
         Returns a verdict dict; the claim receipt id is included when filed.
         """
@@ -276,6 +277,7 @@ class AdvertiserAgent:
             verdict["checks"].append(("homomorphic_sum_matches", match))
             posts = sorted(fsc.analytics_partials.items())
             cts = fsc.analytics_enc_totals
+            tpk = fsc.pool_key
             # One batch over every post; only when it fails is each post
             # checked on its own, to tell which one is bad.
             all_ok = _partials_verify(tpk, cts * len(posts), [p for _, partials in posts for p in partials])
@@ -285,9 +287,8 @@ class AdvertiserAgent:
             verdict["checks"].append(("enough_partials", len(posts) >= (fsc.pool_threshold or 0)))
 
         record = fsc.advertisers[self.adv_id]
-        spent = sum(
-            value * fsc.aggr_clicks[slot] for slot, value in zip(self.slots, self.policies)
-        )
+        clicks = fsc.click_totals
+        spent = sum(value * clicks[slot] for slot, value in zip(self.slots, self.policies))
         refund = fsc.refunds_paid.get(self.adv_id, 0) - fsc.top_up_due.get(self.adv_id, 0)
         balanced = spent + refund + self.fee == record["staked"]
         verdict["checks"].append(("refund_equation", balanced))
@@ -475,11 +476,10 @@ class FacilitatorAgent:
 class ConsensusParticipant:
     participant_id: str
     vrf_keypair: KeyPair
-    account: bytes = b""
 
-    def __post_init__(self):
-        if not self.account:
-            self.account = address_from_pk(keygen(b"pool-account/" + self.participant_id.encode()).pk)
+    @property
+    def account(self) -> bytes:
+        return address_from_pk(self.vrf_keypair.pk)
 
 
 @dataclass
@@ -549,7 +549,7 @@ def run_pool_lifecycle(
         handle.fsc_address,
         "register_pool",
         {
-            "pk": keygen(rng.child("pool-signing").take_bytes(32)).pk,
+            "verification": result.public_key.verification,
             "threshold": params.threshold,
             "recovery_bound": recovery_bound or handle.fsc.recovery_bound,
         },
@@ -586,8 +586,6 @@ def pool_analytics(pool: PoolResult, registrant_by_id: dict, handle: CampaignHan
                 "post_analytics",
                 {
                     "enc_totals": sums,
-                    "tpk_pk": pool.threshold_key.pk,
-                    "tpk_vector": list(pool.threshold_key.verification),
                     "index": share.index,
                     "partials": partials,
                 },

@@ -3,6 +3,11 @@
 Values are reduced to JSON with type-tagged leaves for bytes and the
 crypto domain objects, serialized with sorted keys and no whitespace, so
 every hash over encoded state is reproducible across runs and platforms.
+
+The encoding is injective.  A tagged leaf is a one-key object whose key is
+"!" plus a tag; a bytes dict key is written "0x" plus hex; a str dict key
+that starts with "0x" or "!" is escaped with a leading "!!".  Decoding
+rejects an unknown tag or an unescaped "!" key with ValueError.
 """
 
 from __future__ import annotations
@@ -17,16 +22,18 @@ from .threshold import PartialDecryption
 
 __all__ = ["to_wire", "from_wire", "encode_args", "decode_args", "canonical_json", "digest"]
 
+# Leaves written as the hex of their own encode(), looked up by exact type.
+_HEX_LEAVES = {GroupElement: "!pt", Ciphertext: "!ct", HybridCiphertext: "!hc", Commitment: "!com"}
+
 
 def to_wire(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, bytes):
         return {"!b": obj.hex()}
-    if isinstance(obj, GroupElement):
-        return {"!pt": obj.encode().hex()}
-    if isinstance(obj, Ciphertext):
-        return {"!ct": obj.encode().hex()}
+    tag = _HEX_LEAVES.get(type(obj))
+    if tag is not None:
+        return {tag: obj.encode().hex()}
     if isinstance(obj, Signature):
         return {"!sig": [obj.challenge, obj.response]}
     if isinstance(obj, DecryptionProof):
@@ -40,10 +47,6 @@ def to_wire(obj):
         }
     if isinstance(obj, VrfOutput):
         return {"!vrf": [obj.rand, to_wire(obj.gamma), to_wire(obj.proof)]}
-    if isinstance(obj, HybridCiphertext):
-        return {"!hc": obj.encode().hex()}
-    if isinstance(obj, Commitment):
-        return {"!com": obj.encode().hex()}
     if isinstance(obj, TransferNote):
         return {"!note": [obj.tx_ref.hex(), obj.recipient.hex(), obj.commitment.encode().hex()]}
     if isinstance(obj, PartialDecryption):
@@ -55,14 +58,43 @@ def to_wire(obj):
     raise TypeError(f"cannot wire-encode {type(obj).__name__}")
 
 
+_ESCAPE = "!!"
+
+
 def _wire_key(key) -> str:
     if isinstance(key, str):
-        return key
+        return _ESCAPE + key if key.startswith(("0x", "!")) else key
     if isinstance(key, bytes):
         return "0x" + key.hex()
-    if isinstance(key, int):
-        return str(key)
     raise TypeError(f"cannot use {type(key).__name__} as wire key")
+
+
+def _key_from_wire(key: str):
+    if key.startswith(_ESCAPE):
+        return key[len(_ESCAPE) :]
+    if key.startswith("0x"):
+        return bytes.fromhex(key[2:])
+    if key.startswith("!"):
+        raise ValueError(f"unescaped wire key {key!r}")
+    return key
+
+
+def _point(hex_str: str) -> GroupElement:
+    return GroupElement.decode(bytes.fromhex(hex_str))
+
+
+_TAGS = {
+    "!b": bytes.fromhex,
+    "!pt": _point,
+    "!ct": lambda v: Ciphertext.decode(bytes.fromhex(v)),
+    "!sig": lambda v: Signature(v[0], v[1]),
+    "!proof": lambda v: DecryptionProof(_point(v[0]), _point(v[1]), v[2], v[3]),
+    "!vrf": lambda v: VrfOutput(v[0], from_wire(v[1]), from_wire(v[2])),
+    "!hc": lambda v: HybridCiphertext.decode(bytes.fromhex(v)),
+    "!com": lambda v: Commitment(_point(v)),
+    "!note": lambda v: TransferNote(bytes.fromhex(v[0]), bytes.fromhex(v[1]), Commitment(_point(v[2]))),
+    "!part": lambda v: PartialDecryption(v[0], from_wire(v[1]), from_wire(v[2])),
+}
 
 
 def from_wire(obj):
@@ -73,39 +105,12 @@ def from_wire(obj):
     if isinstance(obj, dict):
         if len(obj) == 1:
             (key, value), = obj.items()
-            if key == "!b":
-                return bytes.fromhex(value)
-            if key == "!pt":
-                return GroupElement.decode(bytes.fromhex(value))
-            if key == "!ct":
-                return Ciphertext.decode(bytes.fromhex(value))
-            if key == "!sig":
-                return Signature(value[0], value[1])
-            if key == "!proof":
-                return DecryptionProof(
-                    GroupElement.decode(bytes.fromhex(value[0])),
-                    GroupElement.decode(bytes.fromhex(value[1])),
-                    value[2],
-                    value[3],
-                )
-            if key == "!vrf":
-                return VrfOutput(value[0], from_wire(value[1]), from_wire(value[2]))
-            if key == "!hc":
-                return HybridCiphertext.decode(bytes.fromhex(value))
-            if key == "!com":
-                return Commitment(GroupElement.decode(bytes.fromhex(value)))
-            if key == "!note":
-                return TransferNote(
-                    bytes.fromhex(value[0]),
-                    bytes.fromhex(value[1]),
-                    Commitment(GroupElement.decode(bytes.fromhex(value[2]))),
-                )
-            if key == "!part":
-                return PartialDecryption(value[0], from_wire(value[1]), from_wire(value[2]))
-        out = {}
-        for key, value in obj.items():
-            out[bytes.fromhex(key[2:]) if key.startswith("0x") else key] = from_wire(value)
-        return out
+            if key.startswith("!") and not key.startswith(_ESCAPE):
+                decode = _TAGS.get(key)
+                if decode is None:
+                    raise ValueError(f"unknown wire tag {key!r}")
+                return decode(value)
+        return {_key_from_wire(key): from_wire(value) for key, value in obj.items()}
     raise TypeError(f"cannot wire-decode {type(obj).__name__}")
 
 

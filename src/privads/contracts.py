@@ -256,20 +256,16 @@ class FundContract(_Contract):
         self.advertisers: dict[str, dict] = {}
         self.payment_requests: list[dict] = []
         self.payed_requests: dict[bytes, bytes] = {}  # payout addr -> tx_ref
-        self.aggr_clicks = [0] * self.catalog_size
-        self.pool_pk: GroupElement | None = None
-        self.pool_threshold: int | None = None
+        self.pool_key: ThresholdPublicKey | None = None
         self.recovery_bound: int = 2**20
         self.analytics_enc_totals: list | None = None
-        self.analytics_tpk: ThresholdPublicKey | None = None
         self.analytics_partials: dict[int, list] = {}
         self.analytics_totals: list | None = None
         self.settlement_counter = 0
         self.settled_total = 0
         self.refunds_paid: dict[str, int] = {}
         self.top_up_due: dict[str, int] = {}
-        self.fees_paid = False
-        self.refunds_done = False
+        self.refunds_done = False  # set by _close, which pays fees and refunds together
         self.complaints: list[dict] = []
 
     def link_psc(self, ctx, args):
@@ -315,58 +311,62 @@ class FundContract(_Contract):
         ctx.transfer(ctx.sender, self.address, amount)
         record["staked"] = amount
         if all(r["staked"] for r in self.advertisers.values()):
-            self._initialise_campaign()
+            self.init = True
         return None
-
-    def _initialise_campaign(self):
-        self.init = True
 
     # -- analytics ----------------------------------------------------------------
 
     def register_pool(self, ctx, args):
-        if self.pool_pk is not None:
+        """Fix the pool's verification vector once; its head must be the
+        threshold key published in the policy contract."""
+        if self.pool_key is not None:
             raise ContractError("AlreadyInitialized", "pool already registered")
-        self.pool_pk = args["pk"]
-        self.pool_threshold = args["threshold"]
+        verification = tuple(args["verification"])
+        published = ctx.contract(self.psc_address).threshold_key if self.psc_address else None
+        if published is None or not verification or verification[0] != published:
+            raise ContractError("ThresholdKeyMismatch", "vector head must be the published threshold key")
+        if len(verification) != args["threshold"]:
+            raise ContractError("ThresholdKeyMismatch", "one commitment per coefficient of a threshold-k key")
+        self.pool_key = ThresholdPublicKey(published, verification)
         self.recovery_bound = args.get("recovery_bound", self.recovery_bound)
         return None
 
+    @property
+    def pool_threshold(self) -> int | None:
+        """Shares needed to decrypt: one per coefficient commitment."""
+        return len(self.pool_key.verification) if self.pool_key else None
+
+    @property
+    def click_totals(self) -> list:
+        """Per-ad clicks the campaign pays for: the analytics totals, or
+        zeros until they combine."""
+        return self.analytics_totals or [0] * self.catalog_size
+
     def post_analytics(self, ctx, args):
         """One consensus participant posts the summed ciphertexts plus its
-        partial decryptions; at threshold the contract combines and
-        accumulates the recovered per-ad totals.  A rejected post leaves
-        no trace."""
-        if self.pool_threshold is None:
+        partial decryptions, checked against the registered pool key; at
+        threshold the contract combines them into the per-ad totals.  A
+        rejected post leaves no trace."""
+        if self.pool_key is None:
             raise ContractError("NoPoolKey")
         enc_totals = args["enc_totals"]
-        tpk_pk: GroupElement = args["tpk_pk"]
-        tpk_vector = args["tpk_vector"]
         index: int = args["index"]
         partials = args["partials"]
         if len(enc_totals) != self.catalog_size or len(partials) != self.catalog_size:
             raise ContractError("LengthMismatch")
-        if self.psc_address is not None:
-            published = ctx.contract(self.psc_address).threshold_key
-            if published is not None and published != tpk_pk:
-                raise ContractError("ThresholdKeyMismatch")
-        if tpk_vector and tpk_vector[0] != tpk_pk:
-            raise ContractError("ThresholdKeyMismatch", "vector head must be the public key")
-        tpk = self.analytics_tpk
-        if tpk is None:
-            tpk = ThresholdPublicKey(tpk_pk, tuple(tpk_vector))
-        elif [ct.encode() for ct in enc_totals] != [ct.encode() for ct in self.analytics_enc_totals]:
+        stored = self.analytics_enc_totals
+        if stored is not None and [ct.encode() for ct in enc_totals] != [ct.encode() for ct in stored]:
             raise ContractError("AnalyticsMismatch", "posted ciphertexts disagree")
         if index in self.analytics_partials:
             raise ContractError("DuplicatePost", str(index))
         if any(partial.index != index for partial in partials):
             raise ContractError("IndexMismatch")
         try:
-            verify_partials(tpk, enc_totals, partials)
+            verify_partials(self.pool_key, enc_totals, partials)
         except InvalidShareProof:
             raise ContractError("InvalidShareProof", str(index)) from None
-        if self.analytics_tpk is None:
+        if stored is None:
             self.analytics_enc_totals = list(enc_totals)
-            self.analytics_tpk = tpk
         self.analytics_partials[index] = list(partials)
         if self.analytics_totals is None and len(self.analytics_partials) >= self.pool_threshold:
             self._combine_analytics()
@@ -381,7 +381,6 @@ class FundContract(_Contract):
             point = combine_verified_partials(partials, ct, self.pool_threshold)
             totals.append(recover_plaintext(point, self.recovery_bound))
         self.analytics_totals = totals
-        self.aggr_clicks = [a + b for a, b in zip(self.aggr_clicks, totals)]
 
     # -- payments -------------------------------------------------------------------
 
@@ -431,8 +430,8 @@ class FundContract(_Contract):
         return psc._decrypt_policies(ctx)
 
     def _spent(self, policies: list[int], adv_id: str) -> int:
-        record = self.advertisers[adv_id]
-        return sum(policies[i] * self.aggr_clicks[i] for i in record["ads"])
+        clicks = self.click_totals
+        return sum(policies[i] * clicks[i] for i in self.advertisers[adv_id]["ads"])
 
     def finalize(self, ctx, args):
         """Explicit campaign close (epoch elapsed or everything paid)."""
@@ -455,7 +454,6 @@ class FundContract(_Contract):
         if total_fees > ctx.chain.balances.get(self.address, 0):
             raise ContractError("Overdraw", "escrow cannot cover fees")
         ctx.transfer(self.address, self.cf_account, total_fees)
-        self.fees_paid = True
         for adv_id, record in self.advertisers.items():
             owed = record["staked"] - self._spent(policies, adv_id) - record["fee"]
             if owed < 0:
@@ -530,16 +528,12 @@ class FundContract(_Contract):
             "advertisers": self.advertisers,
             "payment_requests": self.payment_requests,
             "payed": self.payed_requests,
-            "aggr_clicks": self.aggr_clicks,
-            "pool_pk": self.pool_pk,
-            "pool_threshold": self.pool_threshold,
+            "pool_verification": self.pool_key.verification if self.pool_key else None,
             "analytics_totals": self.analytics_totals,
-            "analytics_ready": self.analytics_totals is not None,
             "analytics_posts": sorted(self.analytics_partials),
             "settled_total": self.settled_total,
             "refunds": self.refunds_paid,
             "top_up_due": self.top_up_due,
-            "fees_paid": self.fees_paid,
             "refunds_done": self.refunds_done,
             "complaints": self.complaints,
             "epoch_blocks": self.epoch_blocks,

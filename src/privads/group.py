@@ -39,8 +39,8 @@ __all__ = [
     "AuthenticationFailure",
     "IdentityPoint",
     "PlaintextOutOfBound",
-    "REWARD_BOUND",
     "ANALYTICS_BOUND",
+    "tagged_hash",
     "hash_to_scalar",
     "hash_to_point",
     "keygen",
@@ -72,9 +72,7 @@ _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 # Scalars are plain integers reduced modulo ORDER.
 Scalar = int
 
-# Default plaintext-recovery bounds: per-user rewards stay small, analytics
-# totals may accumulate across many users.
-REWARD_BOUND = 2**20
+# Default plaintext bound: analytics totals may accumulate across many users.
 ANALYTICS_BOUND = 2**32
 
 _DOMAIN = b"privads/v1/"
@@ -512,22 +510,33 @@ def _pippenger(terms: list) -> tuple:
     return acc
 
 
-def hash_to_scalar(tag: bytes, *parts: bytes) -> Scalar:
+def _tagged(tag: bytes, parts):
     h = hashlib.sha256(_DOMAIN + tag)
     for part in parts:
         h.update(len(part).to_bytes(4, "big"))
         h.update(part)
-    return int.from_bytes(h.digest(), "big") % ORDER
+    return h
+
+
+def tagged_hash(tag: bytes, *parts: bytes) -> bytes:
+    """SHA-256 over the domain, the tag and each part with its 4-byte
+    length, so no two (tag, parts) inputs share a pre-image."""
+    return _tagged(tag, parts).digest()
+
+
+def hash_to_scalar(tag: bytes, *parts: bytes) -> Scalar:
+    return int.from_bytes(tagged_hash(tag, *parts), "big") % ORDER
 
 
 def hash_to_point(tag: bytes, *parts: bytes) -> GroupElement:
-    """Map bytes to a curve point by try-and-increment over the x line."""
+    """Map bytes to a curve point by try-and-increment over the x line.
+
+    The counter goes in without a length prefix: these bytes fix H and the
+    VRF outputs, so they stay as they were first defined."""
+    prefix = _tagged(tag, parts)
     ctr = 0
     while True:
-        h = hashlib.sha256(_DOMAIN + tag)
-        for part in parts:
-            h.update(len(part).to_bytes(4, "big"))
-            h.update(part)
+        h = prefix.copy()
         h.update(ctr.to_bytes(4, "big"))
         x = int.from_bytes(h.digest(), "big") % _P
         y2 = (pow(x, 3, _P) + 7) % _P
@@ -545,10 +554,6 @@ precompute_base(H)
 
 def scalar_bytes(s: Scalar) -> bytes:
     return (s % ORDER).to_bytes(32, "little")
-
-
-def scalar_from_bytes(data: bytes) -> Scalar:
-    return int.from_bytes(data, "little") % ORDER
 
 
 def random_scalar(rng) -> Scalar:
@@ -773,7 +778,7 @@ class HybridCiphertext:
 
 
 def _kem_key(shared: GroupElement, eph_pk: GroupElement) -> bytes:
-    return hashlib.sha256(_DOMAIN + b"kdf/hybrid" + shared.encode() + eph_pk.encode()).digest()
+    return tagged_hash(b"kdf/hybrid", shared.encode(), eph_pk.encode())
 
 
 def hybrid_encrypt(pk: GroupElement, payload: bytes, rng) -> HybridCiphertext:
@@ -795,4 +800,4 @@ def dh_agree(my_sk: Scalar, their_pk: GroupElement) -> bytes:
     if their_pk.is_identity:
         raise IdentityPoint("peer public key is the identity element")
     shared = their_pk.mul(my_sk)
-    return hashlib.sha256(_DOMAIN + b"kdf/dh" + shared.encode()).digest()
+    return tagged_hash(b"kdf/dh", shared.encode())

@@ -25,6 +25,7 @@ from .group import (
     keygen,
     precompute_base,
     sign,
+    tagged_hash,
 )
 from .payments import deserialize_batch, open_verify, verify_batch
 from .rng import Rng
@@ -63,11 +64,11 @@ class ContractError(Exception):
 
 
 def address_from_pk(pk: GroupElement) -> Address:
-    return hashlib.sha256(b"addr" + pk.encode()).digest()[:20]
+    return tagged_hash(b"addr", pk.encode())[:20]
 
 
 def _contract_address(kind: str, deployer: Address, nonce: int) -> Address:
-    return hashlib.sha256(b"contract" + kind.encode() + deployer + nonce.to_bytes(8, "big")).digest()[:20]
+    return tagged_hash(b"contract", kind.encode(), deployer, nonce.to_bytes(8, "big"))[:20]
 
 
 def private_wrap(validator_pk: GroupElement, args: bytes, rng) -> HybridCiphertext:
@@ -368,9 +369,4 @@ class Chain:
 
     def conservation_holds(self) -> bool:
         return sum(self.balances.values()) + self.note_pool_value == self.genesis_total
-
-    def dump_blocks(self, path):
-        with open(path, "w") as fh:
-            for block in self.blocks:
-                fh.write(json.dumps(block.record(), sort_keys=True, separators=(",", ":")) + "\n")
 

@@ -10,7 +10,6 @@ absent: amounts come out of verified payment requests.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from .group import (
@@ -24,6 +23,7 @@ from .group import (
     hash_to_scalar,
     random_scalar,
     scalar_bytes,
+    tagged_hash,
 )
 
 __all__ = [
@@ -87,7 +87,7 @@ _BATCH_TAG = b"batch-balance"
 
 
 def _note_ref(salt: bytes, index: int, recipient: bytes, commitment: Commitment) -> bytes:
-    return hashlib.sha256(b"note" + salt + index.to_bytes(4, "big") + recipient + commitment.encode()).digest()[:16]
+    return tagged_hash(b"note", salt, index.to_bytes(4, "big"), recipient, commitment.encode())[:16]
 
 
 def _batch_challenge(notes, total: int, commit_point: GroupElement) -> Scalar:

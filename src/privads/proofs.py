@@ -194,8 +194,20 @@ def _vrf_point(vrf_pk: GroupElement, seed: bytes) -> GroupElement:
 
 
 def _vrf_rand(gamma: GroupElement, p: int) -> int:
+    # Not group.tagged_hash: these bytes decide every lottery draw, so they
+    # stay as first defined.
     digest = hashlib.sha256(b"privads/v1/vrf/out" + gamma.encode()).digest()
     return int.from_bytes(digest, "big") % p
+
+
+def _vrf_gamma(vrf_keypair: KeyPair, seed: bytes, p: int) -> tuple:
+    """(h, gamma = sk*h) for a draw; takes the keypair as held (pk = sk*G)."""
+    if p < 2:
+        raise ValueError("modulus must be >= 2")
+    if not seed:
+        raise ValueError("seed must be non-empty")
+    h = _vrf_point(vrf_keypair.pk, seed)
+    return h, h.mul(vrf_keypair.sk)
 
 
 def vrf_rand(vrf_keypair: KeyPair, seed: bytes, p: int) -> int:
@@ -203,30 +215,18 @@ def vrf_rand(vrf_keypair: KeyPair, seed: bytes, p: int) -> int:
 
     Matches vrf_eval(...).rand exactly.  Lottery registrants evaluate this
     to learn whether they won; only winners go on to publish the full
-    proved output.  Both take the keypair as held (pk = sk*G) rather than
-    recompute the public key on every draw.
+    proved output.
     """
-    if p < 2:
-        raise ValueError("modulus must be >= 2")
-    if not seed:
-        raise ValueError("seed must be non-empty")
-    gamma = _vrf_point(vrf_keypair.pk, seed).mul(vrf_keypair.sk)
-    return _vrf_rand(gamma, p)
+    return _vrf_rand(_vrf_gamma(vrf_keypair, seed, p)[1], p)
 
 
 def vrf_eval(vrf_keypair: KeyPair, seed: bytes, p: int) -> VrfOutput:
     """Deterministic random number in [0, p) plus proof of correctness."""
-    if p < 2:
-        raise ValueError("modulus must be >= 2")
-    if not seed:
-        raise ValueError("seed must be non-empty")
-    vrf_sk, vrf_pk = vrf_keypair.sk, vrf_keypair.pk
-    h = _vrf_point(vrf_pk, seed)
-    gamma = h.mul(vrf_sk)
+    h, gamma = _vrf_gamma(vrf_keypair, seed, p)
     # The proof nonce is derived, not sampled: evaluation stays a pure
     # function of (sk, seed).
-    nonce_rng = _DerivedRng(vrf_sk, seed)
-    proof = dleq_prove(b"vrf", G, vrf_pk, h, gamma, vrf_sk, nonce_rng)
+    nonce_rng = _DerivedRng(vrf_keypair.sk, seed)
+    proof = dleq_prove(b"vrf", G, vrf_keypair.pk, h, gamma, vrf_keypair.sk, nonce_rng)
     return VrfOutput(_vrf_rand(gamma, p), gamma, proof)
 
 

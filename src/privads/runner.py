@@ -30,12 +30,13 @@ from .actors import (
     run_pool_lifecycle,
 )
 from .bench import simulated_throughput
+from .codec import from_wire
 from .group import keygen
 from .ledger import Chain
 from .rng import Rng
 from .scenario import Scenario
 
-__all__ = ["RunOutcome", "run_scenario", "report_bytes", "report_from_bytes"]
+__all__ = ["RunOutcome", "run_scenario", "report_bytes"]
 
 
 @dataclass
@@ -47,6 +48,7 @@ class ChainRun:
     users: list  # (global_index, UserAgent)
     pool: object
     registrants: dict
+    oracle_totals: list  # per-slot interaction sums over every user and period
     period_blocks: dict = field(default_factory=dict)  # period -> [heights]
     audit_verdicts: list = field(default_factory=list)
     conservation_ok: bool = True
@@ -93,13 +95,13 @@ def _timing_summary(values):
     }
 
 
-def _analytics_bound(scenario: Scenario, user_indices) -> int:
+def _oracle_totals(scenario: Scenario, user_indices) -> list:
     totals = [0] * scenario.catalog_size
     for period in range(scenario.payout_periods):
         for gi in user_indices:
             for slot, count in enumerate(scenario.interaction_vector(gi, period)):
                 totals[slot] += count
-    return max(totals) + 2
+    return totals
 
 
 def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> ChainRun:
@@ -133,8 +135,6 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
     genesis = {cf.account: 0}
     for adv in advertisers:
         genesis[adv.account] = adv.budget + adv.fee
-    for _, user in users:
-        genesis[user.account] = 0
     chain = Chain(chain_index, f"{scenario.seed}/{scenario.name}", genesis)
 
     def mine():
@@ -145,7 +145,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
     handle = cf.deploy_campaign(
         chain, advertisers, scenario.catalog_size, scenario.reward_cap, scenario.epoch_blocks
     )
-    run = ChainRun(chain, handle, cf, advertisers, users, None, {})
+    run = ChainRun(chain, handle, cf, advertisers, users, None, {}, _oracle_totals(scenario, user_indices))
     for adv in advertisers:
         adv.verify_and_stake(handle)
     mine()
@@ -163,7 +163,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
         lottery_seed,
         handle,
         rng.child("pool"),
-        recovery_bound=_analytics_bound(scenario, user_indices),
+        recovery_bound=max(run.oracle_totals) + 2,
     )
     run.pool = pool
     run.registrants = {r.participant_id: r for r in registrants}
@@ -222,7 +222,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
         run.period_blocks[period] = heights
 
     for adv in advertisers:
-        run.audit_verdicts.append(adv.audit(handle, pool.threshold_key))
+        run.audit_verdicts.append(adv.audit(handle))
     mine()
     return run
 
@@ -243,6 +243,7 @@ def _build_report(scenario: Scenario, chain_runs) -> tuple:
         [],
     )
     complaints_total = 0
+    policies = scenario.policy_vector()
 
     for run in chain_runs:
         chain = run.chain
@@ -253,14 +254,13 @@ def _build_report(scenario: Scenario, chain_runs) -> tuple:
             claimed = sum(user.claimed.values())
             paid = sum(amount for _, _, amount in user.received.values())
             oracle = sum(
-                sum(p * x for p, x in zip(scenario.policy_vector(), scenario.interaction_vector(gi, period)))
+                sum(p * x for p, x in zip(policies, scenario.interaction_vector(gi, period)))
                 for period in range(scenario.payout_periods)
             )
             row = {
                 "user": user.user_id,
                 "chain": chain_id,
                 "claimed": claimed,
-                "recovered": claimed,
                 "paid": paid,
                 "oracle": oracle,
                 "complaints": len(user.complaints),
@@ -272,10 +272,10 @@ def _build_report(scenario: Scenario, chain_runs) -> tuple:
                 violations.append(f"user {user.user_id}: paid {paid} != claimed {claimed} without complaint")
             complaints_total += len(user.complaints)
 
-        policies = scenario.policy_vector()
+        clicks = fsc.click_totals
         for adv in run.advertisers:
             record = fsc.advertisers[adv.adv_id]
-            spent = sum(policies[slot] * fsc.aggr_clicks[slot] for slot in adv.slots)
+            spent = sum(policies[slot] * clicks[slot] for slot in adv.slots)
             refunded = fsc.refunds_paid.get(adv.adv_id, 0)
             flagged = any(
                 c.get("advertiser") == adv.adv_id for c in fsc.complaints if c["kind"] == "insufficient_refund"
@@ -292,10 +292,9 @@ def _build_report(scenario: Scenario, chain_runs) -> tuple:
                     "flagged_cf": flagged,
                 }
             )
-            if fsc.status != "failed" and fsc.refunds_done:
-                balanced = spent + refunded + adv.fee == record["staked"] + fsc.top_up_due.get(adv.adv_id, 0)
-                if not balanced:
-                    violations.append(f"advertiser {adv.adv_id}@chain{chain_id}: stake equation broken")
+            holds = spent + refunded + adv.fee == record["staked"] + fsc.top_up_due.get(adv.adv_id, 0)
+            if fsc.status != "failed" and fsc.refunds_done and not holds:
+                violations.append(f"advertiser {adv.adv_id}@chain{chain_id}: stake equation broken")
             conservation_rows.append(
                 {
                     "chain": chain_id,
@@ -305,21 +304,16 @@ def _build_report(scenario: Scenario, chain_runs) -> tuple:
                     "spent": spent,
                     "refund": refunded,
                     "fee": adv.fee,
-                    "holds": spent + refunded + adv.fee == record["staked"] + fsc.top_up_due.get(adv.adv_id, 0),
+                    "holds": holds,
                 }
             )
 
-        oracle_totals = [0] * scenario.catalog_size
-        for gi, _ in run.users:
-            for period in range(scenario.payout_periods):
-                for slot, count in enumerate(scenario.interaction_vector(gi, period)):
-                    oracle_totals[slot] += count
-        totals_match = fsc.analytics_totals == oracle_totals if fsc.analytics_totals is not None else None
+        totals_match = fsc.analytics_totals == run.oracle_totals if fsc.analytics_totals is not None else None
         totals_rows.append(
             {
                 "chain": chain_id,
                 "recovered_totals": fsc.analytics_totals,
-                "oracle_totals": oracle_totals,
+                "oracle_totals": run.oracle_totals,
                 "match": totals_match,
             }
         )
@@ -341,7 +335,7 @@ def _build_report(scenario: Scenario, chain_runs) -> tuple:
                 "txs": sum(len(b.tx_records) for b in chain.blocks),
                 "users": len(run.users),
                 "status": fsc.status,
-                "fees_paid": fsc.fees_paid,
+                "fees_paid": fsc.refunds_done,
                 "sim_users_per_day": simulated_throughput(len(run.users), 1)["users_per_day"],
                 "final_state": chain.state_hash(),
             }
@@ -377,23 +371,30 @@ def _build_report(scenario: Scenario, chain_runs) -> tuple:
 
 
 def _unlinkability_violations(run: ChainRun) -> list:
-    """No ephemeral pk or payout address may surface in another period's
-    transactions (mechanical hygiene check over the serialized blocks)."""
+    """No ephemeral pk, payout address or sender of a user's period may
+    surface in another period's transactions (mechanical hygiene check over
+    the serialized blocks).  A period's sender is the account that sent the
+    public claim carrying that period's ephemeral pk."""
     violations = []
     period_ranges = run.period_blocks
     if len(period_ranges) < 2:
         return violations
     blobs = {}
+    claim_senders = {}  # ephemeral pk hex -> sender hex
     for period, heights in period_ranges.items():
         lo, hi = min(heights), max(heights)
-        text = "".join(
-            json.dumps(b.record(), sort_keys=True) for b in run.chain.blocks if lo <= b.height <= hi
-        )
-        blobs[period] = text
+        blocks = [b for b in run.chain.blocks if lo <= b.height <= hi]
+        blobs[period] = "".join(json.dumps(b.record(), sort_keys=True) for b in blocks)
+        for block in blocks:
+            for tx in block.tx_records:
+                if tx["function"] == "compute_aggregate":
+                    user_pk = from_wire(json.loads(bytes.fromhex(tx["args"]))["user_pk"])
+                    claim_senders[user_pk.encode().hex()] = tx["sender"]
     for _, user in run.users:
         for period in period_ranges:
             pk_hex = user.ephemerals.get(period, b"").hex()
             addr_hex = user.payouts.get(period, b"").hex()
+            sender_hex = claim_senders.get(pk_hex)
             for other, text in blobs.items():
                 if other == period:
                     continue
@@ -401,12 +402,10 @@ def _unlinkability_violations(run: ChainRun) -> list:
                     violations.append(f"{user.user_id}: period {period} ephemeral pk leaked into period {other}")
                 if addr_hex and addr_hex in text:
                     violations.append(f"{user.user_id}: period {period} payout address leaked into period {other}")
+                if sender_hex and sender_hex in text:
+                    violations.append(f"{user.user_id}: period {period} sender appears in period {other}")
     return violations
 
 
 def report_bytes(sections) -> bytes:
     return ("\n".join(json.dumps(s, sort_keys=True, separators=(",", ":")) for s in sections) + "\n").encode()
-
-
-def report_from_bytes(data: bytes) -> list:
-    return [json.loads(line) for line in data.decode().splitlines() if line.strip()]

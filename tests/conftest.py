@@ -132,13 +132,15 @@ def build_campaign(
 
 
 def register_pool(campaign, participants=(1,), threshold=1):
-    """Run a DKG among `participants` and register it as the campaign's
+    """Run a DKG among `participants`, publish its key in the policy
+    contract and register its verification vector as the campaign's
     analytics pool; returns the DKG result."""
     pool = dkg_run(list(participants), threshold, SyncChannel(), campaign.rng)
+    campaign.cf_call(campaign.psc_address, "store_threshold_key", {"pk": pool.public_key.pk})
     campaign.cf_call(
         campaign.fsc_address,
         "register_pool",
-        {"pk": keygen(b"pool-signing").pk, "threshold": threshold, "recovery_bound": 2**12},
+        {"verification": pool.public_key.verification, "threshold": threshold, "recovery_bound": 2**12},
     )
     campaign.mine()
     return pool
@@ -152,13 +154,7 @@ def post_analytics(campaign, pool, enc_totals, index=1, partials=None):
     rid = campaign.cf_call(
         campaign.fsc_address,
         "post_analytics",
-        {
-            "enc_totals": enc_totals,
-            "tpk_pk": pool.public_key.pk,
-            "tpk_vector": list(pool.public_key.verification),
-            "index": index,
-            "partials": partials,
-        },
+        {"enc_totals": enc_totals, "index": index, "partials": partials},
     )
     campaign.mine()
     return campaign.chain.receipt(rid)

@@ -38,7 +38,6 @@ def handle_of(campaign) -> CampaignHandle:
 
 def make_user(campaign, uid="u0", period=0, **kwargs) -> UserAgent:
     user = UserAgent(uid, Rng(f"user-{uid}"), **kwargs)
-    campaign.chain.create_account(user.account)
     user.new_period(period)
     return user
 
@@ -244,7 +243,7 @@ class TestAdvertiserAudit:
         campaign.mine()
         adv_id, adv_kp, _, budget, fee, slots, policies = campaign.advertisers[0]
         adv = AdvertiserAgent(adv_id, adv_kp, slots, policies, [100, 100, 100], fee)
-        verdict = adv.audit(handle, pool.threshold_key)
+        verdict = adv.audit(handle)
         assert verdict["ok"], verdict["checks"]
         assert verdict["claim_receipt"] is None
 
@@ -267,7 +266,7 @@ class TestAdvertiserAudit:
         ]
         adv_id, adv_kp, _, budget, fee, slots, policies = campaign.advertisers[0]
         adv = AdvertiserAgent(adv_id, adv_kp, slots, policies, [100, 100, 100], fee)
-        verdict = adv.audit(handle, pool.threshold_key)
+        verdict = adv.audit(handle)
         assert not verdict["ok"]
         assert any(name == f"partials_from_{index}_verify" and not ok for name, ok in verdict["checks"])
 

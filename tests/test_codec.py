@@ -1,6 +1,7 @@
 """Wire codec: tagged-type roundtrips and canonical stability."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from privads.codec import canonical_json, decode_args, digest, encode_args, from_wire, to_wire
 from privads.group import Ciphertext, encrypt, keygen, random_scalar, sign
@@ -51,3 +52,34 @@ def test_unknown_type_rejected():
         to_wire(object())
     with pytest.raises(TypeError):
         from_wire(3.5j)
+
+
+def test_unknown_tag_and_unescaped_key_rejected():
+    with pytest.raises(ValueError):
+        from_wire({"!zz": 1})
+    with pytest.raises(ValueError):
+        from_wire({"!b": "ab", "x": 1})
+
+
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | st.binary(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text() | st.binary() | st.sampled_from(["0x", "0xab", "!", "!b", "!!b"]), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(_values)
+@example({"0xab": 1})
+@example({"!b": "ab"})
+@example({"!!": {"!pt": b"\x00"}})
+def test_roundtrip_any_value(value):
+    assert decode_args(encode_args(value)) == value
+
+
+@given(_values, _values)
+@example({"0xab": 1}, {b"\xab": 1})
+@example({"!b": "ab"}, b"\xab")
+def test_distinct_values_encode_distinctly(a, b):
+    if a != b:
+        assert encode_args(a) != encode_args(b)

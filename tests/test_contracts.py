@@ -13,6 +13,7 @@ from privads.codec import encode_args
 from privads.contracts import FundContract, PolicyContract
 from privads.group import (
     G,
+    ORDER,
     decrypt,
     encrypt_vector,
     hybrid_encrypt,
@@ -24,7 +25,7 @@ from privads.group import (
 from privads.ledger import address_from_pk
 from privads.payments import build_batch, serialize_batch
 from privads.proofs import prove_decryption
-from privads.threshold import partial_decrypt
+from privads.threshold import KeyShare, SyncChannel, dkg_run, partial_decrypt
 
 from conftest import build_campaign, land_analytics, post_analytics, register_pool
 
@@ -363,7 +364,6 @@ class TestAnalyticsPosts:
             receipt = post_analytics(campaign, pool, enc_totals, index)
             assert receipt.ok, receipt.error
         assert campaign.fsc.analytics_totals == totals_plain
-        assert campaign.fsc.aggr_clicks == totals_plain
 
     def test_rejected_first_post_stores_nothing(self, campaign):
         pool = register_pool(campaign, (1, 2, 3), threshold=2)
@@ -372,7 +372,7 @@ class TestAnalyticsPosts:
         junk = [partial_decrypt(pool.shares[3], ct, campaign.rng) for ct in enc_totals]
         receipt = post_analytics(campaign, pool, junk_totals, 3, partials=junk)
         assert "InvalidShareProof" in receipt.error
-        assert campaign.fsc.analytics_enc_totals is None and campaign.fsc.analytics_tpk is None
+        assert campaign.fsc.analytics_enc_totals is None and campaign.fsc.analytics_partials == {}
         for index in (1, 2):
             receipt = post_analytics(campaign, pool, enc_totals, index)
             assert receipt.ok, receipt.error
@@ -414,6 +414,44 @@ class TestAnalyticsPosts:
         forged = [type(p)(p.index, p.share_point + G, p.proof) for p in partials]
         receipt = post_analytics(campaign, pool, enc_totals, 1, partials=forged)
         assert "InvalidShareProof" in receipt.error
+
+    def test_post_cannot_bring_its_own_verification_vector(self, campaign):
+        # A made-up index-3 share s with valid proofs, posted with the vector
+        # [pk, (s*G - pk)/3] whose index-3 commitment is s*G.  Posts are
+        # checked against the vector registered with the pool, so the
+        # forgery fails and cannot block the honest posts.
+        rng = campaign.rng
+        pool = register_pool(campaign, (1, 2, 3), threshold=2)
+        pk = pool.public_key.pk
+        enc_totals = encrypt_vector(pk, [5, 0, 7], rng)
+        s = random_scalar(rng)
+        made_up = KeyShare(3, s, G.mul(s))
+        forged_vector = [pk, (G.mul(s) - pk).mul(pow(3, -1, ORDER))]
+        forged = [partial_decrypt(made_up, ct, rng) for ct in enc_totals]
+        rid = campaign.cf_call(
+            campaign.fsc_address,
+            "post_analytics",
+            {"enc_totals": enc_totals, "tpk_pk": pk, "tpk_vector": forged_vector, "index": 3, "partials": forged},
+        )
+        campaign.mine()
+        assert "InvalidShareProof" in campaign.chain.receipt(rid).error
+        for index in (1, 2):
+            receipt = post_analytics(campaign, pool, enc_totals, index)
+            assert receipt.ok, receipt.error
+        assert campaign.fsc.analytics_totals == [5, 0, 7]
+
+    @pytest.mark.parametrize("bad", ["other_key", "short_vector"])
+    def test_register_pool_checks_the_published_key(self, campaign, bad):
+        pool = dkg_run([1, 2], 2, SyncChannel(), campaign.rng)
+        campaign.cf_call(campaign.psc_address, "store_threshold_key", {"pk": pool.public_key.pk})
+        if bad == "other_key":
+            verification = dkg_run([1, 2], 2, SyncChannel(), campaign.rng).public_key.verification
+        else:
+            verification = pool.public_key.verification[:1]
+        rid = campaign.cf_call(campaign.fsc_address, "register_pool", {"verification": verification, "threshold": 2})
+        campaign.mine()
+        assert "ThresholdKeyMismatch" in campaign.chain.receipt(rid).error
+        assert campaign.fsc.pool_key is None
 
 
 def settle_campaign(campaign, kps_with_amounts, pool_totals, underpay_addr=None, surplus=0):
@@ -499,7 +537,7 @@ class TestSettlementAndClose:
         assert campaign.fsc.refunds_paid == {adv_id: stake - spent - fee}
         assert campaign.chain.balances[account] - before_adv == stake - spent - fee
         assert campaign.chain.balances[campaign.cf_account] - before_cf == fee
-        assert campaign.fsc.fees_paid
+        assert campaign.fsc.refunds_done
         assert campaign.chain.conservation_holds()
 
     def test_refund_boundary_cases(self):
@@ -539,7 +577,7 @@ class TestSettlementAndClose:
         assert campaign.chain.receipt(rid).ok, campaign.chain.receipt(rid).error
         adv_id, _, _, budget, fee, _, _ = campaign.advertisers[0]
         assert campaign.fsc.refunds_paid == {adv_id: budget}
-        assert campaign.fsc.fees_paid
+        assert campaign.fsc.refunds_done
 
     def test_double_mark_idempotent(self, campaign):
         kp = claim(campaign, [3, 0, 2])
@@ -584,7 +622,7 @@ class TestComplaints:
         for function in ("finalize", "refund_advertisers", "pay_processing_fees"):
             campaign.cf_call(campaign.fsc_address, function, {})
         campaign.mine()
-        assert not campaign.fsc.fees_paid and not campaign.fsc.refunds_done
+        assert not campaign.fsc.refunds_done
         assert campaign.fsc.refunds_paid == {}
         assert campaign.chain.balances[campaign.cf_account] == before
         assert campaign.chain.balances[campaign.fsc_address] == escrow

@@ -1,9 +1,11 @@
 """Chain simulator: ordering, determinism, privacy, conservation."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from privads.audit import load_block_log, write_block_log
 from privads.codec import encode_args
 from privads.group import random_scalar
 from privads.ledger import (
@@ -98,10 +100,11 @@ class TestBlocks:
         chain.call(_addr(1), None, "transfer", {"to": _addr(2), "amount": 1})
         chain.mine_block()
         path = tmp_path / "blocks.jsonl"
-        chain.dump_blocks(path)
+        write_block_log([SimpleNamespace(chain=chain)], path)  # the writer reads each run.chain
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == 1
         assert records[0]["hash"] == chain.blocks[0].block_hash
+        assert load_block_log(path) == {chain.chain_id: records}
 
     def test_state_dump_matches_hash(self, tmp_path):
         import hashlib
