@@ -20,7 +20,6 @@ from .group import (
     KeyPair,
     NoSolutionInBound,
     combine_ciphertexts,
-    decrypt,
     dh_agree,
     encrypt_vector,
     hybrid_encrypt,
@@ -41,7 +40,6 @@ from .threshold import (
     InsufficientParticipants,
     InvalidShareProof,
     PoolParams,
-    SyncChannel,
     ThresholdPublicKey,
     dkg_run,
     draw_winner,
@@ -99,8 +97,8 @@ class CampaignHandle:
 class UserAgent:
     user_id: str
     rng: Rng
-    interaction_cap: int = 1000
-    recovery_bound: int = 2**20
+    interaction_cap: int
+    recovery_bound: int
     ephemeral: KeyPair | None = None
     payout_kp: KeyPair | None = None
     period: int = -1
@@ -141,7 +139,7 @@ class UserAgent:
         )
 
     def request_payment(self, handle: CampaignHandle) -> str | None:
-        """Fetch + verify the aggregate, decrypt, recover, prove, submit.
+        """Fetch + verify the aggregate, decrypt and prove, recover, submit.
 
         Returns the receipt id, or None when the aggregate is outside the
         recovery bound (reported, nothing submitted).
@@ -150,12 +148,11 @@ class UserAgent:
         message = aggregate_message(self.ephemeral.pk, ct)
         if not verify_sig(handle.chain.aggregate_keypair.pk, message, sig, tag=b"sig/aggregate"):
             raise ValueError("aggregate signature failed verification")
-        plain_point = decrypt(self.ephemeral.sk, ct)
+        plain_point, proof = prove_decryption(self.ephemeral, ct, self.rng)
         try:
             amount = recover_plaintext(plain_point, self.recovery_bound)
         except NoSolutionInBound:
             return None
-        proof = prove_decryption(self.ephemeral, ct, plain_point, self.rng)
         payout_address = address_from_pk(self.payout_kp.pk)
         handle.chain.create_account(payout_address)
         self.claimed[self.period] = amount
@@ -323,7 +320,7 @@ def _partials_verify(tpk: ThresholdPublicKey, cts: list, partials: list) -> bool
 class FacilitatorAgent:
     keypair: KeyPair
     rng: Rng
-    mode: str = "honest"  # honest | underpay | divert
+    mode: str  # honest | underpay | divert
     account: bytes = b""
     sym_keys: dict = field(default_factory=dict)  # adv_id -> key
     openings: dict = field(default_factory=dict)  # payout addr -> (tx_ref, blinding, amount)
@@ -491,21 +488,24 @@ class PoolResult:
     vrf_outputs: dict = field(default_factory=dict)
 
 
+MAX_DRAWS = 16  # lottery draws before a pool is given up as unformable
+
+
 def run_pool_lifecycle(
     registrants: list,
     params: PoolParams,
     seed: bytes,
     handle: CampaignHandle,
     rng: Rng,
-    max_attempts: int = 16,
-    recovery_bound: int | None = None,
+    recovery_bound: int,
 ) -> PoolResult:
     """Lottery, then DKG among the winners, then key publication.
 
     Losers never publish anything; winners publish their full proved VRF
     output, which is verified before they join the key generation.  If a
     draw yields fewer than `threshold` winners the seed is re-derived and
-    the draw repeats.
+    the draw repeats, up to MAX_DRAWS draws.  The pool registers
+    `recovery_bound`, the largest analytics total it will recover.
     """
     threshold = max_draw(params)
     attempt = 0
@@ -523,14 +523,13 @@ def run_pool_lifecycle(
         if len(winners) >= params.threshold:
             break
         attempt += 1
-        if attempt >= max_attempts:
+        if attempt >= MAX_DRAWS:
             raise InsufficientWinners(f"{len(winners)} winners after {attempt} draws, need {params.threshold}")
         round_seed = hashlib.sha256(round_seed + attempt.to_bytes(4, "big")).digest()
 
-    channel = SyncChannel()
     indices = list(range(1, len(winners) + 1))
     try:
-        result = dkg_run(indices, params.threshold, channel, rng.child("dkg"))
+        result = dkg_run(indices, params.threshold, rng.child("dkg"))
     except InsufficientParticipants as exc:
         raise InsufficientWinners(str(exc)) from exc
     shares = {winners[i - 1].participant_id: result.shares[i] for i in indices}
@@ -551,7 +550,7 @@ def run_pool_lifecycle(
         {
             "verification": result.public_key.verification,
             "threshold": params.threshold,
-            "recovery_bound": recovery_bound or handle.fsc.recovery_bound,
+            "recovery_bound": recovery_bound,
         },
     )
     return PoolResult(

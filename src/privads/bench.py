@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from statistics import median
 
-from .group import combine_ciphertexts, decrypt, encrypt, encrypt_vector, keygen, random_scalar, recover_plaintext
+from .group import combine_ciphertexts, encrypt, encrypt_vector, keygen, random_scalar, recover_plaintext
 from .payments import build_batch, verify_batch
 from .proofs import prove_decryption
 from .rng import Rng
@@ -58,8 +58,9 @@ def time_interaction_encryption(catalog_size: int, repeats: int = 5) -> dict:
     return result
 
 
-def time_request_generation(catalog_size: int, repeats: int = 5, bound: int = 2**20) -> dict:
-    """Decrypt the reward aggregate, recover the plaintext, build the proof."""
+def time_request_generation(catalog_size: int, repeats: int = 5) -> dict:
+    """Decrypt the reward aggregate and prove it, then recover the plaintext
+    below the scenario's default recovery bound."""
     rng = Rng(f"bench-req-{catalog_size}")
     kp = keygen(b"bench-req")
     policies = [rng.randrange(1, 21) for _ in range(catalog_size)]
@@ -67,9 +68,8 @@ def time_request_generation(catalog_size: int, repeats: int = 5, bound: int = 2*
     aggregate = combine_ciphertexts(policies, [encrypt(kp.pk, x, random_scalar(rng)) for x in vector])
 
     def op():
-        plain = decrypt(kp.sk, aggregate)
-        recover_plaintext(plain, bound)
-        prove_decryption(kp, aggregate, plain, rng)
+        plain, _ = prove_decryption(kp, aggregate, rng)
+        recover_plaintext(plain, 2**20)
 
     result = _timed(op, repeats)
     result["catalog_size"] = catalog_size
@@ -113,16 +113,15 @@ def time_settlement_batches(batch_sizes=(80, 200, 400, 800), repeats: int = 3) -
     return rows
 
 
-def simulated_throughput(total_users: int, chains: int, claims_per_block: int = CLAIMS_PER_BLOCK,
-                         block_interval_s: float = BLOCK_INTERVAL_S) -> dict:
+def simulated_throughput(total_users: int, chains: int) -> dict:
     """Deterministic scaling model: users split evenly, chains in parallel."""
     if chains < 1:
         raise ValueError("need at least one chain")
     if total_users == 0:
         return {"users": 0, "chains": chains, "makespan_s": 0.0, "users_per_day": 0}
     per_chain = [total_users // chains + (1 if i < total_users % chains else 0) for i in range(chains)]
-    blocks = max(-(-n // claims_per_block) for n in per_chain if n) if any(per_chain) else 0
-    makespan = blocks * block_interval_s
+    blocks = max(-(-n // CLAIMS_PER_BLOCK) for n in per_chain if n) if any(per_chain) else 0
+    makespan = blocks * BLOCK_INTERVAL_S
     per_day = int(total_users / makespan * 86400) if makespan else 0
     return {"users": total_users, "chains": chains, "makespan_s": makespan, "users_per_day": per_day}
 

@@ -7,7 +7,9 @@ every hash over encoded state is reproducible across runs and platforms.
 The encoding is injective.  A tagged leaf is a one-key object whose key is
 "!" plus a tag; a bytes dict key is written "0x" plus hex; a str dict key
 that starts with "0x" or "!" is escaped with a leading "!!".  Decoding
-rejects an unknown tag or an unescaped "!" key with ValueError.
+rejects an unknown tag or an unescaped "!" key with ValueError, and
+decode_args also rejects any bytes other than the canonical encoding of
+the value they decode to (hex case, whitespace, key order, escapes).
 """
 
 from __future__ import annotations
@@ -123,7 +125,12 @@ def encode_args(obj) -> bytes:
 
 
 def decode_args(data: bytes):
-    return from_wire(json.loads(data.decode()))
+    """The value `data` encodes; ValueError unless `data` is its canonical
+    encoding, so each argument value has exactly one byte form."""
+    value = from_wire(json.loads(data.decode()))
+    if encode_args(value) != data:
+        raise ValueError("argument bytes are not in canonical form")
+    return value
 
 
 def digest(obj) -> str:

@@ -83,7 +83,7 @@ class PolicyContract(_Contract):
         self.cf_pk: GroupElement = params["cf_pk"]
         self.catalog_size: int = params["catalog_size"]
         self.fsc_address: Address = params["fsc"]
-        self.reward_cap: int = params.get("reward_cap", 10_000)
+        self.reward_cap: int = params["reward_cap"]
         self.enc_policies: list = [None] * self.catalog_size
         self.enc_keys: list = [None] * self.catalog_size
         self.threshold_key: GroupElement | None = None
@@ -249,7 +249,7 @@ class FundContract(_Contract):
         self.cf_account = deployer
         self.cf_pk: GroupElement = params["cf_pk"]
         self.catalog_size: int = params["catalog_size"]
-        self.epoch_blocks: int = params.get("epoch_blocks", 10)
+        self.epoch_blocks: int = params["epoch_blocks"]
         self.psc_address: Address | None = None
         self.init = False
         self.status = "active"
@@ -257,7 +257,7 @@ class FundContract(_Contract):
         self.payment_requests: list[dict] = []
         self.payed_requests: dict[bytes, bytes] = {}  # payout addr -> tx_ref
         self.pool_key: ThresholdPublicKey | None = None
-        self.recovery_bound: int = 2**20
+        self.recovery_bound: int | None = None  # registered with the pool
         self.analytics_enc_totals: list | None = None
         self.analytics_partials: dict[int, list] = {}
         self.analytics_totals: list | None = None
@@ -327,8 +327,8 @@ class FundContract(_Contract):
             raise ContractError("ThresholdKeyMismatch", "vector head must be the published threshold key")
         if len(verification) != args["threshold"]:
             raise ContractError("ThresholdKeyMismatch", "one commitment per coefficient of a threshold-k key")
+        self.recovery_bound = args["recovery_bound"]  # a call without it stores nothing
         self.pool_key = ThresholdPublicKey(published, verification)
-        self.recovery_bound = args.get("recovery_bound", self.recovery_bound)
         return None
 
     @property

@@ -72,7 +72,8 @@ _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 # Scalars are plain integers reduced modulo ORDER.
 Scalar = int
 
-# Default plaintext bound: analytics totals may accumulate across many users.
+# Plaintext bound of every encryption and commitment: analytics totals may
+# accumulate across many users.
 ANALYTICS_BOUND = 2**32
 
 _DOMAIN = b"privads/v1/"
@@ -281,16 +282,15 @@ def _glv_split(k: int) -> tuple[int, int]:
     return k1, k2
 
 
-def _naf_digits(k: int, w: int = 4) -> list:
-    """Width-w non-adjacent form, least significant digit first."""
+def _naf_digits(k: int) -> list:
+    """Width-4 non-adjacent form (odd digits in [-7, 7]), least significant
+    digit first."""
     digits = []
-    window = 1 << w
-    half = window >> 1
     while k:
         if k & 1:
-            d = k & (window - 1)
-            if d >= half:
-                d -= window
+            d = k & 15
+            if d >= 8:
+                d -= 16
             k -= d
         else:
             d = 0
@@ -600,9 +600,9 @@ class Ciphertext:
         return Ciphertext(GroupElement.decode(data[:33]), GroupElement.decode(data[33:66]))
 
 
-def encrypt(pk: GroupElement, m: int, r: Scalar, bound: int = ANALYTICS_BOUND) -> Ciphertext:
-    if not 0 <= m < bound:
-        raise PlaintextOutOfBound(f"message {m} outside [0, {bound})")
+def encrypt(pk: GroupElement, m: int, r: Scalar) -> Ciphertext:
+    if not 0 <= m < ANALYTICS_BOUND:
+        raise PlaintextOutOfBound(f"message {m} outside [0, {ANALYTICS_BOUND})")
     return Ciphertext(G.mul(r), G.mul(m) + pk.mul(r))
 
 
@@ -629,9 +629,7 @@ def combine_ciphertexts(weights: Sequence[int], cts: Sequence[Ciphertext]) -> Ci
     return Ciphertext(msm(weights, [ct.c1 for ct in cts]), msm(weights, [ct.c2 for ct in cts]))
 
 
-def encrypt_vector(
-    key: KeyPair | GroupElement, msgs: Sequence[int], rng, bound: int = ANALYTICS_BOUND
-) -> list[Ciphertext]:
+def encrypt_vector(key: KeyPair | GroupElement, msgs: Sequence[int], rng) -> list[Ciphertext]:
     """Encrypt each entry under a key pair or a bare public key.
 
     The key holder knows sk, so m*G + r*pk is (m + r*sk)*G and both halves
@@ -641,8 +639,8 @@ def encrypt_vector(
     Jacobian until one batch conversion.
     """
     for m in msgs:
-        if not 0 <= m < bound:
-            raise PlaintextOutOfBound(f"message {m} outside [0, {bound})")
+        if not 0 <= m < ANALYTICS_BOUND:
+            raise PlaintextOutOfBound(f"message {m} outside [0, {ANALYTICS_BOUND})")
     points = []
     if isinstance(key, KeyPair):
         for m in msgs:

@@ -198,7 +198,6 @@ class Chain:
         self.pending: list[Transaction] = []
         self.blocks: list[Block] = []
         self.receipts: dict[str, Receipt] = {}
-        self._wrap_counter = 0
         for address, balance in (genesis_accounts or {}).items():
             self.create_account(address, balance, genesis=True)
 
@@ -232,12 +231,13 @@ class Chain:
         return self._tx_hash(tx)
 
     def call(self, sender: Address, target: Address, function: str, args, private: bool = False, rng=None) -> str:
-        """Build, optionally encrypt, and submit a contract call."""
+        """Build, optionally encrypt, and submit a contract call.  A private
+        call's args are encrypted to the validator key with randomness from
+        `rng`, which it must be given."""
         raw = encode_args(args)
         if private:
             if rng is None:
-                self._wrap_counter += 1
-                rng = self._rng.child(f"wrap/{self._wrap_counter}")
+                raise ValueError("a private call needs the rng that wraps its args")
             raw = private_wrap(self.validator_keypair.pk, raw, rng).encode()
         return self.submit_tx(Transaction(sender, target, function, raw, self.next_nonce(sender), private))
 

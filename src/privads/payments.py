@@ -52,10 +52,10 @@ class Commitment:
         return self.point.encode()
 
 
-def commit(amount: int, blinding: Scalar, bound: int = ANALYTICS_BOUND) -> Commitment:
+def commit(amount: int, blinding: Scalar) -> Commitment:
     """amount*G + blinding*H; binding under the discrete log between G and H."""
-    if not 0 <= amount < bound:
-        raise ValueError(f"amount {amount} outside [0, {bound})")
+    if not 0 <= amount < ANALYTICS_BOUND:
+        raise ValueError(f"amount {amount} outside [0, {ANALYTICS_BOUND})")
     return Commitment(G.mul(amount) + H.mul(blinding))
 
 
@@ -143,6 +143,10 @@ def verify_batch(batch: SettlementBatch, total: int) -> bool:
         return False
 
 
+_NOTE_SIZE = 16 + 20 + 33  # tx_ref, recipient, commitment
+_PROOF_SIZE = 33 + 32 + 32  # commit point, challenge, response
+
+
 def serialize_batch(batch: SettlementBatch) -> bytes:
     """Length-prefixed notes followed by the balance proof."""
     out = [len(batch.notes).to_bytes(4, "big")]
@@ -156,6 +160,8 @@ def serialize_batch(batch: SettlementBatch) -> bytes:
 
 
 def deserialize_batch(data: bytes) -> SettlementBatch:
+    """Inverse of serialize_batch.  ValueError unless every note body is 69
+    bytes and the 97-byte proof ends the data."""
     count = int.from_bytes(data[:4], "big")
     pos = 4
     notes = []
@@ -164,9 +170,13 @@ def deserialize_batch(data: bytes) -> SettlementBatch:
         pos += 4
         body = data[pos : pos + size]
         pos += size
+        if size != _NOTE_SIZE or len(body) != _NOTE_SIZE:
+            raise ValueError(f"a note body is {_NOTE_SIZE} bytes")
         notes.append(
             TransferNote(body[:16], body[16:36], Commitment(GroupElement.decode(body[36:69])))
         )
+    if len(data) - pos != _PROOF_SIZE:
+        raise ValueError(f"a batch ends with its {_PROOF_SIZE}-byte proof")
     proof_commit = GroupElement.decode(data[pos : pos + 33])
     pos += 33
     challenge = int.from_bytes(data[pos : pos + 32], "little")

@@ -30,7 +30,6 @@ from .group import (
 __all__ = [
     "DecryptionProof",
     "VrfOutput",
-    "MismatchedPlain",
     "dleq_prove",
     "dleq_verify",
     "dleq_first_invalid",
@@ -40,10 +39,6 @@ __all__ = [
     "vrf_eval",
     "vrf_verify",
 ]
-
-
-class MismatchedPlain(Exception):
-    """Claimed plaintext point does not match the actual decryption."""
 
 
 @dataclass(frozen=True)
@@ -154,15 +149,14 @@ def _dleq_batch_holds(tag: bytes, statements, proofs) -> bool:
 _DEC_TAG = b"decryption"
 
 
-def prove_decryption(keypair: KeyPair, ct: Ciphertext, plain_point: GroupElement, rng) -> DecryptionProof:
-    """Prove plain_point is the decryption of ct under keypair's secret.
+def prove_decryption(keypair: KeyPair, ct: Ciphertext, rng) -> tuple[GroupElement, DecryptionProof]:
+    """Decrypt ct under keypair's secret and prove it: (plain_point, proof).
 
     Statement: pk = sk*G  and  ct.c2 - plain_point = sk*ct.c1.
     """
-    if decrypt(keypair.sk, ct) != plain_point:
-        raise MismatchedPlain("plain point is not the decryption of the ciphertext")
+    plain_point = decrypt(keypair.sk, ct)
     masked = ct.c2 - plain_point
-    return dleq_prove(_DEC_TAG, G, keypair.pk, ct.c1, masked, keypair.sk, rng)
+    return plain_point, dleq_prove(_DEC_TAG, G, keypair.pk, ct.c1, masked, keypair.sk, rng)
 
 
 def verify_decryption(pk: GroupElement, ct: Ciphertext, plain_point: GroupElement, proof: DecryptionProof) -> bool:

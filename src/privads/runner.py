@@ -3,12 +3,14 @@
 A run is a pure function of (seed, scenario): every keypair, interaction
 vector, nonce and block derives from the scenario seed, and the emitted
 report is byte-identical across repetitions.  Wall-clock timings are
-collected separately (report_timings) so they never perturb the report.
+collected separately (RunOutcome.timings, written by `privads run
+--timings`) so they never perturb the report.
 
 Invariant checking is part of the run: reward payouts are compared to a
 plaintext dot-product oracle, analytics to element-wise sums, escrow to
 the stake = payouts + refunds + fees equation, and every block to token
-conservation.  Detected facilitator misbehavior is not a violation; it is
+conservation; every advertiser audit check but the refund equation (the
+stake equation again) must pass.  Detected facilitator misbehavior is not a violation; it is
 recorded as complaints (that is the protocol working).
 """
 
@@ -111,8 +113,8 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
     )
     advertisers = [
         AdvertiserAgent(
-            adv_id=cfg.adv_id,
-            keypair=keygen(rng.child(f"adv/{cfg.adv_id}").take_bytes(32)),
+            adv_id=cfg.id,
+            keypair=keygen(rng.child(f"adv/{cfg.id}").take_bytes(32)),
             slots=list(cfg.ads),
             policies=list(cfg.policies),
             impressions=list(cfg.impressions),
@@ -306,6 +308,14 @@ def _build_report(scenario: Scenario, chain_runs) -> tuple:
                     "fee": adv.fee,
                     "holds": holds,
                 }
+            )
+
+        for verdict in run.audit_verdicts:
+            # refund_equation is the stake equation above, seen by one advertiser
+            violations.extend(
+                f"advertiser {verdict['advertiser']}@chain{chain_id}: audit check {name} failed"
+                for name, ok in verdict["checks"]
+                if not ok and name != "refund_equation"
             )
 
         totals_match = fsc.analytics_totals == run.oracle_totals if fsc.analytics_totals is not None else None

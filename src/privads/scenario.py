@@ -8,7 +8,7 @@ errors with field paths; load_scenario raises ScenarioError on any.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -25,6 +25,25 @@ class ScenarioError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+def _build(cls, data, path: str):
+    """cls(**data) for a config dataclass: the keys of `data` must be fields
+    of cls and include every field without a default.  Errors name `path`."""
+    prefix = f"{path}: " if path else ""
+    if not isinstance(data, dict):
+        raise ScenarioError([f"{prefix}must be a mapping"])
+    declared = fields(cls)
+    names = {f.name for f in declared}
+    errors = [f"{prefix}unknown field: {key}" for key in data if key not in names]
+    errors += [
+        f"{prefix}missing field: {f.name}"
+        for f in declared
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if errors:
+        raise ScenarioError(errors)
+    return cls(**data)
+
+
 @dataclass
 class PoolConfig:
     participants: int = 3  # expected DKG size
@@ -35,7 +54,7 @@ class PoolConfig:
 
 @dataclass
 class AdvertiserConfig:
-    adv_id: str
+    id: str
     ads: list
     policies: list
     impressions: list
@@ -69,81 +88,19 @@ class Scenario:
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
-        known = {
-            "seed",
-            "catalog_size",
-            "payout_periods",
-            "epoch_blocks",
-            "reward_cap",
-            "interaction_cap",
-            "recovery_bound",
-            "cf_mode",
-            "chains",
-            "name",
-            "pool",
-            "advertisers",
-            "users",
-        }
-        errors = [f"unknown field: {key}" for key in data if key not in known]
-        if errors:
-            raise ScenarioError(errors)
-        pool = PoolConfig(**data.get("pool", {}))
-        users = UserConfig(**data.get("users", {}))
-        advertisers = [
-            AdvertiserConfig(
-                adv_id=a["id"],
-                ads=list(a["ads"]),
-                policies=list(a["policies"]),
-                impressions=list(a["impressions"]),
-                fee=a.get("fee", 10),
-            )
-            for a in data.get("advertisers", [])
+        scenario = _build(Scenario, data, "")
+        scenario.pool = _build(PoolConfig, data.get("pool", {}), "pool")
+        scenario.users = _build(UserConfig, data.get("users", {}), "users")
+        scenario.advertisers = [
+            _build(AdvertiserConfig, a, f"advertisers[{i}]") for i, a in enumerate(scenario.advertisers or [])
         ]
-        scalar_fields = {
-            k: v
-            for k, v in data.items()
-            if k not in ("pool", "advertisers", "users")
-        }
-        scenario = Scenario(pool=pool, users=users, advertisers=advertisers, **scalar_fields)
         errors = scenario.validate()
         if errors:
             raise ScenarioError(errors)
         return scenario
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "catalog_size": self.catalog_size,
-            "payout_periods": self.payout_periods,
-            "epoch_blocks": self.epoch_blocks,
-            "reward_cap": self.reward_cap,
-            "interaction_cap": self.interaction_cap,
-            "recovery_bound": self.recovery_bound,
-            "cf_mode": self.cf_mode,
-            "chains": self.chains,
-            "name": self.name,
-            "pool": {
-                "participants": self.pool.participants,
-                "threshold": self.pool.threshold,
-                "draw_pool": self.pool.draw_pool,
-                "vrf_modulus": self.pool.vrf_modulus,
-            },
-            "advertisers": [
-                {
-                    "id": a.adv_id,
-                    "ads": list(a.ads),
-                    "policies": list(a.policies),
-                    "impressions": list(a.impressions),
-                    "fee": a.fee,
-                }
-                for a in self.advertisers
-            ],
-            "users": {
-                "count": self.users.count,
-                "max_count": self.users.max_count,
-                "vectors": self.users.vectors,
-            },
-        }
+        return asdict(self)
 
     # -- validation ---------------------------------------------------------
 

@@ -1,17 +1,16 @@
 """Consensus-pool machinery: lottery threshold, distributed key generation,
 and threshold decryption of analytics ciphertexts.
 
-The DKG is a Feldman-style joint verifiable secret sharing run over a
-simulated synchronous broadcast channel: every participant deals a random
-degree-(k-1) polynomial, commitments are broadcast, sub-shares are sent
-point-to-point and checked against the commitments.  A dealer whose
+The DKG is a Feldman-style joint verifiable secret sharing, run in
+process: every participant deals a random degree-(k-1) polynomial,
+publishes commitments to its coefficients and hands each participant a
+sub-share, which is checked against the commitments.  A dealer whose
 sub-share fails its check is excluded and the run restarts without it.
 No party ever holds the combined secret; any k shares decrypt.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,9 +31,7 @@ __all__ = [
     "KeyShare",
     "ThresholdPublicKey",
     "PartialDecryption",
-    "SyncChannel",
     "DkgResult",
-    "ComplaintAgainstDealer",
     "InsufficientParticipants",
     "InsufficientShares",
     "InvalidShareProof",
@@ -51,12 +48,6 @@ __all__ = [
     "combine_verified_partials",
     "lagrange_coefficients",
 ]
-
-
-class ComplaintAgainstDealer(Exception):
-    def __init__(self, dealer: int):
-        self.dealer = dealer
-        super().__init__(f"dealer {dealer} dealt an inconsistent sub-share")
 
 
 class InsufficientParticipants(Exception):
@@ -170,42 +161,6 @@ class PartialDecryption:
     proof: DecryptionProof
 
 
-class SyncChannel:
-    """In-process synchronous message transport with an auditable log."""
-
-    def __init__(self):
-        self.transcript: list[dict] = []
-        self._broadcasts: dict = {}
-        self._private: dict = {}
-
-    def broadcast(self, round_tag: str, sender: int, payload):
-        self.transcript.append({"round": round_tag, "from": sender, "to": "*", "note": _loggable(payload)})
-        self._broadcasts.setdefault(round_tag, {})[sender] = payload
-
-    def send(self, round_tag: str, sender: int, recipient: int, payload):
-        self.transcript.append({"round": round_tag, "from": sender, "to": recipient, "note": "private"})
-        self._private.setdefault(round_tag, {})[(sender, recipient)] = payload
-
-    def broadcasts(self, round_tag: str) -> dict:
-        return self._broadcasts.get(round_tag, {})
-
-    def private(self, round_tag: str, sender: int, recipient: int):
-        return self._private[round_tag][(sender, recipient)]
-
-    def dump(self, path):
-        with open(path, "w") as fh:
-            for entry in self.transcript:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
-def _loggable(payload):
-    if isinstance(payload, (list, tuple)):
-        return [_loggable(p) for p in payload]
-    if isinstance(payload, GroupElement):
-        return payload.encode().hex()
-    return str(payload)
-
-
 @dataclass
 class DkgResult:
     public_key: ThresholdPublicKey
@@ -213,13 +168,12 @@ class DkgResult:
     excluded: list = field(default_factory=list)
 
 
-def dkg_run(participants, k: int, channel: SyncChannel, rng, corrupt=None, strict=False) -> DkgResult:
+def dkg_run(participants, k: int, rng, corrupt=None) -> DkgResult:
     """Run the joint key generation among `participants` (1-based ids).
 
     `corrupt` maps a dealer id to a set of recipient ids that receive a
     bad sub-share (test hook).  Such dealers are excluded by complaint and
-    the protocol restarts without them; with strict=True the first
-    complaint raises ComplaintAgainstDealer instead.
+    the protocol restarts without them.
     """
     participants = sorted(participants)
     if len(set(participants)) != len(participants):
@@ -228,39 +182,30 @@ def dkg_run(participants, k: int, channel: SyncChannel, rng, corrupt=None, stric
         raise ValueError("participant ids are 1-based")
     corrupt = corrupt or {}
     excluded: list[int] = []
-    attempt = 0
     while True:
         active = [p for p in participants if p not in excluded]
         if len(active) < k:
             raise InsufficientParticipants(f"{len(active)} participants left, need {k}")
-        tag = f"attempt{attempt}"
         # Round 1: every dealer commits to a random polynomial and deals
-        # sub-shares f_i(j) point-to-point.
-        polys = {}
+        # each participant its sub-share f_i(j).
+        commits, dealt = {}, {}
         for dealer in active:
             coeffs = [random_scalar(rng) for _ in range(k)]
-            polys[dealer] = coeffs
-            channel.broadcast(f"{tag}/commit", dealer, [G.mul(c) for c in coeffs])
+            commits[dealer] = [G.mul(c) for c in coeffs]
             for recipient in active:
                 value = _poly_eval(coeffs, recipient)
                 if recipient in corrupt.get(dealer, ()):
                     value = (value + 1) % ORDER
-                channel.send(f"{tag}/deal", dealer, recipient, value)
+                dealt[dealer, recipient] = value
         # Round 2: recipients check sub-shares against the commitments.
-        complaints = []
-        commits = channel.broadcasts(f"{tag}/commit")
-        for recipient in active:
-            for dealer in active:
-                value = channel.private(f"{tag}/deal", dealer, recipient)
-                if G.mul(value) != commitment_eval(commits[dealer], recipient):
-                    complaints.append((recipient, dealer))
-                    channel.broadcast(f"{tag}/complaint", recipient, dealer)
-        if complaints:
-            offender = min(dealer for _, dealer in complaints)
-            if strict:
-                raise ComplaintAgainstDealer(offender)
-            excluded.append(offender)
-            attempt += 1
+        offenders = [
+            dealer
+            for recipient in active
+            for dealer in active
+            if G.mul(dealt[dealer, recipient]) != commitment_eval(commits[dealer], recipient)
+        ]
+        if offenders:
+            excluded.append(min(offenders))
             continue
         # Finalize: shares are sums of received sub-shares; the joint
         # coefficient commitments are the per-dealer commitment sums.
@@ -273,7 +218,7 @@ def dkg_run(participants, k: int, channel: SyncChannel, rng, corrupt=None, stric
         tpk = ThresholdPublicKey(verification[0], tuple(verification))
         shares = {}
         for recipient in active:
-            value = sum(channel.private(f"{tag}/deal", dealer, recipient) for dealer in active) % ORDER
+            value = sum(dealt[dealer, recipient] for dealer in active) % ORDER
             shares[recipient] = KeyShare(recipient, value, G.mul(value))
         for recipient, share in shares.items():
             if share.commitment != tpk.share_commitment(recipient):

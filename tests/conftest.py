@@ -9,7 +9,7 @@ from privads.contracts import FundContract, PolicyContract, policy_blob
 from privads.group import KeyPair, dh_agree, encrypt_vector, hybrid_encrypt, keygen, sign, sym_encrypt
 from privads.ledger import Chain, address_from_pk
 from privads.rng import Rng
-from privads.threshold import SyncChannel, dkg_run, partial_decrypt
+from privads.threshold import dkg_run, partial_decrypt
 
 
 @dataclass
@@ -30,8 +30,8 @@ class Campaign:
     def fsc(self) -> FundContract:
         return self.chain.contracts[self.fsc_address]
 
-    def cf_call(self, target, function, args, private=False):
-        return self.chain.call(self.cf_account, target, function, args, private=private)
+    def cf_call(self, target, function, args):
+        return self.chain.call(self.cf_account, target, function, args)
 
     def mine(self):
         return self.chain.mine_block()
@@ -135,7 +135,7 @@ def register_pool(campaign, participants=(1,), threshold=1):
     """Run a DKG among `participants`, publish its key in the policy
     contract and register its verification vector as the campaign's
     analytics pool; returns the DKG result."""
-    pool = dkg_run(list(participants), threshold, SyncChannel(), campaign.rng)
+    pool = dkg_run(list(participants), threshold, campaign.rng)
     campaign.cf_call(campaign.psc_address, "store_threshold_key", {"pk": pool.public_key.pk})
     campaign.cf_call(
         campaign.fsc_address,

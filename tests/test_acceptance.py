@@ -42,8 +42,8 @@ from privads.scenario import Scenario, load_scenario
 from privads.threshold import (
     InsufficientShares,
     PoolParams,
-    SyncChannel,
     combine_partials,
+    commitment_eval,
     dkg_run,
     draw_winner,
     max_draw,
@@ -151,8 +151,7 @@ def test_criterion_04_proof_soundness():
     for i in range(200):
         kp = keygen(b"acc4/%d" % i)
         ct = encrypt(kp.pk, rng.randrange(5000), random_scalar(rng))
-        plain = decrypt(kp.sk, ct)
-        proof = prove_decryption(kp, ct, plain, rng)
+        plain, proof = prove_decryption(kp, ct, rng)
         assert verify_decryption(kp.pk, ct, plain, proof)
         if i < 100:
             field = i % 4
@@ -191,17 +190,13 @@ def test_criterion_05_threshold_suite():
     rng = Rng("acceptance5")
     for n in range(1, 7):
         for k in range(1, n + 1):
-            channel = SyncChannel()
-            result = dkg_run(list(range(1, n + 1)), k, channel, rng)
-            # byte-identical public key recomputed from each participant's view
-            commits = channel.broadcasts("attempt0/commit")
-            views = set()
-            for participant in range(1, n + 1):
-                pk = None
-                for dealer in sorted(commits):
-                    pk = commits[dealer][0] if pk is None else pk + commits[dealer][0]
-                views.add(pk.encode())
-            assert views == {result.public_key.pk.encode()}
+            result = dkg_run(list(range(1, n + 1)), k, rng)
+            # every participant's share lies on the joint commitment
+            # polynomial, whose constant term is the public key
+            verification = result.public_key.verification
+            assert len(verification) == k and verification[0] == result.public_key.pk
+            for participant, share in result.shares.items():
+                assert G.mul(share.share) == share.commitment == commitment_eval(verification, participant)
             message = 5
             ct = encrypt(result.public_key.pk, message, random_scalar(rng))
             expected = G.mul(message)  # direct construction, not via shares
@@ -213,7 +208,7 @@ def test_criterion_05_threshold_suite():
                 for subset in itertools.combinations(sorted(partials), k - 1):
                     with pytest.raises(InsufficientShares):
                         combine_partials(result.public_key, [partials[i] for i in subset], ct, k)
-    announce(5, "n<=6: every k-subset decrypts correctly, every (k-1)-subset fails, pk identical")
+    announce(5, "n<=6: every k-subset decrypts correctly, every (k-1)-subset fails, shares match pk")
 
 
 def test_criterion_06_lottery_calibration():

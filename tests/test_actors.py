@@ -36,8 +36,8 @@ def handle_of(campaign) -> CampaignHandle:
     return CampaignHandle(campaign.chain, campaign.psc_address, campaign.fsc_address, campaign.cf_account)
 
 
-def make_user(campaign, uid="u0", period=0, **kwargs) -> UserAgent:
-    user = UserAgent(uid, Rng(f"user-{uid}"), **kwargs)
+def make_user(campaign, uid="u0", period=0, interaction_cap=1000, recovery_bound=2**20) -> UserAgent:
+    user = UserAgent(uid, Rng(f"user-{uid}"), interaction_cap, recovery_bound)
     user.new_period(period)
     return user
 
@@ -94,6 +94,24 @@ class TestUserClaims:
         assert campaign.chain.receipt(first).ok
         assert "DuplicateRequest" in campaign.chain.receipt(second).error
 
+    def test_request_decrypts_once(self, campaign, monkeypatch):
+        # decrypting and proving share one sk*c1 multiply
+        pool, _ = pool_for(campaign)
+        user = make_user(campaign, "u0")
+        user.claim(handle_of(campaign), [3, 0, 2], pool.threshold_key.pk)
+        campaign.mine()
+        ct, _ = campaign.psc.get_aggregate(user.ephemeral.pk)
+        mul, unmasks = group.GroupElement.mul, []
+
+        def counting_mul(point, k):
+            if point == ct.c1 and k == user.ephemeral.sk:
+                unmasks.append(k)
+            return mul(point, k)
+
+        monkeypatch.setattr(group.GroupElement, "mul", counting_mul)
+        assert user.request_payment(handle_of(campaign)) is not None
+        assert len(unmasks) == 1
+
     def test_unrecoverable_aggregate_not_submitted(self, campaign):
         pool, _ = pool_for(campaign)
         user = make_user(campaign, "tiny-bound", recovery_bound=10)
@@ -106,7 +124,7 @@ class TestUserClaims:
 class TestAdvertiserSetup:
     def test_honest_setup_stakes_budget_plus_fee(self):
         rng = Rng("adv-setup")
-        cf = FacilitatorAgent(keygen(b"cf"), rng)
+        cf = FacilitatorAgent(keygen(b"cf"), rng, "honest")
         adv = AdvertiserAgent("acme", keygen(b"acme"), [0, 1, 2], [4, 20, 12], [100, 100, 100], fee=10)
         chain = Chain(0, "adv-setup", {cf.account: 0, adv.account: adv.budget + adv.fee})
         handle = cf.deploy_campaign(chain, [adv], 3, 10_000, 50)
@@ -119,7 +137,7 @@ class TestAdvertiserSetup:
 
     def test_swapped_policy_aborts_before_staking(self):
         rng = Rng("adv-swap")
-        cf = FacilitatorAgent(keygen(b"cf"), rng)
+        cf = FacilitatorAgent(keygen(b"cf"), rng, "honest")
         adv = AdvertiserAgent("acme", keygen(b"acme"), [0, 1, 2], [4, 20, 12], [100, 100, 100], fee=10)
         chain = Chain(0, "adv-swap", {cf.account: 0, adv.account: adv.budget + adv.fee})
         handle = cf.deploy_campaign(chain, [adv], 3, 10_000, 50)
@@ -143,7 +161,7 @@ class TestAdvertiserSetup:
 
         monkeypatch.setattr(AdvertiserAgent, "encrypted_policies", lying_policies)
         rng = Rng("adv-lie")
-        cf = FacilitatorAgent(keygen(b"cf"), rng)
+        cf = FacilitatorAgent(keygen(b"cf"), rng, "honest")
         adv = AdvertiserAgent("acme", keygen(b"acme"), [0, 1, 2], [4, 20, 12], [100, 100, 100], fee=10)
         chain = Chain(0, "adv-lie", {cf.account: 0, adv.account: adv.budget + adv.fee})
         with pytest.raises(PolicyMismatch):
@@ -196,8 +214,8 @@ class TestPoolLifecycle:
     def test_insufficient_winners_raises(self, campaign):
         registrants = [ConsensusParticipant(f"reg{i}", keygen(b"w%d" % i)) for i in range(3)]
         params = PoolParams(expected=0, threshold=1, draw_pool=3, modulus=100_000)
-        with pytest.raises(InsufficientWinners):
-            run_pool_lifecycle(registrants, params, b"seed", handle_of(campaign), Rng("x"), max_attempts=3)
+        with pytest.raises(InsufficientWinners, match="after 16 draws"):
+            run_pool_lifecycle(registrants, params, b"seed", handle_of(campaign), Rng("x"), recovery_bound=2**12)
 
     def test_redraw_with_derived_seed(self, campaign):
         # find a seed whose first draw has too few winners but whose
@@ -221,7 +239,7 @@ class TestPoolLifecycle:
                     chosen = seed
                     break
         assert chosen is not None
-        pool = run_pool_lifecycle(registrants, params, chosen, handle_of(campaign), Rng("redraw"))
+        pool = run_pool_lifecycle(registrants, params, chosen, handle_of(campaign), Rng("redraw"), recovery_bound=2**12)
         assert pool.draws == 2
 
 
@@ -236,7 +254,7 @@ class TestAdvertiserAudit:
         campaign.mine()
         pool_analytics(pool, registrants, handle, Rng("analytics"))
         campaign.mine()
-        cf = FacilitatorAgent(campaign.cf, campaign.rng)
+        cf = FacilitatorAgent(campaign.cf, campaign.rng, "honest")
         marked = cf.settle(handle, {user.payouts[0]: user})
         campaign.mine()
         cf.mark_processed(handle, marked)

@@ -8,7 +8,6 @@ from privads.group import Ciphertext, encrypt, keygen, random_scalar, sign
 from privads.payments import Commitment, TransferNote, commit
 from privads.proofs import prove_decryption, vrf_eval
 from privads.rng import Rng
-from privads.group import decrypt
 
 
 @pytest.fixture
@@ -31,7 +30,7 @@ def test_domain_types_roundtrip(rng):
     kp = keygen(b"codec")
     ct = encrypt(kp.pk, 9, random_scalar(rng))
     sig = sign(kp, b"m", rng)
-    proof = prove_decryption(kp, ct, decrypt(kp.sk, ct), rng)
+    _, proof = prove_decryption(kp, ct, rng)
     out = vrf_eval(kp, b"seed", 100)
     note = TransferNote(b"r" * 16, b"a" * 20, commit(5, random_scalar(rng)))
     for obj in (kp.pk, ct, sig, proof, out, note, Commitment(kp.pk)):
@@ -59,6 +58,22 @@ def test_unknown_tag_and_unescaped_key_rejected():
         from_wire({"!zz": 1})
     with pytest.raises(ValueError):
         from_wire({"!b": "ab", "x": 1})
+
+
+@pytest.mark.parametrize(
+    "loose, canonical",
+    [
+        (b'{"v":{"!b":"AB"}}', b'{"v":{"!b":"ab"}}'),  # hex case of a bytes leaf
+        (b'{"w":{"0xCD":1}}', b'{"w":{"0xcd":1}}'),  # hex case of a bytes key
+        (b'{"a":1, "b":2}', b'{"a":1,"b":2}'),  # whitespace
+        (b'{"b":2,"a":1}', b'{"a":1,"b":2}'),  # key order
+        (b'{"!!k":1}', b'{"k":1}'),  # needless escape
+    ],
+)
+def test_only_canonical_argument_bytes_decode(loose, canonical):
+    with pytest.raises(ValueError):
+        decode_args(loose)
+    assert encode_args(decode_args(canonical)) == canonical
 
 
 _values = st.recursive(

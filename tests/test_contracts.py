@@ -25,7 +25,7 @@ from privads.group import (
 from privads.ledger import address_from_pk
 from privads.payments import build_batch, serialize_batch
 from privads.proofs import prove_decryption
-from privads.threshold import KeyShare, SyncChannel, dkg_run, partial_decrypt
+from privads.threshold import KeyShare, dkg_run, partial_decrypt
 
 from conftest import build_campaign, land_analytics, post_analytics, register_pool
 
@@ -49,9 +49,9 @@ def claim(campaign, vector, tag="user"):
 def request_payment(campaign, kp, amount=None, payout=None, rng=None):
     rng = rng or campaign.rng
     ct, sig = campaign.psc.get_aggregate(kp.pk)
-    recovered = recover_plaintext(decrypt(kp.sk, ct), 2**20)
+    plain, proof = prove_decryption(kp, ct, rng)
+    recovered = recover_plaintext(plain, 2**20)
     claim_amount = recovered if amount is None else amount
-    proof = prove_decryption(kp, ct, decrypt(kp.sk, ct), rng)
     payout = payout or address_from_pk(keygen(b"payout/" + kp.pk.encode()).pk)
     rid = campaign.chain.call(
         campaign.cf_account,
@@ -280,7 +280,7 @@ class TestPaymentRequest:
     def test_public_submission_rejected(self, campaign):
         kp = claim(campaign, [3, 0, 2])
         ct, sig = campaign.psc.get_aggregate(kp.pk)
-        proof = prove_decryption(kp, ct, decrypt(kp.sk, ct), campaign.rng)
+        _, proof = prove_decryption(kp, ct, campaign.rng)
         rid = campaign.cf_call(
             campaign.psc_address,
             "payment_request",
@@ -442,10 +442,10 @@ class TestAnalyticsPosts:
 
     @pytest.mark.parametrize("bad", ["other_key", "short_vector"])
     def test_register_pool_checks_the_published_key(self, campaign, bad):
-        pool = dkg_run([1, 2], 2, SyncChannel(), campaign.rng)
+        pool = dkg_run([1, 2], 2, campaign.rng)
         campaign.cf_call(campaign.psc_address, "store_threshold_key", {"pk": pool.public_key.pk})
         if bad == "other_key":
-            verification = dkg_run([1, 2], 2, SyncChannel(), campaign.rng).public_key.verification
+            verification = dkg_run([1, 2], 2, campaign.rng).public_key.verification
         else:
             verification = pool.public_key.verification[:1]
         rid = campaign.cf_call(campaign.fsc_address, "register_pool", {"verification": verification, "threshold": 2})

@@ -296,8 +296,6 @@ class TestEncryption:
         for key in (kp, kp.pk):
             with pytest.raises(PlaintextOutOfBound):
                 encrypt_vector(key, [1, bad], rng)
-        with pytest.raises(PlaintextOutOfBound):
-            encrypt_vector(kp, [7], rng, bound=7)
 
     def test_add_identity_ciphertext(self, rng, kp):
         ct = encrypt(kp.pk, 9, random_scalar(rng))

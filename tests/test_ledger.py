@@ -146,7 +146,7 @@ class TestPrivateInputs:
         chain = fresh_chain()
         sentinel = bytes.fromhex("DEADBEEFCAFEBABE" * 4)
         chain.create_account(_addr(7))
-        rid = chain.call(_addr(7), None, "transfer", {"to": sentinel[:20], "amount": 0}, private=True)
+        rid = chain.call(_addr(7), None, "transfer", {"to": sentinel[:20], "amount": 0}, private=True, rng=Rng("private"))
         block = chain.mine_block()
         raw = json.dumps(block.record()).encode()
         assert sentinel[:20].hex().encode() not in raw

@@ -128,6 +128,15 @@ class TestBatch:
         assert again == batch
         assert verify_batch(again, 36)
 
+    def test_deserialize_rejects_other_bytes(self, rng):
+        payments = [(_addr(1), 10, random_scalar(rng)), (_addr(2), 26, random_scalar(rng))]
+        blob = serialize_batch(build_batch(payments, 36, rng))
+        note = 4 + 4 + 69  # count, then the first note's size and body
+        long_note = blob[:4] + (70).to_bytes(4, "big") + blob[8:note] + b"\x00" + blob[note:]
+        for bad in (blob + b"\x00", blob[:-1], long_note):
+            with pytest.raises(ValueError):
+                deserialize_batch(bad)
+
     def test_amounts_not_derivable(self, rng):
         # the serialized batch must not contain the amounts in the clear
         payments = [(_addr(1), 123456, random_scalar(rng))]

@@ -9,7 +9,7 @@ import pytest
 from privads.group import G, encrypt, decrypt, keygen, random_scalar
 from privads.proofs import (
     DecryptionProof,
-    MismatchedPlain,
+    dleq_prove,
     prove_decryption,
     verify_decryption,
     vrf_eval,
@@ -26,8 +26,8 @@ def rng():
 def _proof_setup(rng, m=36):
     kp = keygen(b"prover")
     ct = encrypt(kp.pk, m, random_scalar(rng))
-    plain = decrypt(kp.sk, ct)
-    proof = prove_decryption(kp, ct, plain, rng)
+    plain, proof = prove_decryption(kp, ct, rng)
+    assert plain == decrypt(kp.sk, ct)
     return kp, ct, plain, proof
 
 
@@ -37,20 +37,17 @@ class TestDecryptionProof:
         assert verify_decryption(kp.pk, ct, plain, proof)
 
     def test_wrong_plain_rejected(self, rng):
-        # Tamper oracle: claim 35 when the ciphertext holds 36.
+        # Tamper oracle: claim 35 when the ciphertext holds 36, with the
+        # honest proof and with one made for the false statement.
         kp, ct, _, proof = _proof_setup(rng, m=36)
         assert not verify_decryption(kp.pk, ct, G.mul(35), proof)
+        forged = dleq_prove(b"decryption", G, kp.pk, ct.c1, ct.c2 - G.mul(35), kp.sk, rng)
+        assert not verify_decryption(kp.pk, ct, G.mul(35), forged)
 
     def test_proof_bound_to_ciphertext(self, rng):
         kp, ct, plain, proof = _proof_setup(rng)
         other = encrypt(kp.pk, 36, random_scalar(rng))
         assert not verify_decryption(kp.pk, other, plain, proof)
-
-    def test_mismatched_precondition(self, rng):
-        kp = keygen(b"prover")
-        ct = encrypt(kp.pk, 36, random_scalar(rng))
-        with pytest.raises(MismatchedPlain):
-            prove_decryption(kp, ct, G.mul(35), rng)
 
     def test_single_field_tampering(self, rng):
         kp, ct, plain, proof = _proof_setup(rng)
@@ -73,8 +70,7 @@ class TestDecryptionProof:
             kp = keygen(b"p%d" % i)
             m = rng.randrange(1000)
             ct = encrypt(kp.pk, m, random_scalar(rng))
-            plain = decrypt(kp.sk, ct)
-            proof = prove_decryption(kp, ct, plain, rng)
+            plain, proof = prove_decryption(kp, ct, rng)
             assert verify_decryption(kp.pk, ct, plain, proof)
             field = i % 4
             tampered = DecryptionProof(
@@ -93,8 +89,7 @@ class TestDecryptionProof:
             kp = keygen(b"t%d" % i)
             m = rng.randrange(500)
             ct = encrypt(kp.pk, m, random_scalar(rng))
-            plain = decrypt(kp.sk, ct)
-            proof = prove_decryption(kp, ct, plain, rng)
+            plain, proof = prove_decryption(kp, ct, rng)
             bump = 1 + rng.randrange(1000)
             cases = [
                 (kp.pk, ct, plain, DecryptionProof(proof.commit_a + G, proof.commit_b, proof.challenge, proof.response)),

@@ -18,7 +18,6 @@ from privads.group import G, IDENTITY, ORDER, KeyPair, encrypt, decrypt, random_
 from privads.proofs import dleq_first_invalid, dleq_prove, vrf_rand
 from privads.rng import Rng
 from privads.threshold import (
-    ComplaintAgainstDealer,
     DuplicateShareIndex,
     InsufficientParticipants,
     InsufficientShares,
@@ -26,7 +25,6 @@ from privads.threshold import (
     PartialDecryption,
     PoolParams,
     ShareCommitmentMismatch,
-    SyncChannel,
     ThresholdPublicKey,
     combine_partials,
     commitment_eval,
@@ -98,7 +96,7 @@ class TestLottery:
 
 class TestDkg:
     def test_honest_run_common_key(self, rng):
-        result = dkg_run([1, 2, 3], 2, SyncChannel(), rng)
+        result = dkg_run([1, 2, 3], 2, rng)
         assert set(result.shares) == {1, 2, 3}
         assert result.excluded == []
         # all share commitments line up with the verification vector
@@ -106,7 +104,7 @@ class TestDkg:
             assert share.commitment == result.public_key.share_commitment(share.index)
 
     def test_all_subsets_reconstruct_same_secret(self, rng):
-        result = dkg_run([1, 2, 3], 2, SyncChannel(), rng)
+        result = dkg_run([1, 2, 3], 2, rng)
         shares = list(result.shares.values())
         secrets = set()
         for pair in itertools.combinations(shares, 2):
@@ -115,7 +113,7 @@ class TestDkg:
         assert G.mul(secrets.pop()) == result.public_key.pk
 
     def test_corrupt_dealer_excluded(self, rng):
-        result = dkg_run([1, 2, 3, 4], 2, SyncChannel(), rng, corrupt={3: {1}})
+        result = dkg_run([1, 2, 3, 4], 2, rng, corrupt={3: {1}})
         assert result.excluded == [3]
         assert set(result.shares) == {1, 2, 4}
 
@@ -130,42 +128,29 @@ class TestDkg:
 
     def test_corrupt_dealer_excluded_at_large_threshold(self, rng):
         # k = 9 checks every sub-share through the bucket-method msm
-        result = dkg_run(list(range(1, 11)), 9, SyncChannel(), rng, corrupt={4: {7}})
+        result = dkg_run(list(range(1, 11)), 9, rng, corrupt={4: {7}})
         assert result.excluded == [4]
         assert set(result.shares) == set(range(1, 11)) - {4}
 
-    def test_strict_mode_raises(self, rng):
-        with pytest.raises(ComplaintAgainstDealer) as exc:
-            dkg_run([1, 2, 3], 2, SyncChannel(), rng, corrupt={2: {3}}, strict=True)
-        assert exc.value.dealer == 2
-
     def test_too_many_exclusions(self, rng):
         with pytest.raises(InsufficientParticipants):
-            dkg_run([1, 2], 2, SyncChannel(), rng, corrupt={1: {2}})
+            dkg_run([1, 2], 2, rng, corrupt={1: {2}})
 
     def test_single_party_degenerate(self, rng):
-        result = dkg_run([1], 1, SyncChannel(), rng)
+        result = dkg_run([1], 1, rng)
         share = result.shares[1]
         assert G.mul(share.share) == result.public_key.pk
 
-    def test_transcript_dump(self, rng, tmp_path):
-        channel = SyncChannel()
-        dkg_run([1, 2, 3], 2, channel, rng)
-        out = tmp_path / "transcript.jsonl"
-        channel.dump(out)
-        lines = out.read_text().splitlines()
-        assert len(lines) == len(channel.transcript) > 0
-
     def test_deterministic_given_seed(self):
-        a = dkg_run([1, 2, 3], 2, SyncChannel(), Rng("dkg-seed"))
-        b = dkg_run([1, 2, 3], 2, SyncChannel(), Rng("dkg-seed"))
+        a = dkg_run([1, 2, 3], 2, Rng("dkg-seed"))
+        b = dkg_run([1, 2, 3], 2, Rng("dkg-seed"))
         assert a.public_key.pk.encode() == b.public_key.pk.encode()
 
 
 class TestThresholdDecryption:
     @pytest.fixture
     def setup(self, rng):
-        result = dkg_run([1, 2, 3], 2, SyncChannel(), rng)
+        result = dkg_run([1, 2, 3], 2, rng)
         ct = encrypt(result.public_key.pk, 5, random_scalar(rng))
         return result, ct
 
@@ -213,7 +198,7 @@ class TestThresholdDecryption:
     def test_exhaustive_small_pools(self, rng):
         # Every k-subset agrees; every (k-1)-subset fails.
         for n, k in [(3, 2), (4, 3), (5, 2)]:
-            result = dkg_run(list(range(1, n + 1)), k, SyncChannel(), rng)
+            result = dkg_run(list(range(1, n + 1)), k, rng)
             ct = encrypt(result.public_key.pk, 7, random_scalar(rng))
             partials = {i: partial_decrypt(result.shares[i], ct, rng) for i in result.shares}
             points = set()
@@ -230,7 +215,7 @@ class TestThresholdDecryption:
 def _batch_setup():
     """Three posts (indices 1-3 of a 2-of-3 pool) over four ciphertexts."""
     rng = Rng("batch-tests")
-    result = dkg_run([1, 2, 3], 2, SyncChannel(), rng)
+    result = dkg_run([1, 2, 3], 2, rng)
     cts = [encrypt(result.public_key.pk, m, random_scalar(rng)) for m in (5, 0, 9, 2)]
     partials = [partial_decrypt(result.shares[i], ct, rng) for i in (1, 2, 3) for ct in cts]
     return result, cts * 3, partials
@@ -332,4 +317,4 @@ class TestProtocolChecksWithoutAsserts:
     def test_dkg_share_mismatch_raises(self, rng, monkeypatch):
         monkeypatch.setattr(ThresholdPublicKey, "share_commitment", lambda self, index: G)
         with pytest.raises(ShareCommitmentMismatch):
-            dkg_run([1, 2, 3], 2, SyncChannel(), rng)
+            dkg_run([1, 2, 3], 2, rng)
