@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .ledger import Block
 from .runner import report_bytes, run_scenario
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 
 __all__ = ["write_block_log", "load_block_log", "verify_run"]
 
@@ -62,7 +62,10 @@ def verify_run(report_path, blocks_path) -> tuple:
     meta = sections.get("meta")
     if meta is None:
         return False, ["report has no meta section"]
-    scenario = Scenario.from_dict(meta["scenario"])
+    try:
+        scenario = Scenario.from_dict(meta["scenario"])
+    except ScenarioError as exc:
+        return False, [f"report scenario: {exc}"]
 
     # 1. block log integrity
     by_chain = load_block_log(blocks_path)

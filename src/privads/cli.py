@@ -33,7 +33,7 @@ def _cmd_run(args) -> int:
         errors = scenario.validate()
         if errors:
             raise ScenarioError(errors)
-    except (ScenarioError, OSError, TypeError) as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outcome = run_scenario(scenario)

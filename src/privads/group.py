@@ -8,8 +8,15 @@ integer m is recovered by a bounded baby-step/giant-step search.
 Canonical byte encodings used everywhere (hashing, transcripts, state
 dumps):
   * points: 33 bytes, SEC1 compressed (0x02/0x03 prefix + big-endian x);
-    the identity element encodes as 33 zero bytes.
+    the identity element encodes as 33 zero bytes.  Decompression takes
+    OpenSSL's square root (_lift_x), which hash_to_point shares.
   * scalars: 32 bytes, little-endian.
+
+Arithmetic is pure Python on Jacobian triples.  Long-lived bases get
+signed 6-bit window tables; a multiply through one is a list of table
+entries (_window_points), summed with mixed additions for one point or,
+for a whole vector of ciphertexts, as lanes of affine additions that
+share one field inversion per step (_sum_lanes).
 
 No constant-time hardening; this is simulation-grade crypto, reproducible
 from explicit seeds.
@@ -23,6 +30,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 __all__ = [
@@ -68,6 +76,7 @@ _P = 2**256 - 2**32 - 977
 ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 _GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
+_SECP256K1 = ec.SECP256K1()
 
 # Scalars are plain integers reduced modulo ORDER.
 Scalar = int
@@ -237,23 +246,72 @@ def _window_table(x: int, y: int) -> tuple:
     return tuple((None, *flat[j : j + _WINDOW_HALF]) for j in range(0, len(flat), _WINDOW_HALF))
 
 
-def _mul_windowed(k: int, table) -> tuple:
-    """k * B (Jacobian) for 0 <= k < 2**256 from B's window table: one mixed
-    addition per nonzero signed digit."""
-    acc = _INF
+def _window_points(k: int, table, out: list) -> list:
+    """Append to `out` the affine table entries that sum to k * B, one per
+    nonzero signed digit of k (0 <= k < 2**256), and return it."""
     j = 0
     while k:
         d = k & _WINDOW_MASK
         k >>= _WINDOW
         if d > _WINDOW_HALF:  # digit d - 64, carrying one into k
             k += 1
-            e = table[j][_WINDOW_FULL - d]
-            acc = _jac_add_affine(*acc, e[0], _P - e[1])
+            x, y = table[j][_WINDOW_FULL - d]
+            out.append((x, _P - y))
         elif d:
-            e = table[j][d]
-            acc = _jac_add_affine(*acc, e[0], e[1])
+            out.append(table[j][d])
         j += 1
+    return out
+
+
+def _mul_windowed(k: int, table) -> tuple:
+    """k * B (Jacobian) for 0 <= k < 2**256 from B's window table: one mixed
+    addition per nonzero signed digit."""
+    acc = _INF
+    for x, y in _window_points(k, table, []):
+        acc = _jac_add_affine(*acc, x, y)
     return acc
+
+
+def _sum_lanes(lanes: Sequence[list]) -> list:
+    """Affine sum of each list of affine points, None for the identity.
+
+    Every lane takes one addition per step, and all of a step's affine
+    additions share one field inversion (Montgomery's trick), so a step
+    costs one inversion plus about six multiplies per lane.  A step whose
+    two points share x is a doubling (P + P) or gives the identity
+    (P + -P)."""
+    p = _P
+    sums = [None] * len(lanes)
+    for step in range(max(map(len, lanes), default=0)):
+        work = []  # (lane, x1, y1, x2, numerator, denominator, prefix product)
+        prod = 1
+        for i, lane in enumerate(lanes):
+            if step >= len(lane):
+                continue
+            x2, y2 = lane[step]
+            acc = sums[i]
+            if acc is None:
+                sums[i] = (x2, y2)
+                continue
+            x1, y1 = acc
+            if x1 != x2:
+                num, den = y2 - y1, x2 - x1
+            elif y1 == y2:
+                num, den = 3 * x1 * x1, 2 * y1
+            else:
+                sums[i] = None
+                continue
+            work.append((i, x1, y1, x2, num, den, prod))
+            prod = prod * den % p
+        if not work:
+            continue
+        inv = pow(prod, -1, p)
+        for i, x1, y1, x2, num, den, prefix in reversed(work):
+            lam = num * (inv * prefix % p) % p
+            inv = inv * den % p
+            x3 = (lam * lam - x1 - x2) % p
+            sums[i] = (x3, (lam * (x1 - x3) - y1) % p)
+    return sums
 
 
 # secp256k1 endomorphism: lambda * (x, y) == (beta * x, y).  Splitting the
@@ -384,13 +442,17 @@ class GroupElement:
         x = int.from_bytes(data[1:], "big")
         if x >= _P:
             raise ValueError("x coordinate not below the field prime")
-        y2 = (pow(x, 3, _P) + 7) % _P
-        y = pow(y2, (_P + 1) // 4, _P)
-        if y * y % _P != y2:
-            raise ValueError("x coordinate not on curve")
-        if (y & 1) != (data[0] == 3):
-            y = _P - y
-        return GroupElement(x, y)
+        return GroupElement(x, _lift_x(data))
+
+
+def _lift_x(data: bytes) -> int:
+    """y of a compressed point (0x02/0x03 prefix, x < p), its parity set by
+    the prefix, from OpenSSL's square root.  Raises ValueError when x is
+    not on the curve."""
+    try:
+        return ec.EllipticCurvePublicKey.from_encoded_point(_SECP256K1, data).public_numbers().y
+    except ValueError:
+        raise ValueError("x coordinate not on curve") from None
 
 
 def _from_jac(j) -> GroupElement:
@@ -420,16 +482,24 @@ def precompute_base(point: GroupElement) -> None:
 precompute_base(G)
 
 
-def _mul_jac(k: int, x: int, y: int) -> tuple:
-    """k * (x, y) in Jacobian coordinates, 0 <= k < ORDER: through the
-    base's window table if it is long-lived (built on first use), else the
-    variable-base path."""
+def _base_table(x: int, y: int):
+    """The window table of a long-lived base, built on first use; None for
+    any other base."""
     key = (x, y)
     if key not in _table_bases:
-        return _mul_var(k, x, y)
+        return None
     table = _table_bases[key]
     if table is None:
         table = _table_bases[key] = _window_table(x, y)
+    return table
+
+
+def _mul_jac(k: int, x: int, y: int) -> tuple:
+    """k * (x, y) in Jacobian coordinates, 0 <= k < ORDER: through the
+    base's window table if it is long-lived, else the variable-base path."""
+    table = _base_table(x, y)
+    if table is None:
+        return _mul_var(k, x, y)
     return _mul_windowed(k, table)
 
 
@@ -539,11 +609,10 @@ def hash_to_point(tag: bytes, *parts: bytes) -> GroupElement:
         h = prefix.copy()
         h.update(ctr.to_bytes(4, "big"))
         x = int.from_bytes(h.digest(), "big") % _P
-        y2 = (pow(x, 3, _P) + 7) % _P
-        y = pow(y2, (_P + 1) // 4, _P)
-        if y * y % _P == y2:
-            return GroupElement(x, y if y & 1 == 0 else _P - y)
-        ctr += 1
+        try:
+            return GroupElement(x, _lift_x(b"\x02" + x.to_bytes(32, "big")))
+        except ValueError:
+            ctr += 1
 
 
 # Second generator with unknown discrete log relative to G (used by the
@@ -632,28 +701,36 @@ def combine_ciphertexts(weights: Sequence[int], cts: Sequence[Ciphertext]) -> Ci
 def encrypt_vector(key: KeyPair | GroupElement, msgs: Sequence[int], rng) -> list[Ciphertext]:
     """Encrypt each entry under a key pair or a bare public key.
 
-    The key holder knows sk, so m*G + r*pk is (m + r*sk)*G and both halves
-    of each ciphertext are multiplies through G's table.  Under a bare pk
-    the mask r*pk goes through pk's table if pk is long-lived (the pool
-    threshold key), else the variable-base path.  All 2N points stay
-    Jacobian until one batch conversion.
+    Each of the 2N points is one lane of _sum_lanes: the window-table
+    entries of its multiplies, summed affine with one inversion per step
+    across all lanes.  The key holder knows sk, so m*G + r*pk is
+    (m + r*sk)*G and both halves are lanes over G's table.  Under a bare
+    long-lived pk (the pool threshold key) the c2 lane holds the r-entries
+    of pk's table and then the m-entries of G's; under any other pk it
+    holds a variable-base mask r*pk and the m-entries.
     """
     for m in msgs:
         if not 0 <= m < ANALYTICS_BOUND:
             raise PlaintextOutOfBound(f"message {m} outside [0, {ANALYTICS_BOUND})")
-    points = []
+    g_table = _base_table(_GX, _GY)
+    lanes = []
     if isinstance(key, KeyPair):
         for m in msgs:
             r = random_scalar(rng)
-            points.append(_mul_jac(r, _GX, _GY))
-            points.append(_mul_jac((m + r * key.sk) % ORDER, _GX, _GY))
+            lanes.append(_window_points(r, g_table, []))
+            lanes.append(_window_points((m + r * key.sk) % ORDER, g_table, []))
     else:
-        for m in msgs:
-            r = random_scalar(rng)
-            mask = _INF if key.is_identity else _mul_jac(r, key.x, key.y)
-            points.append(_mul_jac(r, _GX, _GY))
-            points.append(_jac_add(*_mul_jac(m, _GX, _GY), *mask))
-    flat = [IDENTITY if a is None else GroupElement(*a) for a in _batch_affine(points)]
+        rs = [random_scalar(rng) for _ in msgs]
+        if key.is_identity:
+            masks = [[] for _ in rs]
+        elif (table := _base_table(key.x, key.y)) is not None:
+            masks = [_window_points(r, table, []) for r in rs]
+        else:
+            masks = [[a] for a in _batch_affine([_mul_var(r, key.x, key.y) for r in rs])]
+        for r, m, mask in zip(rs, msgs, masks):
+            lanes.append(_window_points(r, g_table, []))
+            lanes.append(_window_points(m, g_table, mask))
+    flat = [IDENTITY if a is None else GroupElement(*a) for a in _sum_lanes(lanes)]
     return [Ciphertext(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
 
 

@@ -8,8 +8,10 @@ errors with field paths; load_scenario raises ScenarioError on any.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -25,19 +27,49 @@ class ScenarioError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+def _type_error(value, hint, path: str) -> str | None:
+    """Why `value` does not fit the annotation `hint` (int, str, list[...]
+    or a union with None), or None if it fits.  A bool is not an int;
+    nested config dataclasses are checked by _build."""
+    options = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    if value is None and type(None) in options:
+        return None
+    for option in options:
+        kind = get_origin(option) or option
+        if kind is int and isinstance(value, bool):
+            continue
+        if kind in (int, str, list) and isinstance(value, kind):
+            if kind is list and get_args(option):
+                for i, item in enumerate(value):
+                    error = _type_error(item, get_args(option)[0], f"{path}[{i}]")
+                    if error:
+                        return error
+            return None
+        if is_dataclass(kind):
+            return None
+    expected = " or ".join("None" if o is type(None) else (get_origin(o) or o).__name__ for o in options)
+    return f"{path}: expected {expected}, got {type(value).__name__}"
+
+
 def _build(cls, data, path: str):
     """cls(**data) for a config dataclass: the keys of `data` must be fields
-    of cls and include every field without a default.  Errors name `path`."""
+    of cls and include every field without a default, and each value must
+    fit its field's annotation.  Errors name `path`."""
     prefix = f"{path}: " if path else ""
     if not isinstance(data, dict):
         raise ScenarioError([f"{prefix}must be a mapping"])
     declared = fields(cls)
-    names = {f.name for f in declared}
-    errors = [f"{prefix}unknown field: {key}" for key in data if key not in names]
+    hints = get_type_hints(cls)
+    errors = [f"{prefix}unknown field: {key}" for key in data if key not in hints]
     errors += [
         f"{prefix}missing field: {f.name}"
         for f in declared
         if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    errors += [
+        f"{prefix}{error}"
+        for key, value in data.items()
+        if key in hints and (error := _type_error(value, hints[key], key))
     ]
     if errors:
         raise ScenarioError(errors)
@@ -55,9 +87,9 @@ class PoolConfig:
 @dataclass
 class AdvertiserConfig:
     id: str
-    ads: list
-    policies: list
-    impressions: list
+    ads: list[int]
+    policies: list[int]
+    impressions: list[int]
     fee: int = 10
 
 
@@ -65,7 +97,7 @@ class AdvertiserConfig:
 class UserConfig:
     count: int = 1
     max_count: int = 5  # uniform interaction counts in [0, max_count]
-    vectors: list | None = None  # optional explicit vectors, one per user
+    vectors: list[list[int]] | None = None  # optional explicit vectors, one per user
 
 
 @dataclass
@@ -81,7 +113,7 @@ class Scenario:
     chains: int = 1
     name: str = "scenario"
     pool: PoolConfig = field(default_factory=PoolConfig)
-    advertisers: list = field(default_factory=list)
+    advertisers: list[AdvertiserConfig] = field(default_factory=list)
     users: UserConfig = field(default_factory=UserConfig)
 
     # -- construction ------------------------------------------------------
@@ -183,7 +215,13 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    data = yaml.safe_load(Path(path).read_text())
+    try:
+        data = yaml.safe_load(Path(path).read_bytes())
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
+        raise ScenarioError([f"{path}: not valid YAML{where}: {problem}"]) from None
     if not isinstance(data, dict):
         raise ScenarioError(["scenario file must contain a mapping"])
     scenario = Scenario.from_dict(data)

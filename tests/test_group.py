@@ -6,6 +6,7 @@ code path under test.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from privads import group
 from privads.group import (
@@ -46,6 +47,8 @@ from privads.group import (
     _jac_to_affine,
     _mul_var,
     _mul_windowed,
+    _sum_lanes,
+    _window_points,
     _window_table,
 )
 from privads.rng import Rng
@@ -99,6 +102,24 @@ class TestGroupElement:
         with pytest.raises(ValueError):
             GroupElement.decode(b"\x02" + (1 + _P).to_bytes(32, "big"))
 
+    @settings(max_examples=300, deadline=None)
+    @given(prefix=st.sampled_from([2, 3]), x=st.integers(0, 2**256 - 1))
+    @example(prefix=2, x=0)
+    @example(prefix=3, x=1)
+    @example(prefix=2, x=_P - 1)
+    @example(prefix=3, x=_P)
+    @example(prefix=2, x=2**256 - 1)
+    @example(prefix=3, x=G.x)
+    def test_decode_matches_reference_rule(self, prefix, x):
+        data = bytes([prefix]) + x.to_bytes(32, "big")
+        assert _outcome(GroupElement.decode, data) == _outcome(_decode_reference, data)
+
+    def test_hash_to_point_matches_reference_rule(self):
+        # some of these tags need more than one counter value
+        for i in range(12):
+            tag = f"reference/{i}".encode()
+            assert group.hash_to_point(tag, b"part") == _hash_to_point_reference(tag, b"part")
+
     def test_second_generator_independent(self):
         assert H != G
         assert not H.is_identity
@@ -110,6 +131,51 @@ class TestGroupElement:
         assert G.mul(k) == Q.mul(k)
         R = G.mul(12345)
         assert R.mul(k) == G.mul(12345 * k % ORDER)
+
+
+def _sqrt_reference(x):
+    """y with y*y == x**3 + 7 (mod p), or None: p = 3 (mod 4), so the
+    candidate root is a single power."""
+    y2 = (pow(x, 3, _P) + 7) % _P
+    y = pow(y2, (_P + 1) // 4, _P)
+    return y if y * y % _P == y2 else None
+
+
+def _decode_reference(data):
+    """The pure-Python decoding rule, kept as the oracle for the OpenSSL
+    square root."""
+    if len(data) != 33:
+        raise ValueError("point encoding must be 33 bytes")
+    if data == b"\x00" * 33:
+        return IDENTITY
+    if data[0] not in (2, 3):
+        raise ValueError("point prefix must be 0x02 or 0x03")
+    x = int.from_bytes(data[1:], "big")
+    if x >= _P:
+        raise ValueError("x coordinate not below the field prime")
+    y = _sqrt_reference(x)
+    if y is None:
+        raise ValueError("x coordinate not on curve")
+    return GroupElement(x, _P - y if (y & 1) != (data[0] == 3) else y)
+
+
+def _hash_to_point_reference(tag, *parts):
+    ctr = 0
+    while True:
+        digest = group._tagged(tag, parts)
+        digest.update(ctr.to_bytes(4, "big"))
+        x = int.from_bytes(digest.digest(), "big") % _P
+        y = _sqrt_reference(x)
+        if y is not None:
+            return GroupElement(x, _P - y if y & 1 else y)
+        ctr += 1
+
+
+def _outcome(fn, data):
+    try:
+        return fn(data)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
 
 
 def _naive_window_table(B):
@@ -153,7 +219,9 @@ class TestFixedBaseTables:
     def test_windowed_matches_variable_base_at_digit_edges(self, registered, k):
         for B in registered:
             table = _window_table(B.x, B.y)
-            assert _jac_to_affine(*_mul_windowed(k, table)) == _jac_to_affine(*_mul_var(k, B.x, B.y))
+            expected = _jac_to_affine(*_mul_var(k, B.x, B.y))
+            assert _jac_to_affine(*_mul_windowed(k, table)) == expected
+            assert _sum_lanes([_window_points(k, table, [])]) == [expected]
 
     def test_windowed_matches_variable_base_random(self, registered):
         rng = Rng("windowed-random")
@@ -172,6 +240,41 @@ class TestFixedBaseTables:
         assert _batch_affine(jac[-1:]) == [_jac_to_affine(*jac[-1])]
         assert _batch_affine([(0, 1, 0)]) == [None]
         assert _batch_affine([]) == []
+
+
+def _lane_oracle(lane):
+    acc = (0, 1, 0)
+    for x, y in lane:
+        acc = _jac_add(*acc, x, y, 1)
+    return _jac_to_affine(*acc)
+
+
+class TestLanes:
+    def test_sums_match_per_lane_jacobian_sums(self, rng):
+        pts = [G.mul(random_scalar(rng)) for _ in range(6)]
+        P, Q = (pts[0].x, pts[0].y), (pts[1].x, pts[1].y)
+        neg_p = (P[0], _P - P[1])
+        lanes = [
+            [],
+            [Q],
+            [(p.x, p.y) for p in pts],
+            [(p.x, p.y) for p in pts[2:4]],
+            [P, P],  # P + P: a doubling
+            [P, neg_p],  # P + (-P): the identity
+            [P, neg_p, Q],  # the identity, then Q
+            [Q, P, neg_p, Q],  # back to Q, then Q + Q
+        ]
+        assert _sum_lanes(lanes) == [_lane_oracle(lane) for lane in lanes]
+        assert _sum_lanes([]) == []
+
+    def test_running_sum_meeting_its_own_point(self, rng):
+        P = G.mul(random_scalar(rng))
+        Q = G.mul(random_scalar(rng))
+        S = P + Q
+        double = [(P.x, P.y), (Q.x, Q.y), (S.x, S.y)]  # (P + Q) + (P + Q)
+        cancel = [(P.x, P.y), (Q.x, Q.y), (S.x, _P - S.y)]  # (P + Q) - (P + Q)
+        assert _sum_lanes([double, cancel]) == [_lane_oracle(double), None]
+        assert GroupElement(*_sum_lanes([double])[0]) == S + S
 
 
 def _msm_oracle(scalars, points):
@@ -286,10 +389,13 @@ class TestEncryption:
 
     def test_vector_under_long_lived_key_matches_per_entry(self, registered):
         P = registered[2]
-        msgs = [0, 5, 0, 2**31]
-        r_rng = Rng("encrypt-vector-registered")
-        expected = [encrypt(P, m, random_scalar(r_rng)) for m in msgs]
-        assert encrypt_vector(P, msgs, Rng("encrypt-vector-registered")) == expected
+        values = Rng("encrypt-vector-registered-values")
+        vectors = [[0, 5, 0, 2**31]]
+        vectors += [[values.randrange(2**32) if i % 3 else 0 for i in range(n)] for n in (1, 8, 64)]
+        for msgs in vectors:
+            r_rng = Rng("encrypt-vector-registered")
+            expected = [encrypt(P, m, random_scalar(r_rng)) for m in msgs]
+            assert encrypt_vector(P, msgs, Rng("encrypt-vector-registered")) == expected
 
     @pytest.mark.parametrize("bad", [2**32, -1])
     def test_vector_out_of_bound_rejected(self, rng, kp, bad):
@@ -339,6 +445,38 @@ class TestEncryption:
                 encrypt(kp.pk, m2, random_scalar(rng)),
             )
             assert recover_plaintext(decrypt(kp.sk, ct), 2**13) == m1 + m2
+
+
+def _counting(monkeypatch, name, original):
+    """Replace group.<name> with a wrapper that records each call's args."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(group, name, counted, raising=False)
+    return calls
+
+
+class TestOpCounts:
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_vector_as_key_holder_adds_affine_with_one_inversion_per_step(self, monkeypatch, kp, n):
+        group._base_table(G.x, G.y)  # G's table is built before counting
+        mixed = _counting(monkeypatch, "_jac_add_affine", group._jac_add_affine)
+        powers = _counting(monkeypatch, "pow", pow)
+        cts = encrypt_vector(kp, [i % 5 for i in range(n)], Rng(f"op-counts-{n}"))
+        assert len(cts) == n
+        assert mixed == []
+        assert all(args[1:] == (-1, _P) for args in powers)
+        assert 0 < len(powers) <= 44
+
+    def test_decode_takes_no_python_power(self, monkeypatch, rng):
+        encodings = [G.mul(random_scalar(rng)).encode() for _ in range(8)]
+        powers = _counting(monkeypatch, "pow", pow)
+        for data in encodings:
+            assert GroupElement.decode(data).encode() == data
+        assert powers == []
 
 
 class TestRecovery:

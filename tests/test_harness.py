@@ -47,6 +47,29 @@ class TestScenarioSchema:
             Scenario.from_dict({"advertisers": [ADVERTISER], **change})
         assert exc.value.errors == [error]
 
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"seed": "7"}, "seed: expected int, got str"),
+            ({"seed": True}, "seed: expected int, got bool"),
+            ({"users": {"count": "2"}}, "users: count: expected int, got str"),
+            ({"advertisers": [{**ADVERTISER, "ads": 5}]}, "advertisers[0]: ads: expected list, got int"),
+            ({"advertisers": [{**ADVERTISER, "ads": [0, "1", 2]}]}, "advertisers[0]: ads[1]: expected int, got str"),
+            ({"users": {"count": 1, "vectors": [[1, 2, 3.0]]}}, "users: vectors[0][2]: expected int, got float"),
+        ],
+    )
+    def test_every_value_checks_its_type(self, change, error):
+        with pytest.raises(ScenarioError) as exc:
+            Scenario.from_dict({"advertisers": [ADVERTISER], **change})
+        assert exc.value.errors == [error]
+
+    def test_bad_yaml_is_a_scenario_error(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("seed: [1\n")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(bad)
+        assert exc.value.errors == [f"{bad}: not valid YAML at line 2, column 1: expected ',' or ']', but got '<stream end>'"]
+
     def test_bad_cf_mode(self):
         with pytest.raises(ScenarioError) as exc:
             Scenario.from_dict(
@@ -290,6 +313,13 @@ class TestCli:
         bad.write_text("cf_mode: nonsense\nadvertisers: []\n")
         assert cli_main(["run", "--scenario", str(bad)]) == 2
 
+    @pytest.mark.parametrize("data", [b"seed: [1\n", b"seed: '7'\nadvertisers: []\n", b"seed: \xff\n"])
+    def test_malformed_scenario_file_exit_2(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(data)
+        assert cli_main(["run", "--scenario", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_seed_override(self, tmp_path, capsys):
         out1 = tmp_path / "a.jsonl"
         out2 = tmp_path / "b.jsonl"
@@ -352,6 +382,15 @@ class TestAudit:
         ok, findings = verify_run(report, blocks)
         assert not ok
         assert any("oracle" in f or "differs" in f for f in findings)
+
+    def test_mistyped_report_scenario_is_a_finding(self, tmp_path):
+        report, blocks = self._run(tmp_path)
+        lines = report.read_text().splitlines()
+        meta_index, meta = next((i, json.loads(line)) for i, line in enumerate(lines) if '"meta"' in line)
+        meta["scenario"]["users"]["count"] = "2"
+        lines[meta_index] = json.dumps(meta, sort_keys=True, separators=(",", ":"))
+        report.write_text("\n".join(lines) + "\n")
+        assert verify_run(report, blocks) == (False, ["report scenario: users: count: expected int, got str"])
 
     def test_block_log_roundtrip(self, tmp_path):
         _, blocks = self._run(tmp_path, "multichain")
