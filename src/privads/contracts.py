@@ -17,6 +17,7 @@ from __future__ import annotations
 from .codec import encode_args
 from .group import (
     G,
+    ORDER,
     GroupElement,
     Ciphertext,
     Signature,
@@ -357,6 +358,8 @@ class FundContract(_Contract):
         stored = self.analytics_enc_totals
         if stored is not None and [ct.encode() for ct in enc_totals] != [ct.encode() for ct in stored]:
             raise ContractError("AnalyticsMismatch", "posted ciphertexts disagree")
+        if not 1 <= index < ORDER:  # i +- ORDER would alias share i
+            raise ContractError("IndexOutOfRange", str(index))
         if index in self.analytics_partials:
             raise ContractError("DuplicatePost", str(index))
         if any(partial.index != index for partial in partials):

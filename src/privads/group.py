@@ -15,8 +15,10 @@ dumps):
 Arithmetic is pure Python on Jacobian triples.  Long-lived bases get
 signed 6-bit window tables; a multiply through one is a list of table
 entries (_window_points), summed with mixed additions for one point or,
-for a whole vector of ciphertexts, as lanes of affine additions that
-share one field inversion per step (_sum_lanes).
+for a whole vector of ciphertexts or a batch of multiples of G
+(mul_gen_batch), as lanes of affine additions that share one field
+inversion per step (_sum_lanes).  A committed polynomial is evaluated at
+a small share index by Horner's rule (commitment_eval).
 
 No constant-time hardening; this is simulation-grade crypto, reproducible
 from explicit seeds.
@@ -60,6 +62,8 @@ __all__ = [
     "scalar_mul_ciphertext",
     "combine_ciphertexts",
     "msm",
+    "mul_gen_batch",
+    "commitment_eval",
     "encrypt_vector",
     "precompute_base",
     "sign",
@@ -578,6 +582,47 @@ def _pippenger(terms: list) -> tuple:
                 total = _jac_add(*total, *running)
         acc = _jac_add(*acc, *total)
     return acc
+
+
+# Lanes per _sum_lanes call in mul_gen_batch: a call holds every lane's
+# entries and sums at once, so a long batch goes in groups of this size.
+_LANE_GROUP = 128
+
+
+def mul_gen_batch(scalars: Sequence[int]) -> list[GroupElement]:
+    """[G.mul(k) for k in scalars]: each multiple is a lane of G's window
+    table entries, summed in groups of _LANE_GROUP lanes that share one
+    field inversion per step."""
+    table = _base_table(_GX, _GY)
+    out = []
+    for start in range(0, len(scalars), _LANE_GROUP):
+        lanes = [_window_points(k % ORDER, table, []) for k in scalars[start : start + _LANE_GROUP]]
+        out.extend(IDENTITY if a is None else GroupElement(*a) for a in _sum_lanes(lanes))
+    return out
+
+
+def commitment_eval(commitments: Sequence[GroupElement], x: int) -> GroupElement:
+    """sum(x**j * C_j): a committed polynomial evaluated in the exponent at
+    a share index 1 <= x < ORDER.
+
+    Horner's rule, acc <- x*acc + C_j from the top coefficient down, with
+    x*acc a double-and-add over the bits of x: a share index is small, so
+    this is a few doublings per coefficient.  The sum stays Jacobian and is
+    converted to affine once."""
+    if not 1 <= x < ORDER:
+        raise ValueError("share index outside [1, ORDER)")
+    bits = bin(x)[3:]  # below the leading one
+    acc = _INF
+    for c in reversed(commitments):
+        if acc[2]:
+            base = acc
+            for bit in bits:
+                acc = _jac_double(*acc)
+                if bit == "1":
+                    acc = _jac_add(*acc, *base)
+        if not c.is_identity:
+            acc = _jac_add_affine(*acc, c.x, c.y)
+    return _from_jac(acc)
 
 
 def _tagged(tag: bytes, parts):

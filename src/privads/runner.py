@@ -75,6 +75,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
         "request_generation_s": [],
         "aggregate_computation_s": [],
         "settlement_s": [],
+        "pool_formation_s": [],
     }
     partitions = scenario.user_partition()
     chain_runs = []
@@ -152,6 +153,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
         adv.verify_and_stake(handle)
     mine()
 
+    start = time.perf_counter()
     registrants = [
         ConsensusParticipant(f"reg{chain_index}/{i}", keygen(rng.child(f"vrf/{i}").take_bytes(32)))
         for i in range(scenario.pool.draw_pool)
@@ -170,6 +172,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
     run.pool = pool
     run.registrants = {r.participant_id: r for r in registrants}
     mine()
+    timings["pool_formation_s"].append(time.perf_counter() - start)
 
     users_by_payout = {}
     last_period = scenario.payout_periods - 1

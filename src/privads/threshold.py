@@ -7,6 +7,12 @@ publishes commitments to its coefficients and hands each participant a
 sub-share, which is checked against the commitments.  A dealer whose
 sub-share fails its check is excluded and the run restarts without it.
 No party ever holds the combined secret; any k shares decrypt.
+
+Each round's fixed-base multiplies (the n*k coefficient commitments, the
+n*n sub-share points s*G, the n share commitments) are one
+group.mul_gen_batch each, and every sub-share is checked against its
+dealer's commitments evaluated by Horner's rule at the recipient's index
+(group.commitment_eval).
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from .group import (
     Ciphertext,
     GroupElement,
     Scalar,
+    commitment_eval,
     msm,
+    mul_gen_batch,
     random_scalar,
 )
 from .proofs import DecryptionProof, dleq_first_invalid, dleq_prove, dleq_verify
@@ -149,11 +157,6 @@ class ThresholdPublicKey:
         return commitment
 
 
-def commitment_eval(commitments, x: int) -> GroupElement:
-    """sum(x**j * C_j): a committed polynomial evaluated in the exponent."""
-    return msm([pow(x, j, ORDER) for j in range(len(commitments))], commitments)
-
-
 @dataclass(frozen=True)
 class PartialDecryption:
     index: int
@@ -168,19 +171,17 @@ class DkgResult:
     excluded: list = field(default_factory=list)
 
 
-def dkg_run(participants, k: int, rng, corrupt=None) -> DkgResult:
+def dkg_run(participants, k: int, rng) -> DkgResult:
     """Run the joint key generation among `participants` (1-based ids).
 
-    `corrupt` maps a dealer id to a set of recipient ids that receive a
-    bad sub-share (test hook).  Such dealers are excluded by complaint and
-    the protocol restarts without them.
+    A dealer whose sub-share fails its recipient's check is excluded by
+    complaint and the protocol restarts without it.
     """
     participants = sorted(participants)
     if len(set(participants)) != len(participants):
         raise ValueError("participant ids must be unique")
     if any(p < 1 for p in participants):
         raise ValueError("participant ids are 1-based")
-    corrupt = corrupt or {}
     excluded: list[int] = []
     while True:
         active = [p for p in participants if p not in excluded]
@@ -188,21 +189,16 @@ def dkg_run(participants, k: int, rng, corrupt=None) -> DkgResult:
             raise InsufficientParticipants(f"{len(active)} participants left, need {k}")
         # Round 1: every dealer commits to a random polynomial and deals
         # each participant its sub-share f_i(j).
-        commits, dealt = {}, {}
-        for dealer in active:
-            coeffs = [random_scalar(rng) for _ in range(k)]
-            commits[dealer] = [G.mul(c) for c in coeffs]
-            for recipient in active:
-                value = _poly_eval(coeffs, recipient)
-                if recipient in corrupt.get(dealer, ()):
-                    value = (value + 1) % ORDER
-                dealt[dealer, recipient] = value
+        coeffs, dealt = _deal(active, k, rng)
+        points = mul_gen_batch([c for dealer in active for c in coeffs[dealer]])
+        commits = {dealer: points[i * k : (i + 1) * k] for i, dealer in enumerate(active)}
         # Round 2: recipients check sub-shares against the commitments.
+        pairs = [(dealer, recipient) for recipient in active for dealer in active]
+        received = mul_gen_batch([dealt[pair] for pair in pairs])
         offenders = [
             dealer
-            for recipient in active
-            for dealer in active
-            if G.mul(dealt[dealer, recipient]) != commitment_eval(commits[dealer], recipient)
+            for (dealer, recipient), point in zip(pairs, received)
+            if point != commitment_eval(commits[dealer], recipient)
         ]
         if offenders:
             excluded.append(min(offenders))
@@ -216,14 +212,27 @@ def dkg_run(participants, k: int, rng, corrupt=None) -> DkgResult:
                 acc = acc + commits[dealer][j]
             verification.append(acc)
         tpk = ThresholdPublicKey(verification[0], tuple(verification))
-        shares = {}
-        for recipient in active:
-            value = sum(dealt[dealer, recipient] for dealer in active) % ORDER
-            shares[recipient] = KeyShare(recipient, value, G.mul(value))
+        values = [sum(dealt[dealer, recipient] for dealer in active) % ORDER for recipient in active]
+        shares = {
+            recipient: KeyShare(recipient, value, commitment)
+            for recipient, value, commitment in zip(active, values, mul_gen_batch(values))
+        }
         for recipient, share in shares.items():
             if share.commitment != tpk.share_commitment(recipient):
                 raise ShareCommitmentMismatch(recipient)
         return DkgResult(tpk, shares, excluded)
+
+
+def _deal(active, k: int, rng) -> tuple[dict, dict]:
+    """Round 1's secret half: each dealer in turn draws its k coefficients
+    and deals every participant its sub-share; returns the coefficients by
+    dealer and the sub-shares by (dealer, recipient)."""
+    coeffs, dealt = {}, {}
+    for dealer in active:
+        coeffs[dealer] = [random_scalar(rng) for _ in range(k)]
+        for recipient in active:
+            dealt[dealer, recipient] = _poly_eval(coeffs[dealer], recipient)
+    return coeffs, dealt
 
 
 def _poly_eval(coeffs, x: int) -> Scalar:

@@ -440,6 +440,25 @@ class TestAnalyticsPosts:
             assert receipt.ok, receipt.error
         assert campaign.fsc.analytics_totals == [5, 0, 7]
 
+    def test_aliased_index_rejected_before_any_group_work(self, campaign):
+        # Share 1's public partials re-posted under an index that equals 1
+        # modulo ORDER would pass the proof check and then break every
+        # Lagrange combination; the contract refuses it outright.
+        pool = register_pool(campaign, (1, 2, 3), threshold=2)
+        enc_totals = encrypt_vector(pool.public_key.pk, [5, 0, 7], campaign.rng)
+        honest = [partial_decrypt(pool.shares[1], ct, campaign.rng) for ct in enc_totals]
+        assert post_analytics(campaign, pool, enc_totals, 1, partials=honest).ok
+        for index in (0, 1 - ORDER, 1 + ORDER):
+            before = campaign.fsc.state_dict()
+            replay = [type(p)(index, p.share_point, p.proof) for p in honest]
+            receipt = post_analytics(campaign, pool, enc_totals, index, partials=replay)
+            assert "IndexOutOfRange" in receipt.error
+            assert campaign.fsc.state_dict() == before
+        for index in (2, 3):
+            receipt = post_analytics(campaign, pool, enc_totals, index)
+            assert receipt.ok, receipt.error
+        assert campaign.fsc.analytics_totals == [5, 0, 7]
+
     @pytest.mark.parametrize("bad", ["other_key", "short_vector"])
     def test_register_pool_checks_the_published_key(self, campaign, bad):
         pool = dkg_run([1, 2], 2, campaign.rng)

@@ -30,6 +30,7 @@ from privads.group import (
     hybrid_encrypt,
     keygen,
     msm,
+    mul_gen_batch,
     precompute_base,
     random_scalar,
     recover_plaintext,
@@ -275,6 +276,44 @@ class TestLanes:
         cancel = [(P.x, P.y), (Q.x, Q.y), (S.x, _P - S.y)]  # (P + Q) - (P + Q)
         assert _sum_lanes([double, cancel]) == [_lane_oracle(double), None]
         assert GroupElement(*_sum_lanes([double])[0]) == S + S
+
+
+_LANE_GROUP = group._LANE_GROUP
+_EDGE_SCALARS = [0, 1, 2, ORDER - 1, ORDER, ORDER + 1, 2**256 - 1]
+
+
+def _around_lane_group(n):
+    """n scalars with the edge values on both sides of each lane-group
+    boundary."""
+    ks = [(i * 0x9E3779B97F4A7C15) ** 4 % ORDER for i in range(n)]
+    for i, k in enumerate(_EDGE_SCALARS):
+        ks[(_LANE_GROUP - 4 + i) % n] = k
+    return ks
+
+
+class TestMulGenBatch:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ks=st.lists(st.one_of(st.sampled_from(_EDGE_SCALARS), st.integers(-(2**300), 2**300)), max_size=10),
+        mirror=st.booleans(),
+        repeat=st.booleans(),
+    )
+    @example(ks=[], mirror=False, repeat=False)
+    @example(ks=[5, 5, ORDER - 5, 0, -5, 2**300], mirror=False, repeat=False)
+    @example(ks=_around_lane_group(_LANE_GROUP - 1), mirror=False, repeat=False)
+    @example(ks=_around_lane_group(_LANE_GROUP), mirror=False, repeat=False)
+    @example(ks=_around_lane_group(_LANE_GROUP + 1), mirror=False, repeat=False)
+    def test_matches_per_scalar_mul(self, ks, mirror, repeat):
+        if mirror:  # k together with ORDER - k
+            ks = ks + [ORDER - k % ORDER for k in ks]
+        if repeat:
+            ks = ks + ks[:3]
+        assert mul_gen_batch(ks) == [G.mul(k) for k in ks]
+
+    def test_sums_one_lane_group_at_a_time(self, monkeypatch):
+        calls = _counting(monkeypatch, "_sum_lanes", _sum_lanes)
+        mul_gen_batch(list(range(1, 2 * _LANE_GROUP + 2)))
+        assert [len(args[0]) for args in calls] == [_LANE_GROUP, _LANE_GROUP, 1]
 
 
 def _msm_oracle(scalars, points):

@@ -304,7 +304,11 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert json.loads(timings.read_text())["interaction_encryption_s"]["count"] == 1
+        recorded = json.loads(timings.read_text())
+        assert recorded["interaction_encryption_s"]["count"] == 1
+        pool_formation = recorded["pool_formation_s"]
+        assert pool_formation["count"] == 1  # one chain
+        assert 0 < pool_formation["min_s"] == pool_formation["max_s"]
         code = cli_main(["verify-run", "--report", str(report), "--blocks", str(blocks)])
         assert code == 0
 

@@ -6,6 +6,7 @@ path under test.
 """
 
 import functools
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from privads.group import G, IDENTITY, ORDER, KeyPair, encrypt, decrypt, random_scalar
+import privads.group
+import privads.threshold
+from privads.group import G, IDENTITY, ORDER, GroupElement, KeyPair, encrypt, decrypt, random_scalar, scalar_bytes
 from privads.proofs import dleq_first_invalid, dleq_prove, vrf_rand
 from privads.rng import Rng
 from privads.threshold import (
@@ -41,6 +44,22 @@ from privads.threshold import (
 @pytest.fixture
 def rng():
     return Rng("threshold-tests")
+
+
+def corrupt_dealing(monkeypatch, bad):
+    """Make dealer d hand each recipient in bad[d] a sub-share one too
+    high, in every DKG round that d deals in."""
+    deal = privads.threshold._deal
+
+    def corrupted(active, k, rng):
+        coeffs, dealt = deal(active, k, rng)
+        for dealer, recipients in bad.items():
+            for recipient in recipients:
+                if (dealer, recipient) in dealt:
+                    dealt[dealer, recipient] = (dealt[dealer, recipient] + 1) % ORDER
+        return coeffs, dealt
+
+    monkeypatch.setattr(privads.threshold, "_deal", corrupted)
 
 
 def reconstruct_secret(shares, k):
@@ -112,29 +131,46 @@ class TestDkg:
         assert len(secrets) == 1
         assert G.mul(secrets.pop()) == result.public_key.pk
 
-    def test_corrupt_dealer_excluded(self, rng):
-        result = dkg_run([1, 2, 3, 4], 2, rng, corrupt={3: {1}})
+    def test_corrupt_dealer_excluded(self, rng, monkeypatch):
+        corrupt_dealing(monkeypatch, {3: {1}})
+        result = dkg_run([1, 2, 3, 4], 2, rng)
         assert result.excluded == [3]
         assert set(result.shares) == {1, 2, 4}
 
-    @pytest.mark.parametrize("k", [1, 2, 11])
+    def test_lowest_offender_excluded_first(self, rng, monkeypatch):
+        corrupt_dealing(monkeypatch, {4: {1}, 2: {5}})
+        result = dkg_run([1, 2, 3, 4, 5], 2, rng)
+        assert result.excluded == [2, 4]
+        assert set(result.shares) == {1, 3, 5}
+
+    @pytest.mark.parametrize("k", [1, 2, 11, "identities"])
     def test_commitment_eval_matches_per_term_sum(self, rng, k):
-        commitments = [G.mul(random_scalar(rng)) for _ in range(k)]
-        for x in (1, 2, 7, 24):
+        if k == "identities":  # at the top, in the middle, at the bottom
+            commitments = [IDENTITY, G.mul(random_scalar(rng)), IDENTITY, G.mul(random_scalar(rng)), IDENTITY]
+        else:
+            commitments = [G.mul(random_scalar(rng)) for _ in range(k)]
+        for x in range(1, 65):
             expected = IDENTITY
             for j, c in enumerate(commitments):
                 expected = expected + c.mul(x**j)
             assert commitment_eval(commitments, x) == expected
+        assert commitment_eval([IDENTITY] * 3, 5) == IDENTITY
 
-    def test_corrupt_dealer_excluded_at_large_threshold(self, rng):
-        # k = 9 checks every sub-share through the bucket-method msm
-        result = dkg_run(list(range(1, 11)), 9, rng, corrupt={4: {7}})
+    @pytest.mark.parametrize("x", [0, -1, ORDER, ORDER + 1])
+    def test_commitment_eval_rejects_index_outside_the_field(self, rng, x):
+        with pytest.raises(ValueError):
+            commitment_eval([G.mul(random_scalar(rng))], x)
+
+    def test_corrupt_dealer_excluded_at_large_threshold(self, rng, monkeypatch):
+        corrupt_dealing(monkeypatch, {4: {7}})
+        result = dkg_run(list(range(1, 11)), 9, rng)
         assert result.excluded == [4]
         assert set(result.shares) == set(range(1, 11)) - {4}
 
-    def test_too_many_exclusions(self, rng):
+    def test_too_many_exclusions(self, rng, monkeypatch):
+        corrupt_dealing(monkeypatch, {1: {2}})
         with pytest.raises(InsufficientParticipants):
-            dkg_run([1, 2], 2, rng, corrupt={1: {2}})
+            dkg_run([1, 2], 2, rng)
 
     def test_single_party_degenerate(self, rng):
         result = dkg_run([1], 1, rng)
@@ -145,6 +181,55 @@ class TestDkg:
         a = dkg_run([1, 2, 3], 2, Rng("dkg-seed"))
         b = dkg_run([1, 2, 3], 2, Rng("dkg-seed"))
         assert a.public_key.pk.encode() == b.public_key.pk.encode()
+
+
+def _dkg_digest(result):
+    """sha256 over the public key, the verification vector and every
+    share's (index, share, commitment)."""
+    h = hashlib.sha256(result.public_key.pk.encode())
+    for c in result.public_key.verification:
+        h.update(c.encode())
+    for index in sorted(result.shares):
+        share = result.shares[index]
+        h.update(share.index.to_bytes(4, "big") + scalar_bytes(share.share) + share.commitment.encode())
+    return h.hexdigest()
+
+
+class TestLargeDkg:
+    """An 11-of-24 DKG, the size of the pool benchmark, pinned to the
+    values of the per-check implementation (one G.mul per commitment and
+    sub-share, one msm per commitment evaluation)."""
+
+    def test_honest_run_pinned(self):
+        result = dkg_run(list(range(1, 25)), 11, Rng("golden/dkg-24-11"))
+        assert result.excluded == []
+        assert _dkg_digest(result) == "1377bfd03264d537aeac6e2319a7509443750de43485cfbf905139c0090652bc"
+
+    def test_corrupt_run_pinned(self, monkeypatch):
+        corrupt_dealing(monkeypatch, {4: {7}})
+        result = dkg_run(list(range(1, 25)), 11, Rng("golden/dkg-24-11"))
+        assert result.excluded == [4]
+        assert _dkg_digest(result) == "5b4b6c2de3fdf2d578e9fad6ae34a9920b26add6ff263afeb4a1a8255cbb195a"
+
+    def test_no_single_or_variable_base_multiply(self, monkeypatch):
+        calls = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(GroupElement, "mul")
+        counting(privads.group, "msm")
+        counting(privads.threshold, "msm")
+        counting(privads.group, "_mul_var")
+        result = dkg_run(list(range(1, 25)), 11, Rng("op-counts/dkg"))
+        assert len(result.shares) == 24
+        assert calls == []
 
 
 class TestThresholdDecryption:
