@@ -121,9 +121,13 @@ class UserAgent:
         self.ephemerals[period] = self.ephemeral.pk.encode()
         self.accounts[period] = address_from_pk(self.ephemeral.pk)
 
-    def claim(self, handle: CampaignHandle, vector, threshold_key) -> str:
+    def claim(self, handle: CampaignHandle, vector) -> str:
         """Encrypt the interaction vector under the ephemeral key (rewards)
-        and the pool threshold key (analytics) and submit both."""
+        and under the threshold key published in the policy contract
+        (analytics), and submit both."""
+        threshold_key = handle.psc.threshold_key
+        if threshold_key is None:
+            raise ValueError("no threshold key published in the policy contract")
         if sum(vector) > self.interaction_cap:
             raise ValueError(f"interaction vector exceeds per-period cap {self.interaction_cap}")
         if any(v < 0 for v in vector):

@@ -8,30 +8,41 @@ fees/refunds at campaign close, and adjudicates misbehavior complaints.
 Any validated complaint flips its status to "failed", which is absorbing:
 no fee payout or further settlement happens afterwards.
 
-Each contract lists its transaction entry points in FUNCTIONS; a call to
-any other name fails with UnknownFunction.
+Each transaction entry point is a method marked @entry_point whose
+keyword-only parameters declare, with their types, the args a call must
+carry; FUNCTIONS is the set of those names, and a call to any other name
+fails with UnknownFunction.  Args that do not fit the declaration fail
+with BadArgs before any contract code runs, and contract code turns every
+failure it expects into a ContractError code.
 """
 
 from __future__ import annotations
 
 from .codec import encode_args
 from .group import (
+    ANALYTICS_BOUND,
     G,
     ORDER,
+    AuthenticationFailure,
     GroupElement,
     Ciphertext,
+    HybridCiphertext,
+    NoSolutionInBound,
     Signature,
     combine_ciphertexts,
     recover_plaintext,
     sym_decrypt,
     verify_sig,
 )
-from .ledger import Address, ContractError, ExecutionContext
+from .ledger import Address, ContractError, ExecutionContext, entry_point
 from .payments import open_verify
-from .proofs import verify_decryption
-from .threshold import InvalidShareProof, ThresholdPublicKey, combine_verified_partials, verify_partials
+from .proofs import DecryptionProof, verify_decryption
+from .threshold import InvalidShareProof, PartialDecryption, ThresholdPublicKey, combine_verified_partials, verify_partials
 
-__all__ = ["PolicyContract", "FundContract", "policy_blob", "policy_value"]
+__all__ = ["PolicyContract", "FundContract", "policy_blob", "policy_value", "MAX_CATALOG"]
+
+# Largest catalog a contract accepts: both allocate per-slot state at deploy.
+MAX_CATALOG = 1 << 16
 
 
 def policy_blob(value: int) -> bytes:
@@ -48,8 +59,22 @@ def aggregate_message(user_pk: GroupElement, ct: Ciphertext) -> bytes:
     return encode_args({"user_pk": user_pk, "aggregate": ct})
 
 
+def _check_catalog_size(catalog_size: int):
+    if not 1 <= catalog_size <= MAX_CATALOG:
+        raise ContractError("BadParams", f"catalog_size {catalog_size} outside [1, {MAX_CATALOG}]")
+
+
 class _Contract:
-    """Dispatch of a transaction to the entry point its subclass lists in FUNCTIONS."""
+    """Dispatch of a transaction to one of its subclass's entry points."""
+
+    KIND: str
+    FUNCTIONS: frozenset
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.FUNCTIONS = frozenset(
+            name for name, f in vars(cls).items() if hasattr(f, "wire_params") and not name.startswith("_")
+        )
 
     def call(self, ctx: ExecutionContext, function: str, args):
         # Looked up by name on every call, so a method replaced on the class
@@ -67,24 +92,16 @@ class PolicyContract(_Contract):
     """Per-catalog reward computation and payment-request validation."""
 
     KIND = "psc"
-    FUNCTIONS = frozenset(
-        {
-            "store_policy",
-            "store_encrypted_keys",
-            "store_threshold_key",
-            "compute_aggregate",
-            "payment_request",
-            "advance_period",
-        }
-    )
 
-    def __init__(self, address: Address, deployer: Address, params: dict):
+    @entry_point
+    def __init__(self, address, deployer, *, cf_pk: GroupElement, catalog_size: int, fsc: Address, reward_cap: int):
+        _check_catalog_size(catalog_size)
         self.address = address
         self.cf_account = deployer
-        self.cf_pk: GroupElement = params["cf_pk"]
-        self.catalog_size: int = params["catalog_size"]
-        self.fsc_address: Address = params["fsc"]
-        self.reward_cap: int = params["reward_cap"]
+        self.cf_pk = cf_pk
+        self.catalog_size = catalog_size
+        self.fsc_address = fsc
+        self.reward_cap = reward_cap
         self.enc_policies: list = [None] * self.catalog_size
         self.enc_keys: list = [None] * self.catalog_size
         self.threshold_key: GroupElement | None = None
@@ -100,21 +117,20 @@ class PolicyContract(_Contract):
     # -- campaign setup -------------------------------------------------------
 
     def _fsc(self, ctx) -> "FundContract":
-        return ctx.contract(self.fsc_address)
+        return ctx.contract(self.fsc_address, FundContract.KIND)
 
-    def store_policy(self, ctx, args):
+    @entry_point
+    def store_policy(self, ctx, *, index: int, enc_policy: bytes):
         self._require_cf(ctx)
         if self._fsc(ctx).init:
             raise ContractError("AlreadyInitialized")
-        index = args["index"]
         if not 0 <= index < self.catalog_size:
             raise ContractError("IndexOutOfRange", str(index))
-        self.enc_policies[index] = args["enc_policy"]
+        self.enc_policies[index] = enc_policy
         return None
 
-    def store_encrypted_keys(self, ctx, args):
-        enc_keys = args["enc_keys"]
-        sig = args["sig"]
+    @entry_point
+    def store_encrypted_keys(self, ctx, *, enc_keys: list[HybridCiphertext], sig: Signature):
         if len(enc_keys) != self.catalog_size:
             raise ContractError("LengthMismatch")
         if not verify_sig(self.cf_pk, encode_args(enc_keys), sig, tag=b"sig/enc-keys"):
@@ -124,10 +140,11 @@ class PolicyContract(_Contract):
         self.enc_keys = list(enc_keys)
         return None
 
-    def store_threshold_key(self, ctx, args):
+    @entry_point
+    def store_threshold_key(self, ctx, *, pk: GroupElement):
         if self.threshold_key is not None:
             raise ContractError("AlreadyInitialized", "threshold key already published")
-        self.threshold_key = args["pk"]
+        self.threshold_key = pk
         return None
 
     # -- reward aggregation ----------------------------------------------------
@@ -137,18 +154,19 @@ class PolicyContract(_Contract):
             return self._policy_values
         if any(k is None for k in self.enc_keys) or any(p is None for p in self.enc_policies):
             raise ContractError("PolicyNotLoaded")
-        values = tuple(
-            policy_value(sym_decrypt(ctx.validator_decrypt(enc_key), enc_policy))
-            for enc_key, enc_policy in zip(self.enc_keys, self.enc_policies)
-        )
+        try:
+            values = tuple(
+                policy_value(sym_decrypt(ctx.validator_decrypt(enc_key), enc_policy))
+                for enc_key, enc_policy in zip(self.enc_keys, self.enc_policies)
+            )
+        except AuthenticationFailure:
+            raise ContractError("AuthenticationFailure", "a stored policy does not open") from None
         if self._fsc(ctx).init:
             self._policy_values = values
         return values
 
-    def compute_aggregate(self, ctx, args):
-        user_pk: GroupElement = args["user_pk"]
-        enc_vec = args["enc_vec"]
-        enc_vec_prime = args["enc_vec_prime"]
+    @entry_point
+    def compute_aggregate(self, ctx, *, user_pk: GroupElement, enc_vec: list[Ciphertext], enc_vec_prime: list[Ciphertext]):
         if len(enc_vec) != self.catalog_size or len(enc_vec_prime) != self.catalog_size:
             raise ContractError("LengthMismatch")
         if not self._fsc(ctx).init:
@@ -171,14 +189,12 @@ class PolicyContract(_Contract):
 
     # -- payment requests -------------------------------------------------------
 
-    def payment_request(self, ctx, args):
+    @entry_point
+    def payment_request(
+        self, ctx, *, user_pk: GroupElement, amount: int, reward_sig: Signature, proof: DecryptionProof, payout_address: Address
+    ):
         if not ctx.private:
             raise ContractError("NotPrivate", "payment requests must be private-input")
-        user_pk: GroupElement = args["user_pk"]
-        amount: int = args["amount"]
-        reward_sig: Signature = args["reward_sig"]
-        proof = args["proof"]
-        payout_address: Address = args["payout_address"]
         key = user_pk.encode()
         if key not in self.aggregates:
             raise ContractError("UnknownUser")
@@ -194,13 +210,16 @@ class PolicyContract(_Contract):
             raise ContractError("BadProof")
         if key in self.requested_this_period:
             raise ContractError("DuplicateRequest")
+        if amount < 0:
+            raise ContractError("NegativeAmount", str(amount))
         if amount > self.reward_cap:
             raise ContractError("CapExceeded", f"{amount} > {self.reward_cap}")
         self.requested_this_period.add(key)
         self._fsc(ctx).buffer_payment(payout_address, amount, key)
         return None
 
-    def advance_period(self, ctx, args):
+    @entry_point
+    def advance_period(self, ctx):
         self._require_cf(ctx)
         self.period += 1
         self.requested_this_period = set()
@@ -230,27 +249,15 @@ class FundContract(_Contract):
     """Escrow, buffered payments, settlement, analytics, and complaints."""
 
     KIND = "fsc"
-    FUNCTIONS = frozenset(
-        {
-            "link_psc",
-            "store_adv_id",
-            "store_funds",
-            "register_pool",
-            "post_analytics",
-            "settlement_request",
-            "payment_processed",
-            "finalize",
-            "raise_complaint",
-            "claim_insufficient_refund",
-        }
-    )
 
-    def __init__(self, address: Address, deployer: Address, params: dict):
+    @entry_point
+    def __init__(self, address, deployer, *, cf_pk: GroupElement, catalog_size: int, epoch_blocks: int):
+        _check_catalog_size(catalog_size)
         self.address = address
         self.cf_account = deployer
-        self.cf_pk: GroupElement = params["cf_pk"]
-        self.catalog_size: int = params["catalog_size"]
-        self.epoch_blocks: int = params["epoch_blocks"]
+        self.cf_pk = cf_pk
+        self.catalog_size = catalog_size
+        self.epoch_blocks = epoch_blocks
         self.psc_address: Address | None = None
         self.init = False
         self.status = "active"
@@ -269,41 +276,42 @@ class FundContract(_Contract):
         self.refunds_done = False  # set by _close, which pays fees and refunds together
         self.complaints: list[dict] = []
 
-    def link_psc(self, ctx, args):
+    @entry_point
+    def link_psc(self, ctx, *, psc: Address):
         self._require_cf(ctx)
         if self.psc_address is not None:
             raise ContractError("AlreadyInitialized", "psc already linked")
-        self.psc_address = args["psc"]
+        self.psc_address = psc
         return None
 
     # -- advertiser onboarding --------------------------------------------------
 
-    def store_adv_id(self, ctx, args):
+    @entry_point
+    def store_adv_id(self, ctx, *, id: str, account: Address, budget: int, fee: int, ads: list[int]):
         self._require_cf(ctx)
         if self.init:
             raise ContractError("AlreadyInitialized")
-        adv_id = args["id"]
-        if adv_id in self.advertisers:
-            raise ContractError("DuplicateAdvertiser", adv_id)
-        self.advertisers[adv_id] = {
-            "account": args["account"],
-            "budget": args["budget"],
-            "fee": args["fee"],
-            "ads": list(args["ads"]),
-            "staked": 0,
-        }
+        if id in self.advertisers:
+            raise ContractError("DuplicateAdvertiser", id)
+        if budget < 0 or fee < 0:
+            raise ContractError("NegativeAmount", f"budget {budget}, fee {fee}")
+        if any(not 0 <= slot < self.catalog_size for slot in ads):
+            raise ContractError("IndexOutOfRange", f"ads {ads} outside [0, {self.catalog_size})")
+        taken = [slot for record in self.advertisers.values() for slot in record["ads"]]
+        if len(set(ads)) != len(ads) or set(ads) & set(taken):
+            raise ContractError("DuplicateSlot", f"ads {ads} repeat a slot")
+        self.advertisers[id] = {"account": account, "budget": budget, "fee": fee, "ads": ads, "staked": 0}
         return None
 
-    def store_funds(self, ctx, args):
-        adv_id = args["id"]
-        amount = args["amount"]
-        record = self.advertisers.get(adv_id)
+    @entry_point
+    def store_funds(self, ctx, *, id: str, amount: int):
+        record = self.advertisers.get(id)
         if record is None:
-            raise ContractError("UnknownAdvertiser", adv_id)
+            raise ContractError("UnknownAdvertiser", id)
         if self.init:
             raise ContractError("AlreadyInitialized")
         if record["staked"]:
-            raise ContractError("AlreadyStaked", adv_id)
+            raise ContractError("AlreadyStaked", id)
         required = record["budget"] + record["fee"]
         if amount != required:
             raise ContractError("WrongStakeAmount", f"need {required}, got {amount}")
@@ -317,19 +325,21 @@ class FundContract(_Contract):
 
     # -- analytics ----------------------------------------------------------------
 
-    def register_pool(self, ctx, args):
+    @entry_point
+    def register_pool(self, ctx, *, threshold: int, verification: list[GroupElement], recovery_bound: int):
         """Fix the pool's verification vector once; its head must be the
         threshold key published in the policy contract."""
         if self.pool_key is not None:
             raise ContractError("AlreadyInitialized", "pool already registered")
-        verification = tuple(args["verification"])
-        published = ctx.contract(self.psc_address).threshold_key if self.psc_address else None
+        published = ctx.contract(self.psc_address, PolicyContract.KIND).threshold_key if self.psc_address else None
         if published is None or not verification or verification[0] != published:
             raise ContractError("ThresholdKeyMismatch", "vector head must be the published threshold key")
-        if len(verification) != args["threshold"]:
+        if len(verification) != threshold:
             raise ContractError("ThresholdKeyMismatch", "one commitment per coefficient of a threshold-k key")
-        self.recovery_bound = args["recovery_bound"]  # a call without it stores nothing
-        self.pool_key = ThresholdPublicKey(published, verification)
+        if not 1 <= recovery_bound <= ANALYTICS_BOUND:
+            raise ContractError("BadRecoveryBound", f"{recovery_bound} outside [1, {ANALYTICS_BOUND}]")
+        self.recovery_bound = recovery_bound
+        self.pool_key = ThresholdPublicKey(published, tuple(verification))
         return None
 
     @property
@@ -343,16 +353,14 @@ class FundContract(_Contract):
         zeros until they combine."""
         return self.analytics_totals or [0] * self.catalog_size
 
-    def post_analytics(self, ctx, args):
+    @entry_point
+    def post_analytics(self, ctx, *, enc_totals: list[Ciphertext], index: int, partials: list[PartialDecryption]):
         """One consensus participant posts the summed ciphertexts plus its
         partial decryptions, checked against the registered pool key; at
         threshold the contract combines them into the per-ad totals.  A
         rejected post leaves no trace."""
         if self.pool_key is None:
             raise ContractError("NoPoolKey")
-        enc_totals = args["enc_totals"]
-        index: int = args["index"]
-        partials = args["partials"]
         if len(enc_totals) != self.catalog_size or len(partials) != self.catalog_size:
             raise ContractError("LengthMismatch")
         stored = self.analytics_enc_totals
@@ -382,7 +390,10 @@ class FundContract(_Contract):
         for slot, ct in enumerate(self.analytics_enc_totals):
             partials = [self.analytics_partials[i][slot] for i in chosen]
             point = combine_verified_partials(partials, ct, self.pool_threshold)
-            totals.append(recover_plaintext(point, self.recovery_bound))
+            try:
+                totals.append(recover_plaintext(point, self.recovery_bound))
+            except NoSolutionInBound as exc:
+                raise ContractError("NoSolutionInBound", str(exc)) from None
         self.analytics_totals = totals
 
     # -- payments -------------------------------------------------------------------
@@ -391,11 +402,10 @@ class FundContract(_Contract):
         """Called by the policy contract after it validated a request."""
         self.payment_requests.append({"addr": payout_address, "amount": amount, "user_pk": user_pk})
 
-    def settlement_request(self, ctx, args):
+    @entry_point
+    def settlement_request(self, ctx, *, amount: int, sig: Signature):
         if self.status == "failed":
             raise ContractError("CampaignFailed")
-        amount = args["amount"]
-        sig = args["sig"]
         message = encode_args(["settlement", self.address, amount, self.settlement_counter])
         if not verify_sig(self.cf_pk, message, sig, tag=b"sig/settlement"):
             raise ContractError("BadSignature")
@@ -407,9 +417,8 @@ class FundContract(_Contract):
         self.settled_total += amount
         return None
 
-    def payment_processed(self, ctx, args):
-        tx_ref = args["tx_ref"]
-        addr = args["addr"]
+    @entry_point
+    def payment_processed(self, ctx, *, tx_ref: bytes, addr: Address):
         note = ctx.note(tx_ref)
         if note is None or note.recipient != addr:
             raise ContractError("UnknownTxRef")
@@ -429,14 +438,14 @@ class FundContract(_Contract):
         return bool(self.payment_requests) and len(self.payed_requests) == len(self.payment_requests)
 
     def _policies(self, ctx) -> list[int]:
-        psc = ctx.contract(self.psc_address)
-        return psc._decrypt_policies(ctx)
+        return ctx.contract(self.psc_address, PolicyContract.KIND)._decrypt_policies(ctx)
 
     def _spent(self, policies: list[int], adv_id: str) -> int:
         clicks = self.click_totals
         return sum(policies[i] * clicks[i] for i in self.advertisers[adv_id]["ads"])
 
-    def finalize(self, ctx, args):
+    @entry_point
+    def finalize(self, ctx):
         """Explicit campaign close (epoch elapsed or everything paid)."""
         if not (self._all_paid() or ctx.height >= self.epoch_blocks):
             raise ContractError("CampaignActive")
@@ -471,12 +480,9 @@ class FundContract(_Contract):
 
     # -- complaints -------------------------------------------------------------------
 
-    def raise_complaint(self, ctx, args):
+    @entry_point
+    def raise_complaint(self, ctx, *, tx_ref: bytes, user_pk: bytes, blinding: int, amount: int):
         """User proves the confidential payment mismatches their request."""
-        tx_ref = args["tx_ref"]
-        user_pk: bytes = args["user_pk"]
-        blinding = args["blinding"]
-        amount = args["amount"]
         note = ctx.note(tx_ref)
         if note is None:
             raise ContractError("UnknownTxRef")
@@ -493,24 +499,24 @@ class FundContract(_Contract):
         )
         return {"verdict": "cf_flagged"}
 
-    def claim_insufficient_refund(self, ctx, args):
+    @entry_point
+    def claim_insufficient_refund(self, ctx, *, id: str):
         """Advertiser checks spent + refund + fee against their stake."""
-        adv_id = args["id"]
-        if adv_id not in self.advertisers:
-            raise ContractError("UnknownAdvertiser", adv_id)
+        if id not in self.advertisers:
+            raise ContractError("UnknownAdvertiser", id)
         if not self.refunds_done:
             raise ContractError("RefundsNotExecuted")
-        record = self.advertisers[adv_id]
+        record = self.advertisers[id]
         policies = self._policies(ctx)
-        spent = self._spent(policies, adv_id)
-        refund = self.refunds_paid.get(adv_id, 0) - self.top_up_due.get(adv_id, 0)
+        spent = self._spent(policies, id)
+        refund = self.refunds_paid.get(id, 0) - self.top_up_due.get(id, 0)
         if spent + refund + record["fee"] == record["staked"]:
             return {"verdict": "rejected"}
         self.status = "failed"
         self.complaints.append(
             {
                 "kind": "insufficient_refund",
-                "advertiser": adv_id,
+                "advertiser": id,
                 "stake": record["staked"],
                 "spent": spent,
                 "refund": refund,

@@ -3,19 +3,26 @@
 One validator keypair stands in for the whole validator set: private-input
 transactions carry their arguments encrypted to it, and the decryption
 happens only inside block execution, so serialized blocks never contain
-the plaintext.  Blocks execute queued transactions in submission order;
-per-transaction failures are recorded in receipts and never abort the
-block.  The full chain state hashes canonically after every block, and
-identical (seed, transaction sequence) reproduce identical hashes.
+the plaintext.  Blocks execute queued transactions in submission order.
+Every entry point, native or contract, declares its arguments once as the
+typed keyword-only parameters of its own signature (entry_point), and a
+call's args are checked against them before it runs.  A ContractError is
+a failed receipt and the block goes on; any other exception is a bug and
+escapes mine_block.  The full chain state hashes canonically after every
+block, and identical (seed, transaction sequence) reproduce identical
+hashes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass
+from typing import get_type_hints
 
-from .codec import canonical_json, decode_args, encode_args, to_wire
+from .codec import canonical_json, decode_args, encode_args, to_wire, type_error
 from .group import (
     AuthenticationFailure,
     GroupElement,
@@ -38,6 +45,7 @@ __all__ = [
     "Chain",
     "ContractError",
     "ExecutionContext",
+    "entry_point",
     "BadNonce",
     "UnknownSender",
     "address_from_pk",
@@ -56,11 +64,42 @@ class UnknownSender(Exception):
 
 
 class ContractError(Exception):
-    """Raised by contract code; recorded in the receipt, never fatal."""
+    """A failure the protocol expects, named by a code: malformed or
+    mistyped args, a caller or state the entry point refuses, a proof or
+    signature that does not verify.  Its receipt records "code: detail"
+    and the block goes on.  Contract code raises nothing else on purpose."""
 
     def __init__(self, code: str, detail: str = ""):
         self.code = code
         super().__init__(f"{code}: {detail}" if detail else code)
+
+
+def entry_point(fn):
+    """Declare a transaction entry point, or a contract constructor whose
+    args are a deploy's params: its keyword-only parameters (`wire_params`)
+    are the args a call must carry.  The wrapper takes the context and then
+    the args dict, and calls fn only if the dict has exactly those keys and
+    each value fits its annotation; ContractError("BadArgs") otherwise."""
+    hints = get_type_hints(fn)
+    params = {name: hints[name] for name, p in inspect.signature(fn).parameters.items() if p.kind is p.KEYWORD_ONLY}
+
+    @functools.wraps(fn)
+    def call(*context_and_args):
+        *context, args = context_and_args
+        if not isinstance(args, dict):
+            raise ContractError("BadArgs", f"args: expected dict, got {type(args).__name__}")
+        wrong = [f"missing {name}" for name in params if name not in args]
+        wrong += [f"unknown {key}" for key in args if key not in params]
+        if wrong:
+            raise ContractError("BadArgs", ", ".join(wrong))
+        for name, hint in params.items():
+            error = type_error(args[name], hint, name)
+            if error:
+                raise ContractError("BadArgs", error)
+        return fn(*context, **args)
+
+    call.wire_params = params
+    return call
 
 
 def address_from_pk(pk: GroupElement) -> Address:
@@ -165,11 +204,12 @@ class ExecutionContext:
     def sign_aggregate(self, message: bytes) -> Signature:
         return sign(self.chain.aggregate_keypair, message, self.rng, tag=b"sig/aggregate")
 
-    def contract(self, address: Address):
-        try:
-            return self.chain.contracts[address]
-        except KeyError:
-            raise ContractError("UnknownContract", address.hex())
+    def contract(self, address: Address, kind: str):
+        """The contract of `kind` at `address`; UnknownContract otherwise."""
+        contract = self.chain.contracts.get(address)
+        if contract is None or contract.KIND != kind:
+            raise ContractError("UnknownContract", f"no {kind} contract at {address.hex()}")
+        return contract
 
     def note(self, tx_ref: bytes):
         return self.chain.notes.get(tx_ref)
@@ -278,72 +318,82 @@ class Chain:
         tx_hash = self._tx_hash(tx)
         ctx = ExecutionContext(self, tx.sender, height, f"{height}/{index}", private=tx.private)
         try:
-            if tx.private:
-                raw = ctx.validator_decrypt(HybridCiphertext.decode(tx.args))
-            else:
-                raw = tx.args
-            args = decode_args(raw)
+            args = self._open_args(ctx, tx)
             if tx.target is None:
                 ret = self._native_call(ctx, tx, args)
             else:
-                contract = ctx.contract(tx.target)
+                contract = self.contracts.get(tx.target)
+                if contract is None:
+                    raise ContractError("UnknownContract", tx.target.hex())
                 ret = contract.call(ctx, tx.function, args)
-            return Receipt(tx_hash, True, ret=ret)
         except ContractError as exc:
             return Receipt(tx_hash, False, error=str(exc))
+        return Receipt(tx_hash, True, ret=ret)
+
+    def _open_args(self, ctx: ExecutionContext, tx: Transaction):
+        """The call's args value, decrypted first if private."""
+        try:
+            raw = ctx.validator_decrypt(HybridCiphertext.decode(tx.args)) if tx.private else tx.args
+            return decode_args(raw)
         except AuthenticationFailure:
-            return Receipt(tx_hash, False, error="AuthenticationFailure: private args undecryptable")
-        except Exception as exc:  # malformed args etc.
-            return Receipt(tx_hash, False, error=f"{type(exc).__name__}: {exc}")
+            raise ContractError("AuthenticationFailure", "private args undecryptable") from None
+        except ValueError as exc:
+            raise ContractError("MalformedArgs", str(exc)) from None
+
+    NATIVES = frozenset({"deploy", "submit_batch", "redeem_note", "transfer"})
 
     def _native_call(self, ctx: ExecutionContext, tx: Transaction, args):
-        if tx.function == "deploy":
-            kind = args["kind"]
-            if kind not in self.contract_classes:
-                raise ContractError("UnknownContractKind", kind)
-            address = _contract_address(kind, tx.sender, tx.nonce)
-            instance = self.contract_classes[kind](address, tx.sender, args.get("params", {}))
-            self.contracts[address] = instance
-            return {"address": address}
-        if tx.function == "submit_batch":
-            return self._apply_batch(ctx, tx.sender, args)
-        if tx.function == "redeem_note":
-            return self._redeem_note(ctx, tx.sender, args)
-        if tx.function == "transfer":
-            ctx.transfer(tx.sender, args["to"], args["amount"])
-            return None
-        raise ContractError("UnknownFunction", tx.function)
+        if tx.function not in self.NATIVES:
+            raise ContractError("UnknownFunction", tx.function)
+        return getattr(self, f"_{tx.function}")(ctx, tx, args)
 
-    def _apply_batch(self, ctx: ExecutionContext, sender: Address, args):
-        batch = deserialize_batch(args["batch"])
-        total = args["total"]
-        if not verify_batch(batch, total):
+    @entry_point
+    def _deploy(self, ctx: ExecutionContext, tx: Transaction, *, kind: str, params: dict):
+        if kind not in self.contract_classes:
+            raise ContractError("UnknownContractKind", kind)
+        address = _contract_address(kind, tx.sender, tx.nonce)
+        self.contracts[address] = self.contract_classes[kind](address, tx.sender, params)
+        return {"address": address}
+
+    @entry_point
+    def _submit_batch(self, ctx: ExecutionContext, tx: Transaction, *, batch: bytes, total: int):
+        try:
+            settlement = deserialize_batch(batch)
+        except ValueError as exc:
+            raise ContractError("MalformedBatch", str(exc)) from None
+        if not verify_batch(settlement, total):
             raise ContractError("InvalidBatchProof")
-        for note in batch.notes:
+        for note in settlement.notes:
             if note.tx_ref in self.notes:
                 raise ContractError("DuplicateTxRef", note.tx_ref.hex())
-        balance = self.balances.get(sender, 0)
+        balance = self.balances.get(tx.sender, 0)
         if balance < total:
             raise ContractError("InsufficientBalance", f"batch total {total} exceeds {balance}")
-        self.balances[sender] = balance - total
+        self.balances[tx.sender] = balance - total
         self.note_pool_value += total
-        for note in batch.notes:
+        for note in settlement.notes:
             self.notes[note.tx_ref] = note
-        return {"notes": [note.tx_ref for note in batch.notes]}
+        return {"notes": [note.tx_ref for note in settlement.notes]}
 
-    def _redeem_note(self, ctx: ExecutionContext, sender: Address, args):
-        note = self.notes.get(args["tx_ref"])
+    @entry_point
+    def _redeem_note(self, ctx: ExecutionContext, tx: Transaction, *, tx_ref: bytes, blinding: int, amount: int):
+        note = self.notes.get(tx_ref)
         if note is None:
             raise ContractError("UnknownTxRef")
-        if note.recipient != sender:
+        if note.recipient != tx.sender:
             raise ContractError("NotNoteRecipient")
         if self.redeemed.get(note.tx_ref):
             raise ContractError("AlreadyRedeemed")
-        if not open_verify(note.commitment, args["blinding"], args["amount"]):
+        if not open_verify(note.commitment, blinding, amount):
             raise ContractError("BadOpening")
         self.redeemed[note.tx_ref] = True
-        self.note_pool_value -= args["amount"]
-        self.balances[sender] = self.balances.get(sender, 0) + args["amount"]
+        self.note_pool_value -= amount
+        self.balances[tx.sender] = self.balances.get(tx.sender, 0) + amount
+        return None
+
+    @entry_point
+    def _transfer(self, ctx: ExecutionContext, tx: Transaction, *, to: Address, amount: int):
+        ctx.transfer(tx.sender, to, amount)
         return None
 
     # -- state -------------------------------------------------------------

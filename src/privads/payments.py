@@ -60,7 +60,9 @@ def commit(amount: int, blinding: Scalar) -> Commitment:
 
 
 def open_verify(c: Commitment, blinding: Scalar, amount: int) -> bool:
-    if amount < 0:
+    """Whether (blinding, amount) opens c; only an amount commit accepts
+    does, so amount + ORDER cannot open a commitment to amount."""
+    if not 0 <= amount < ANALYTICS_BOUND:
         return False
     return c.point == G.mul(amount) + H.mul(blinding)
 
@@ -88,6 +90,10 @@ _BATCH_TAG = b"batch-balance"
 
 def _note_ref(salt: bytes, index: int, recipient: bytes, commitment: Commitment) -> bytes:
     return tagged_hash(b"note", salt, index.to_bytes(4, "big"), recipient, commitment.encode())[:16]
+
+
+# A batch total is hashed as 16 bytes.
+_TOTAL_LIMIT = 1 << 128
 
 
 def _batch_challenge(notes, total: int, commit_point: GroupElement) -> Scalar:
@@ -122,25 +128,22 @@ def build_batch(payments, total: int, rng) -> SettlementBatch:
 
 
 def verify_batch(batch: SettlementBatch, total: int) -> bool:
-    try:
-        if total < 0:
-            return False
-        if not (0 <= batch.proof_challenge < ORDER and 0 <= batch.proof_response < ORDER):
-            return False
-        refs = [n.tx_ref for n in batch.notes]
-        if len(set(refs)) != len(refs):
-            return False
-        agg = IDENTITY
-        for note in batch.notes:
-            agg = agg + note.commitment.point
-        # sum(C_i) - total*G must be a commitment to zero
-        statement = agg - G.mul(total)
-        expected = H.mul(batch.proof_response) + statement.mul(batch.proof_challenge)
-        if expected != batch.proof_commit:
-            return False
-        return _batch_challenge(batch.notes, total, batch.proof_commit) == batch.proof_challenge
-    except Exception:
+    if not 0 <= total < _TOTAL_LIMIT:
         return False
+    if not (0 <= batch.proof_challenge < ORDER and 0 <= batch.proof_response < ORDER):
+        return False
+    refs = [n.tx_ref for n in batch.notes]
+    if len(set(refs)) != len(refs):
+        return False
+    agg = IDENTITY
+    for note in batch.notes:
+        agg = agg + note.commitment.point
+    # sum(C_i) - total*G must be a commitment to zero
+    statement = agg - G.mul(total)
+    expected = H.mul(batch.proof_response) + statement.mul(batch.proof_challenge)
+    if expected != batch.proof_commit:
+        return False
+    return _batch_challenge(batch.notes, total, batch.proof_commit) == batch.proof_challenge
 
 
 _NOTE_SIZE = 16 + 20 + 33  # tx_ref, recipient, commitment

@@ -82,17 +82,14 @@ def dleq_prove(tag: bytes, base_a, pub_a, base_b, pub_b, secret: Scalar, rng) ->
 
 
 def dleq_verify(tag: bytes, base_a, pub_a, base_b, pub_b, proof: DecryptionProof) -> bool:
-    try:
-        if not (0 <= proof.challenge < ORDER and 0 <= proof.response < ORDER):
-            return False
-        if base_a.mul(proof.response) + pub_a.mul(proof.challenge) != proof.commit_a:
-            return False
-        if base_b.mul(proof.response) + pub_b.mul(proof.challenge) != proof.commit_b:
-            return False
-        c = _dleq_challenge(tag, base_a, pub_a, base_b, pub_b, proof.commit_a, proof.commit_b)
-        return c == proof.challenge
-    except Exception:
+    if not (0 <= proof.challenge < ORDER and 0 <= proof.response < ORDER):
         return False
+    if base_a.mul(proof.response) + pub_a.mul(proof.challenge) != proof.commit_a:
+        return False
+    if base_b.mul(proof.response) + pub_b.mul(proof.challenge) != proof.commit_b:
+        return False
+    c = _dleq_challenge(tag, base_a, pub_a, base_b, pub_b, proof.commit_a, proof.commit_b)
+    return c == proof.challenge
 
 
 _WEIGHT_MASK = (1 << 128) - 1
@@ -121,29 +118,26 @@ def dleq_first_invalid(tag: bytes, statements, proofs) -> int | None:
 
 
 def _dleq_batch_holds(tag: bytes, statements, proofs) -> bool:
-    try:
-        for (base_a, pub_a, base_b, pub_b), proof in zip(statements, proofs):
-            if not (0 <= proof.challenge < ORDER and 0 <= proof.response < ORDER):
-                return False
-            if _dleq_challenge(tag, base_a, pub_a, base_b, pub_b, proof.commit_a, proof.commit_b) != proof.challenge:
-                return False
-        # Each challenge hashes its statement and commitments, so hashing
-        # every (challenge, response) pair binds the weights to the whole
-        # batch.  No Rng is drawn: the check is a pure function of its input.
-        seed = scalar_bytes(
-            hash_to_scalar(b"dleq-batch/" + tag, *(scalar_bytes(p.challenge) + scalar_bytes(p.response) for p in proofs))
-        )
-        scalars, points = [], []
-        for position, ((base_a, pub_a, base_b, pub_b), proof) in enumerate(zip(statements, proofs)):
-            weights = hash_to_scalar(b"dleq-batch/weights", seed, position.to_bytes(4, "big"))
-            u, v = weights & _WEIGHT_MASK, weights >> 128
-            c, s = proof.challenge, proof.response
-            # u * (s*base_a + c*pub_a - commit_a) + v * (s*base_b + c*pub_b - commit_b)
-            scalars += [u * s, u * c, u, v * s, v * c, v]
-            points += [base_a, pub_a, -proof.commit_a, base_b, pub_b, -proof.commit_b]
-        return msm(scalars, points).is_identity
-    except (AttributeError, TypeError, ValueError):
-        return False
+    for (base_a, pub_a, base_b, pub_b), proof in zip(statements, proofs):
+        if not (0 <= proof.challenge < ORDER and 0 <= proof.response < ORDER):
+            return False
+        if _dleq_challenge(tag, base_a, pub_a, base_b, pub_b, proof.commit_a, proof.commit_b) != proof.challenge:
+            return False
+    # Each challenge hashes its statement and commitments, so hashing
+    # every (challenge, response) pair binds the weights to the whole
+    # batch.  No Rng is drawn: the check is a pure function of its input.
+    seed = scalar_bytes(
+        hash_to_scalar(b"dleq-batch/" + tag, *(scalar_bytes(p.challenge) + scalar_bytes(p.response) for p in proofs))
+    )
+    scalars, points = [], []
+    for position, ((base_a, pub_a, base_b, pub_b), proof) in enumerate(zip(statements, proofs)):
+        weights = hash_to_scalar(b"dleq-batch/weights", seed, position.to_bytes(4, "big"))
+        u, v = weights & _WEIGHT_MASK, weights >> 128
+        c, s = proof.challenge, proof.response
+        # u * (s*base_a + c*pub_a - commit_a) + v * (s*base_b + c*pub_b - commit_b)
+        scalars += [u * s, u * c, u, v * s, v * c, v]
+        points += [base_a, pub_a, -proof.commit_a, base_b, pub_b, -proof.commit_b]
+    return msm(scalars, points).is_identity
 
 
 _DEC_TAG = b"decryption"
@@ -160,11 +154,7 @@ def prove_decryption(keypair: KeyPair, ct: Ciphertext, rng) -> tuple[GroupElemen
 
 
 def verify_decryption(pk: GroupElement, ct: Ciphertext, plain_point: GroupElement, proof: DecryptionProof) -> bool:
-    try:
-        masked = ct.c2 - plain_point
-        return dleq_verify(_DEC_TAG, G, pk, ct.c1, masked, proof)
-    except Exception:
-        return False
+    return dleq_verify(_DEC_TAG, G, pk, ct.c1, ct.c2 - plain_point, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +215,12 @@ def vrf_eval(vrf_keypair: KeyPair, seed: bytes, p: int) -> VrfOutput:
 
 
 def vrf_verify(vrf_pk: GroupElement, seed: bytes, out: VrfOutput, p: int) -> bool:
-    try:
-        if p < 2 or not seed:
-            return False
-        h = _vrf_point(vrf_pk, seed)
-        if not dleq_verify(b"vrf", G, vrf_pk, h, out.gamma, out.proof):
-            return False
-        return out.rand == _vrf_rand(out.gamma, p)
-    except Exception:
+    if p < 2 or not seed:
         return False
+    h = _vrf_point(vrf_pk, seed)
+    if not dleq_verify(b"vrf", G, vrf_pk, h, out.gamma, out.proof):
+        return False
+    return out.rand == _vrf_rand(out.gamma, p)
 
 
 class _DerivedRng:

@@ -184,7 +184,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
             user.new_period(period)
             vector = scenario.interaction_vector(gi, period)
             start = time.perf_counter()
-            user.claim(handle, vector, pool.threshold_key.pk)
+            user.claim(handle, vector)
             timings["interaction_encryption_s"].append(time.perf_counter() - start)
         start = time.perf_counter()
         heights.append(chain.height)

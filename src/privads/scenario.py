@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
+from .codec import type_error
 from .rng import Rng
 from .threshold import PoolParams
 
@@ -27,30 +27,6 @@ class ScenarioError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-def _type_error(value, hint, path: str) -> str | None:
-    """Why `value` does not fit the annotation `hint` (int, str, list[...]
-    or a union with None), or None if it fits.  A bool is not an int;
-    nested config dataclasses are checked by _build."""
-    options = get_args(hint) if isinstance(hint, UnionType) else (hint,)
-    if value is None and type(None) in options:
-        return None
-    for option in options:
-        kind = get_origin(option) or option
-        if kind is int and isinstance(value, bool):
-            continue
-        if kind in (int, str, list) and isinstance(value, kind):
-            if kind is list and get_args(option):
-                for i, item in enumerate(value):
-                    error = _type_error(item, get_args(option)[0], f"{path}[{i}]")
-                    if error:
-                        return error
-            return None
-        if is_dataclass(kind):
-            return None
-    expected = " or ".join("None" if o is type(None) else (get_origin(o) or o).__name__ for o in options)
-    return f"{path}: expected {expected}, got {type(value).__name__}"
-
-
 def _build(cls, data, path: str):
     """cls(**data) for a config dataclass: the keys of `data` must be fields
     of cls and include every field without a default, and each value must
@@ -58,22 +34,35 @@ def _build(cls, data, path: str):
     prefix = f"{path}: " if path else ""
     if not isinstance(data, dict):
         raise ScenarioError([f"{prefix}must be a mapping"])
-    declared = fields(cls)
     hints = get_type_hints(cls)
     errors = [f"{prefix}unknown field: {key}" for key in data if key not in hints]
     errors += [
         f"{prefix}missing field: {f.name}"
-        for f in declared
+        for f in fields(cls)
         if f.name not in data and f.default is MISSING and f.default_factory is MISSING
     ]
-    errors += [
-        f"{prefix}{error}"
-        for key, value in data.items()
-        if key in hints and (error := _type_error(value, hints[key], key))
-    ]
+    values = {}
+    for key, value in data.items():
+        try:
+            if key in hints:
+                values[key] = _built(hints[key], value, key)
+        except ScenarioError as exc:
+            errors += exc.errors
+    errors += [f"{prefix}{error}" for key, value in values.items() if (error := type_error(value, hints[key], key))]
     if errors:
         raise ScenarioError(errors)
-    return cls(**data)
+    return cls(**values)
+
+
+def _built(hint, value, path: str):
+    """`value` with a mapping under a config-dataclass annotation, or each
+    one in a list of them, built by _build."""
+    item = get_args(hint)[0] if get_origin(hint) is list else None
+    if is_dataclass(hint):
+        return _build(hint, value, path)
+    if is_dataclass(item) and isinstance(value, list):
+        return [_build(item, entry, f"{path}[{i}]") for i, entry in enumerate(value)]
+    return value
 
 
 @dataclass
@@ -121,11 +110,6 @@ class Scenario:
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
         scenario = _build(Scenario, data, "")
-        scenario.pool = _build(PoolConfig, data.get("pool", {}), "pool")
-        scenario.users = _build(UserConfig, data.get("users", {}), "users")
-        scenario.advertisers = [
-            _build(AdvertiserConfig, a, f"advertisers[{i}]") for i, a in enumerate(scenario.advertisers or [])
-        ]
         errors = scenario.validate()
         if errors:
             raise ScenarioError(errors)

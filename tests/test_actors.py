@@ -1,12 +1,15 @@
 """Role drivers: claims, payment requests, advertiser setup/audit, pool."""
 
+import copy
 import dataclasses
+import functools
+import gc
 import hashlib
 from pathlib import Path
 
 import pytest
 
-from privads import group
+from privads import actors, group
 from privads.actors import (
     AdvertiserAgent,
     CampaignHandle,
@@ -54,10 +57,29 @@ def pool_for(campaign, draw_pool=6, threshold=2, participants=2, seed=b"pool-see
 
 
 class TestUserClaims:
+    def test_claim_needs_a_published_threshold_key(self, campaign):
+        user = make_user(campaign, "u0")
+        with pytest.raises(ValueError, match="no threshold key published"):
+            user.claim(handle_of(campaign), [3, 0, 2])
+        assert campaign.chain.pending == []
+
+    def test_claim_encrypts_analytics_to_the_published_key(self, campaign, monkeypatch):
+        pool, _ = pool_for(campaign)
+        keys = []
+        encrypt_vector = actors.encrypt_vector
+
+        def recording(key, *rest):
+            keys.append(key)
+            return encrypt_vector(key, *rest)
+
+        monkeypatch.setattr(actors, "encrypt_vector", recording)
+        make_user(campaign, "u0").claim(handle_of(campaign), [3, 0, 2])
+        assert keys[1] == campaign.psc.threshold_key == pool.threshold_key.pk
+
     def test_worked_example_claim(self, campaign):
         pool, _ = pool_for(campaign)
         user = make_user(campaign, "u0")
-        user.claim(handle_of(campaign), [3, 0, 2], pool.threshold_key.pk)
+        user.claim(handle_of(campaign), [3, 0, 2])
         campaign.mine()
         rid = user.request_payment(handle_of(campaign))
         campaign.mine()
@@ -68,7 +90,7 @@ class TestUserClaims:
     def test_all_zero_claim(self, campaign):
         pool, _ = pool_for(campaign)
         user = make_user(campaign, "zero")
-        user.claim(handle_of(campaign), [0, 0, 0], pool.threshold_key.pk)
+        user.claim(handle_of(campaign), [0, 0, 0])
         campaign.mine()
         user.request_payment(handle_of(campaign))
         campaign.mine()
@@ -79,13 +101,13 @@ class TestUserClaims:
         user = make_user(campaign, "greedy", interaction_cap=4)
         before = campaign.chain.height
         with pytest.raises(ValueError):
-            user.claim(handle_of(campaign), [3, 0, 2], pool.threshold_key.pk)
+            user.claim(handle_of(campaign), [3, 0, 2])
         assert campaign.chain.height == before and not campaign.chain.pending
 
     def test_double_request_same_period(self, campaign):
         pool, _ = pool_for(campaign)
         user = make_user(campaign, "dup")
-        user.claim(handle_of(campaign), [1, 0, 0], pool.threshold_key.pk)
+        user.claim(handle_of(campaign), [1, 0, 0])
         campaign.mine()
         first = user.request_payment(handle_of(campaign))
         campaign.mine()
@@ -98,7 +120,7 @@ class TestUserClaims:
         # decrypting and proving share one sk*c1 multiply
         pool, _ = pool_for(campaign)
         user = make_user(campaign, "u0")
-        user.claim(handle_of(campaign), [3, 0, 2], pool.threshold_key.pk)
+        user.claim(handle_of(campaign), [3, 0, 2])
         campaign.mine()
         ct, _ = campaign.psc.get_aggregate(user.ephemeral.pk)
         mul, unmasks = group.GroupElement.mul, []
@@ -115,7 +137,7 @@ class TestUserClaims:
     def test_unrecoverable_aggregate_not_submitted(self, campaign):
         pool, _ = pool_for(campaign)
         user = make_user(campaign, "tiny-bound", recovery_bound=10)
-        user.claim(handle_of(campaign), [3, 0, 2], pool.threshold_key.pk)
+        user.claim(handle_of(campaign), [3, 0, 2])
         campaign.mine()
         assert user.request_payment(handle_of(campaign)) is None
         assert campaign.fsc.payment_requests == []
@@ -180,7 +202,7 @@ class TestPoolLifecycle:
     def test_single_user_analytics(self, campaign):
         pool, registrants = pool_for(campaign)
         user = make_user(campaign, "solo")
-        user.claim(handle_of(campaign), [3, 0, 2], pool.threshold_key.pk)
+        user.claim(handle_of(campaign), [3, 0, 2])
         campaign.mine()
         pool_analytics(pool, registrants, handle_of(campaign), Rng("analytics"))
         campaign.mine()
@@ -191,7 +213,7 @@ class TestPoolLifecycle:
         vectors = [[1, 2, 0], [3, 0, 2], [0, 1, 1], [2, 2, 2]]
         for i, vector in enumerate(vectors):
             user = make_user(campaign, f"u{i}")
-            user.claim(handle_of(campaign), vector, pool.threshold_key.pk)
+            user.claim(handle_of(campaign), vector)
         campaign.mine()
         pool_analytics(pool, registrants, handle_of(campaign), Rng("analytics"))
         campaign.mine()
@@ -201,7 +223,7 @@ class TestPoolLifecycle:
     def test_below_threshold_no_totals(self, campaign):
         pool, registrants = pool_for(campaign)
         user = make_user(campaign, "solo")
-        user.claim(handle_of(campaign), [1, 1, 1], pool.threshold_key.pk)
+        user.claim(handle_of(campaign), [1, 1, 1])
         campaign.mine()
         # only one of the required two participants posts
         first = pool.winners[0]
@@ -248,7 +270,7 @@ class TestAdvertiserAudit:
         pool, registrants = pool_for(campaign)
         handle = handle_of(campaign)
         user = make_user(campaign, "u0")
-        user.claim(handle, [3, 0, 2], pool.threshold_key.pk)
+        user.claim(handle, [3, 0, 2])
         campaign.mine()
         user.request_payment(handle)
         campaign.mine()
@@ -272,7 +294,7 @@ class TestAdvertiserAudit:
         pool, registrants = pool_for(campaign)
         handle = handle_of(campaign)
         user = make_user(campaign, "u0")
-        user.claim(handle, [1, 0, 0], pool.threshold_key.pk)
+        user.claim(handle, [1, 0, 0])
         campaign.mine()
         pool_analytics(pool, registrants, handle, Rng("analytics"))
         campaign.mine()
@@ -299,9 +321,9 @@ class TestFixedBaseTables:
         campaign = build_campaign(policies=tuple(range(1, n + 1)), impressions=(100,) * n, seed=f"tables-{n}")
         pool, _ = pool_for(campaign)
         handle = handle_of(campaign)
-        make_user(campaign, "warm").claim(handle, [1] * n, pool.threshold_key.pk)
+        make_user(campaign, "warm").claim(handle, [1] * n)
         user = make_user(campaign, "u0")
-        bases, builds = dict(group._table_bases), group._window_table.cache_info().misses
+        bases, builds = set(group._table_bases), group._window_table.cache_info().misses
         var_bases = []
         mul_var = group._mul_var
 
@@ -310,7 +332,7 @@ class TestFixedBaseTables:
             return mul_var(k, x, y, *rest)
 
         monkeypatch.setattr(group, "_mul_var", counting_mul_var)
-        user.claim(handle, [1] * n, pool.threshold_key.pk)
+        user.claim(handle, [1] * n)
         assert group._table_bases == bases  # the ephemeral key is not registered
         return user, group._window_table.cache_info().misses - builds, var_bases
 
@@ -325,8 +347,39 @@ class TestFixedBaseTables:
         assert builds == 0
         assert (user.ephemeral.pk.x, user.ephemeral.pk.y) not in var_bases
 
+    @staticmethod
+    def _tables_held() -> int:
+        """Window tables reachable from the group module's globals, through
+        dicts, sets, lists and caches."""
+        containers = (dict, set, list, functools._lru_cache_wrapper)
+        seen, frontier, tables = set(), list(vars(group).values()), 0
+        for _ in range(3):
+            reached = []
+            for obj in frontier:
+                if id(obj) in seen:
+                    continue
+                seen.add(id(obj))
+                if type(obj) is tuple and len(obj) == group._WINDOW_COLS and obj[0][0] is None:
+                    tables += 1
+                elif isinstance(obj, containers):
+                    reached.extend(gc.get_referents(obj))
+            frontier = reached
+        return tables
+
+    def test_repeated_runs_hold_at_most_eight_tables(self, monkeypatch):
+        # Each run registers new chain and pool keys; however many there
+        # are, at most 8 tables stay held.
+        monkeypatch.setattr(group, "_table_bases", copy.copy(group._table_bases))
+        scenarios = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
+        for shift in (1, 2):
+            for path in scenarios:
+                scenario = load_scenario(path)
+                run_scenario(dataclasses.replace(scenario, seed=scenario.seed + shift))
+        assert len(group._table_bases) > 8
+        assert 0 < self._tables_held() <= 8
+
     def test_run_registers_only_long_lived_keys(self, monkeypatch):
-        monkeypatch.setattr(group, "_table_bases", {(P.x, P.y): None for P in (G, H)})
+        monkeypatch.setattr(group, "_table_bases", {(P.x, P.y) for P in (G, H)})
         scenarios = Path(__file__).resolve().parent.parent / "scenarios"
         outcome = run_scenario(load_scenario(scenarios / "honest_small.yaml"))
         (run,) = outcome.chains

@@ -277,6 +277,13 @@ class TestPaymentRequest:
         assert campaign.chain.receipt(rid1).ok
         assert "DuplicateRequest" in campaign.chain.receipt(rid2).error
 
+    def test_amount_aliased_below_zero_rejected(self, campaign):
+        # amount - ORDER names the same point as amount, so the proof holds.
+        kp = claim(campaign, [3, 0, 2])
+        rid, _, _ = request_payment(campaign, kp, amount=36 - ORDER)
+        assert campaign.chain.receipt(rid).error == f"NegativeAmount: {36 - ORDER}"
+        assert campaign.fsc.payment_requests == []
+
     def test_public_submission_rejected(self, campaign):
         kp = claim(campaign, [3, 0, 2])
         ct, sig = campaign.psc.get_aggregate(kp.pk)
@@ -428,12 +435,13 @@ class TestAnalyticsPosts:
         made_up = KeyShare(3, s, G.mul(s))
         forged_vector = [pk, (G.mul(s) - pk).mul(pow(3, -1, ORDER))]
         forged = [partial_decrypt(made_up, ct, rng) for ct in enc_totals]
-        rid = campaign.cf_call(
-            campaign.fsc_address,
-            "post_analytics",
-            {"enc_totals": enc_totals, "tpk_pk": pk, "tpk_vector": forged_vector, "index": 3, "partials": forged},
+        post = {"enc_totals": enc_totals, "index": 3, "partials": forged}
+        carried = campaign.cf_call(
+            campaign.fsc_address, "post_analytics", {**post, "tpk_pk": pk, "tpk_vector": forged_vector}
         )
+        rid = campaign.cf_call(campaign.fsc_address, "post_analytics", post)
         campaign.mine()
+        assert campaign.chain.receipt(carried).error == "BadArgs: unknown tpk_pk, unknown tpk_vector"
         assert "InvalidShareProof" in campaign.chain.receipt(rid).error
         for index in (1, 2):
             receipt = post_analytics(campaign, pool, enc_totals, index)
@@ -467,7 +475,11 @@ class TestAnalyticsPosts:
             verification = dkg_run([1, 2], 2, campaign.rng).public_key.verification
         else:
             verification = pool.public_key.verification[:1]
-        rid = campaign.cf_call(campaign.fsc_address, "register_pool", {"verification": verification, "threshold": 2})
+        rid = campaign.cf_call(
+            campaign.fsc_address,
+            "register_pool",
+            {"verification": verification, "threshold": 2, "recovery_bound": 2**12},
+        )
         campaign.mine()
         assert "ThresholdKeyMismatch" in campaign.chain.receipt(rid).error
         assert campaign.fsc.pool_key is None

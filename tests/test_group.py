@@ -204,7 +204,7 @@ _ALL_DIGITS_33 = sum(33 << (6 * j) for j in range(42))
 def registered(monkeypatch):
     """G, H and a random key, each multiplied through a long-lived table
     (the random key is registered in a copy of the table map)."""
-    monkeypatch.setattr(group, "_table_bases", dict(group._table_bases))
+    monkeypatch.setattr(group, "_table_bases", set(group._table_bases))
     P = G.mul(random_scalar(Rng("table-registered")))
     precompute_base(P)
     return [G, H, P]

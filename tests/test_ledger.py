@@ -7,7 +7,7 @@ import pytest
 
 from privads.audit import load_block_log, write_block_log
 from privads.codec import encode_args
-from privads.group import random_scalar
+from privads.group import ORDER, random_scalar
 from privads.ledger import (
     BadNonce,
     Chain,
@@ -201,6 +201,21 @@ class TestConservationAndNotes:
         assert "BadOpening" in chain.receipt(bad_amount).error
         assert chain.receipt(ok).ok
         assert "AlreadyRedeemed" in chain.receipt(dup).error
+
+    def test_redeem_rejects_an_aliased_amount(self):
+        # amount + ORDER opens the same commitment point as amount.
+        chain = fresh_chain()
+        rng = Rng("batch4")
+        recipient = _addr(3)
+        chain.create_account(recipient)
+        r = random_scalar(rng)
+        batch = build_batch([(recipient, 40, r)], 40, rng)
+        chain.call(_addr(1), None, "submit_batch", {"batch": serialize_batch(batch), "total": 40})
+        ref = batch.notes[0].tx_ref
+        rid = chain.call(recipient, None, "redeem_note", {"tx_ref": ref, "blinding": r, "amount": 40 + ORDER})
+        chain.mine_block()
+        assert chain.receipt(rid).error == "BadOpening"
+        assert chain.balances[recipient] == 0 and chain.note_pool_value == 40
 
     def test_bad_batch_proof_rejected(self):
         chain = fresh_chain()

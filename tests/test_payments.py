@@ -6,7 +6,7 @@ amount) pair and checks plain integer sums against the declared total.
 
 import pytest
 
-from privads.group import IDENTITY, random_scalar
+from privads.group import IDENTITY, ORDER, random_scalar
 from privads.payments import (
     BalanceMismatch,
     SettlementBatch,
@@ -92,6 +92,14 @@ class TestBatch:
         batch = build_batch(payments, 36, rng)
         assert not verify_batch(batch, 37)
         assert not verify_batch(batch, 35)
+
+    @pytest.mark.parametrize("total", [-1, 36 + ORDER, 2**256])
+    def test_total_outside_its_encoding_rejected(self, rng, total):
+        # 36 + ORDER passes the commitment equation, but the challenge
+        # hashes the total as 16 bytes: it is a rejection, not an
+        # OverflowError.
+        batch = build_batch([(_addr(1), 36, random_scalar(rng))], 36, rng)
+        assert not verify_batch(batch, total)
 
     def test_replaced_commitment_rejected(self, rng):
         payments = [(_addr(1), 10, random_scalar(rng)), (_addr(2), 26, random_scalar(rng))]
