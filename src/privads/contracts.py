@@ -6,7 +6,10 @@ ever decrypted inside validated block execution.  The fund contract
 escrows advertiser stakes, buffers verified payment requests, settles
 fees/refunds at campaign close, and adjudicates misbehavior complaints.
 Any validated complaint flips its status to "failed", which is absorbing:
-no fee payout or further settlement happens afterwards.
+no fee payout or further settlement happens afterwards.  The two contracts
+of a campaign are a pair: the fund contract links only a policy contract
+deployed for it with the same catalog, and a policy contract reaches its
+fund contract only once that link is in place.
 
 Each transaction entry point is a method marked @entry_point whose
 keyword-only parameters declare, with their types, the args a call must
@@ -34,7 +37,7 @@ from .group import (
     sym_decrypt,
     verify_sig,
 )
-from .ledger import Address, ContractError, ExecutionContext, entry_point
+from .ledger import Address, ContractError, ExecutionContext, entry_point, entry_points
 from .payments import open_verify
 from .proofs import DecryptionProof, verify_decryption
 from .threshold import InvalidShareProof, PartialDecryption, ThresholdPublicKey, combine_verified_partials, verify_partials
@@ -72,9 +75,7 @@ class _Contract:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls.FUNCTIONS = frozenset(
-            name for name, f in vars(cls).items() if hasattr(f, "wire_params") and not name.startswith("_")
-        )
+        cls.FUNCTIONS = entry_points(cls)
 
     def call(self, ctx: ExecutionContext, function: str, args):
         # Looked up by name on every call, so a method replaced on the class
@@ -117,7 +118,12 @@ class PolicyContract(_Contract):
     # -- campaign setup -------------------------------------------------------
 
     def _fsc(self, ctx) -> "FundContract":
-        return ctx.contract(self.fsc_address, FundContract.KIND)
+        """The fund contract this one was deployed for, once it has linked
+        back: a psc pointing at another campaign's fsc reaches nothing."""
+        fsc = ctx.contract(self.fsc_address, FundContract.KIND)
+        if fsc.psc_address != self.address:
+            raise ContractError("NotLinked", f"fsc {self.fsc_address.hex()} is not linked to this psc")
+        return fsc
 
     @entry_point
     def store_policy(self, ctx, *, index: int, enc_policy: bytes):
@@ -214,8 +220,8 @@ class PolicyContract(_Contract):
             raise ContractError("NegativeAmount", str(amount))
         if amount > self.reward_cap:
             raise ContractError("CapExceeded", f"{amount} > {self.reward_cap}")
-        self.requested_this_period.add(key)
         self._fsc(ctx).buffer_payment(payout_address, amount, key)
+        self.requested_this_period.add(key)
         return None
 
     @entry_point
@@ -281,6 +287,9 @@ class FundContract(_Contract):
         self._require_cf(ctx)
         if self.psc_address is not None:
             raise ContractError("AlreadyInitialized", "psc already linked")
+        policy = ctx.contract(psc, PolicyContract.KIND)
+        if policy.fsc_address != self.address or policy.catalog_size != self.catalog_size:
+            raise ContractError("NotLinked", "the psc was not deployed for this fsc and its catalog")
         self.psc_address = psc
         return None
 
@@ -331,7 +340,7 @@ class FundContract(_Contract):
         threshold key published in the policy contract."""
         if self.pool_key is not None:
             raise ContractError("AlreadyInitialized", "pool already registered")
-        published = ctx.contract(self.psc_address, PolicyContract.KIND).threshold_key if self.psc_address else None
+        published = ctx.contract(self.psc_address, PolicyContract.KIND).threshold_key
         if published is None or not verification or verification[0] != published:
             raise ContractError("ThresholdKeyMismatch", "vector head must be the published threshold key")
         if len(verification) != threshold:

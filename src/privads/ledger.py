@@ -46,6 +46,7 @@ __all__ = [
     "ContractError",
     "ExecutionContext",
     "entry_point",
+    "entry_points",
     "BadNonce",
     "UnknownSender",
     "address_from_pk",
@@ -100,6 +101,14 @@ def entry_point(fn):
 
     call.wire_params = params
     return call
+
+
+def entry_points(cls) -> frozenset:
+    """The call names of cls's @entry_point methods, its constructor aside:
+    each method's name without a leading underscore."""
+    return frozenset(
+        name.removeprefix("_") for name, f in vars(cls).items() if hasattr(f, "wire_params") and name != "__init__"
+    )
 
 
 def address_from_pk(pk: GroupElement) -> Address:
@@ -204,11 +213,14 @@ class ExecutionContext:
     def sign_aggregate(self, message: bytes) -> Signature:
         return sign(self.chain.aggregate_keypair, message, self.rng, tag=b"sig/aggregate")
 
-    def contract(self, address: Address, kind: str):
-        """The contract of `kind` at `address`; UnknownContract otherwise."""
+    def contract(self, address: Address | None, kind: str = ""):
+        """The contract at `address`, of `kind` if one is named: NotLinked
+        without an address, UnknownContract without such a contract."""
+        if address is None:
+            raise ContractError("NotLinked", f"no {kind} contract linked")
         contract = self.chain.contracts.get(address)
-        if contract is None or contract.KIND != kind:
-            raise ContractError("UnknownContract", f"no {kind} contract at {address.hex()}")
+        if contract is None or kind not in ("", contract.KIND):
+            raise ContractError("UnknownContract", f"no {kind or 'such'} contract at {address.hex()}")
         return contract
 
     def note(self, tx_ref: bytes):
@@ -322,10 +334,7 @@ class Chain:
             if tx.target is None:
                 ret = self._native_call(ctx, tx, args)
             else:
-                contract = self.contracts.get(tx.target)
-                if contract is None:
-                    raise ContractError("UnknownContract", tx.target.hex())
-                ret = contract.call(ctx, tx.function, args)
+                ret = ctx.contract(tx.target).call(ctx, tx.function, args)
         except ContractError as exc:
             return Receipt(tx_hash, False, error=str(exc))
         return Receipt(tx_hash, True, ret=ret)
@@ -340,7 +349,7 @@ class Chain:
         except ValueError as exc:
             raise ContractError("MalformedArgs", str(exc)) from None
 
-    NATIVES = frozenset({"deploy", "submit_batch", "redeem_note", "transfer"})
+    NATIVES: frozenset  # entry_points(Chain), set below the class
 
     def _native_call(self, ctx: ExecutionContext, tx: Transaction, args):
         if tx.function not in self.NATIVES:
@@ -419,4 +428,7 @@ class Chain:
 
     def conservation_holds(self) -> bool:
         return sum(self.balances.values()) + self.note_pool_value == self.genesis_total
+
+
+Chain.NATIVES = entry_points(Chain)
 

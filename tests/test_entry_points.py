@@ -25,6 +25,8 @@ from privads.group import (
     HybridCiphertext,
     Signature,
     encrypt_vector,
+    keygen,
+    sign,
 )
 from privads.ledger import Chain, Transaction
 from privads.payments import Commitment, TransferNote
@@ -107,26 +109,26 @@ WIRE = st.recursive(
 )
 
 
-def typed(hint):
-    """Values of the declared type."""
+def typed(hint, addresses=()):
+    """Values of the declared type; bytes are sometimes one of `addresses`."""
     if hint is int:
         return INTS
     if hint is str:
         return st.one_of(st.sampled_from(["adv0", "adv1", "psc", "fsc"]), st.text(max_size=6))
     if hint is bytes:
-        return st.binary(max_size=40)
+        return st.one_of(st.binary(max_size=40), *([st.sampled_from(addresses)] if addresses else []))
     if hint is dict:
-        return st.one_of(*(arguments(params) for params in CONSTRUCTORS.values()))
+        return st.one_of(*(arguments(params, addresses) for params in CONSTRUCTORS.values()))
     if getattr(hint, "__origin__", None) is list:
-        return st.lists(typed(hint.__args__[0]), max_size=4)
+        return st.lists(typed(hint.__args__[0], addresses), max_size=4)
     return TYPED_LEAVES[hint]
 
 
-def arguments(params: dict):
+def arguments(params: dict, addresses=()):
     """An args value for `params`: the declared keys with typed values;
     with some values junk; with keys dropped and added; or any wire value."""
-    well_typed = st.fixed_dictionaries({name: typed(hint) for name, hint in params.items()})
-    mixed = st.fixed_dictionaries({name: st.one_of(typed(hint), WIRE) for name, hint in params.items()})
+    well_typed = st.fixed_dictionaries({name: typed(hint, addresses) for name, hint in params.items()})
+    mixed = st.fixed_dictionaries({name: st.one_of(typed(hint, addresses), WIRE) for name, hint in params.items()})
     drop = st.sets(st.sampled_from(sorted(params))) if params else st.just(set())
     extra = st.dictionaries(st.text(max_size=6), WIRE, max_size=2)
     mangled = st.builds(
@@ -151,6 +153,9 @@ def calls(draw):
     )
 
 
+OUTSIDER = b"\x07" * 20
+
+
 @functools.cache
 def _campaigns() -> dict:
     """Two campaigns shared by every example: one staked with a 1-of-1 pool
@@ -159,14 +164,14 @@ def _campaigns() -> dict:
     register_pool(staked)
     unstaked = build_campaign(seed="typed-unstaked", stake=False)
     for campaign in (staked, unstaked):
-        campaign.chain.create_account(b"\x07" * 20)
+        campaign.chain.create_account(OUTSIDER)
     return {"staked": staked, "unstaked": unstaked}
 
 
 def _send(campaign_name, sender_name, kind, function, args, private) -> list:
     """Submit one call, mine it, and return the block's receipt records."""
     campaign = _campaigns()[campaign_name]
-    sender = {"cf": campaign.cf_account, "adv": campaign.advertisers[0][2], "outsider": b"\x07" * 20}[sender_name]
+    sender = {"cf": campaign.cf_account, "adv": campaign.advertisers[0][2], "outsider": OUTSIDER}[sender_name]
     target = {"psc": campaign.psc_address, "fsc": campaign.fsc_address, None: None}[kind]
     campaign.chain.call(sender, target, function, args, private=private, rng=Rng("typed-wrap"))
     return campaign.chain.mine_block().receipt_records
@@ -191,6 +196,40 @@ def _assert_typed(records):
 @example(call=("staked", "cf", None, "transfer", {"to": b"\x01" * 20, "amount": True}, False))
 def test_every_call_gets_an_ok_or_typed_receipt(call):
     _assert_typed(_send(*call))
+
+
+def _deploy(chain, sender, kind, params) -> bytes:
+    rid = chain.call(sender, None, "deploy", {"kind": kind, "params": params})
+    chain.mine_block()
+    return chain.receipt(rid).ret["address"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=list(HealthCheck))
+@given(data=st.data())
+def test_calls_on_fresh_contracts_get_typed_receipts(data):
+    """A fund and a policy contract that the campaign's facilitator or an
+    outsider deploys - epochs already over, catalogs that may differ, the
+    psc pointing at the new fsc or the campaign's, linked or not - and then
+    calls on them, with the four contracts' addresses among the args."""
+    campaign = _campaigns()[data.draw(st.sampled_from(["staked", "unstaked"]))]
+    chain = campaign.chain
+    sender = data.draw(st.sampled_from([campaign.cf_account, OUTSIDER]))
+    sizes = st.integers(1, 4)
+    fsc = _deploy(chain, sender, "fsc", {"cf_pk": G, "catalog_size": data.draw(sizes), "epoch_blocks": data.draw(st.integers(-1, 2))})
+    points_at = data.draw(st.sampled_from([fsc, campaign.fsc_address]))
+    psc = _deploy(chain, sender, "psc", {"cf_pk": G, "catalog_size": data.draw(sizes), "fsc": points_at, "reward_cap": 100})
+    addresses = [fsc, psc, campaign.fsc_address, campaign.psc_address]
+    records = []
+    if data.draw(st.booleans()):
+        chain.call(sender, fsc, "link_psc", {"psc": data.draw(st.sampled_from([psc, campaign.psc_address]))})
+        records += chain.mine_block().receipt_records
+    for _ in range(data.draw(st.integers(1, 4))):
+        target = data.draw(st.sampled_from([fsc, psc]))
+        kind = chain.contracts[target].KIND
+        function = data.draw(st.sampled_from(sorted(ENTRY_POINTS[kind])))
+        chain.call(sender, target, function, data.draw(arguments(ENTRY_POINTS[kind][function], addresses)))
+        records += chain.mine_block().receipt_records
+    _assert_typed(records)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=list(HealthCheck))
@@ -313,11 +352,61 @@ def test_malformed_batch_is_a_typed_code(campaign):
 
 def test_a_contract_of_the_wrong_kind_is_unknown():
     campaign = build_campaign(stake=False)
-    params = {"cf_pk": campaign.cf.pk, "catalog_size": 3, "epoch_blocks": 5}
-    fsc2 = _receipt(campaign, None, "deploy", {"kind": "fsc", "params": params}).ret["address"]
-    campaign.cf_call(fsc2, "link_psc", {"psc": campaign.fsc_address})  # an fsc posing as the psc
-    receipt = _receipt(campaign, fsc2, "register_pool", {"threshold": 1, "verification": [G], "recovery_bound": 9})
+    fsc2 = _deploy(campaign.chain, campaign.cf_account, "fsc", {"cf_pk": G, "catalog_size": 3, "epoch_blocks": 5})
+    receipt = _receipt(campaign, fsc2, "link_psc", {"psc": campaign.fsc_address})  # an fsc posing as the psc
     assert receipt.error == f"UnknownContract: no psc contract at {campaign.fsc_address.hex()}"
+    assert campaign.chain.contracts[fsc2].psc_address is None
+
+
+def test_an_unlinked_fsc_fails_with_a_typed_code(campaign):
+    """Any sender may deploy an fsc whose epoch is already over and try to
+    close it, or register a pool, before linking a psc."""
+    campaign.chain.create_account(OUTSIDER)
+    fsc = _deploy(campaign.chain, OUTSIDER, "fsc", {"cf_pk": G, "catalog_size": 3, "epoch_blocks": 0})
+    assert _receipt(campaign, fsc, "finalize", {}, OUTSIDER).error == "NotLinked: no psc contract linked"
+    pool = {"threshold": 1, "verification": [G], "recovery_bound": 9}
+    assert _receipt(campaign, fsc, "register_pool", pool, OUTSIDER).error == "NotLinked: no psc contract linked"
+    claim = _receipt(campaign, fsc, "claim_insufficient_refund", {"id": "adv0"}, OUTSIDER)
+    assert claim.error == "UnknownAdvertiser: adv0"
+
+
+@pytest.mark.parametrize("points_at, catalog_size", [("campaign", 3), ("fresh", 2), ("fresh", 4)])
+def test_link_psc_needs_a_psc_deployed_for_this_fsc(campaign, points_at, catalog_size):
+    """A psc deployed for another fsc, or for a catalog of another size
+    (its slots would not index the fsc's), is refused."""
+    chain = campaign.chain
+    fsc = _deploy(chain, campaign.cf_account, "fsc", {"cf_pk": G, "catalog_size": 3, "epoch_blocks": 0})
+    target = campaign.fsc_address if points_at == "campaign" else fsc
+    params = {"cf_pk": G, "catalog_size": catalog_size, "fsc": target, "reward_cap": 100}
+    psc = _deploy(chain, campaign.cf_account, "psc", params)
+    receipt = _receipt(campaign, fsc, "link_psc", {"psc": psc})
+    assert receipt.error == "NotLinked: the psc was not deployed for this fsc and its catalog"
+    assert chain.contracts[fsc].psc_address is None
+    assert _receipt(campaign, fsc, "finalize", {}).error == "NotLinked: no psc contract linked"
+
+
+def test_a_foreign_psc_cannot_reach_the_campaign_fsc():
+    """An outsider's psc that names the campaign's fsc, which never linked
+    to it, can neither load policies nor compute aggregates, so it never
+    buffers a payment request in the campaign's escrow."""
+    campaign = build_campaign(stake=False)
+    chain = campaign.chain
+    chain.create_account(OUTSIDER)
+    key = keygen(b"outsider")
+    params = {"cf_pk": key.pk, "catalog_size": 3, "fsc": campaign.fsc_address, "reward_cap": 10_000}
+    psc = _deploy(chain, OUTSIDER, "psc", params)
+    not_linked = f"NotLinked: fsc {campaign.fsc_address.hex()} is not linked to this psc"
+    assert _receipt(campaign, psc, "store_policy", {"index": 0, "enc_policy": b"x"}, OUTSIDER).error == not_linked
+    enc_keys = list(campaign.psc.enc_keys)
+    sig = sign(key, encode_args(enc_keys), campaign.rng, tag=b"sig/enc-keys")
+    keys = _receipt(campaign, psc, "store_encrypted_keys", {"enc_keys": enc_keys, "sig": sig}, OUTSIDER)
+    assert keys.error == not_linked
+    for adv_id, _, account, budget, fee, _, _ in campaign.advertisers:
+        assert _receipt(campaign, campaign.fsc_address, "store_funds", {"id": adv_id, "amount": budget + fee}, account).ok
+    enc = encrypt_vector(G.mul(5), [1, 0, 0], campaign.rng)
+    args = {"user_pk": G.mul(5), "enc_vec": enc, "enc_vec_prime": enc}
+    assert _receipt(campaign, psc, "compute_aggregate", args, OUTSIDER).error == not_linked
+    assert campaign.fsc.payment_requests == []
 
 
 # -- a bug is not a receipt ------------------------------------------------------------
