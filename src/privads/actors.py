@@ -24,6 +24,7 @@ from .group import (
     encrypt_vector,
     hybrid_encrypt,
     keygen,
+    keygen_batch,
     precompute_base,
     random_scalar,
     recover_plaintext,
@@ -34,7 +35,7 @@ from .group import (
 )
 from .ledger import Chain, address_from_pk
 from .payments import build_batch, serialize_batch
-from .proofs import prove_decryption, vrf_eval, vrf_rand, vrf_verify
+from .proofs import prove_decryption, vrf_eval, vrf_rand_batch, vrf_verify
 from .rng import Rng
 from .threshold import (
     InsufficientParticipants,
@@ -488,8 +489,8 @@ class PoolResult:
     threshold_key: ThresholdPublicKey
     shares: dict  # participant_id -> KeyShare
     winners: list  # participant ids in index order
+    registrants: dict  # participant_id -> ConsensusParticipant, every registrant
     draws: int = 1
-    vrf_outputs: dict = field(default_factory=dict)
 
 
 MAX_DRAWS = 16  # lottery draws before a pool is given up as unformable
@@ -503,27 +504,31 @@ def run_pool_lifecycle(
     rng: Rng,
     recovery_bound: int,
 ) -> PoolResult:
-    """Lottery, then DKG among the winners, then key publication.
+    """Key derivation, lottery, then DKG among the winners, then key
+    publication.
 
-    Losers never publish anything; winners publish their full proved VRF
-    output, which is verified before they join the key generation.  If a
-    draw yields fewer than `threshold` winners the seed is re-derived and
-    the draw repeats, up to MAX_DRAWS draws.  The pool registers
-    `recovery_bound`, the largest analytics total it will recover.
+    `registrants` holds (participant id, key seed) pairs; each VRF key pair
+    is keygen(key seed), all of them from one keygen_batch.  A draw
+    evaluates every registrant's VRF in one vrf_rand_batch.  Losers never
+    publish anything; winners publish their full proved VRF output, which
+    is verified before they join the key generation.  If a draw yields
+    fewer than `threshold` winners the seed is re-derived and the draw
+    repeats, up to MAX_DRAWS draws.  The pool registers `recovery_bound`,
+    the largest analytics total it will recover.
     """
+    keypairs = keygen_batch([key_seed for _, key_seed in registrants])
+    participants = [ConsensusParticipant(pid, kp) for (pid, _), kp in zip(registrants, keypairs)]
     threshold = max_draw(params)
     attempt = 0
     round_seed = seed
     while True:
         winners = []
-        outputs = {}
-        for registrant in registrants:
-            if draw_winner(vrf_rand(registrant.vrf_keypair, round_seed, params.modulus), threshold):
+        for registrant, rand in zip(participants, vrf_rand_batch(keypairs, round_seed, params.modulus)):
+            if draw_winner(rand, threshold):
                 out = vrf_eval(registrant.vrf_keypair, round_seed, params.modulus)
                 if not vrf_verify(registrant.vrf_keypair.pk, round_seed, out, params.modulus):
                     continue  # would be rejected by the pool contract
                 winners.append(registrant)
-                outputs[registrant.participant_id] = out
         if len(winners) >= params.threshold:
             break
         attempt += 1
@@ -561,12 +566,12 @@ def run_pool_lifecycle(
         result.public_key,
         shares,
         [w.participant_id for w in winners],
+        {p.participant_id: p for p in participants},
         draws=attempt + 1,
-        vrf_outputs=outputs,
     )
 
 
-def pool_analytics(pool: PoolResult, registrant_by_id: dict, handle: CampaignHandle, rng: Rng) -> list:
+def pool_analytics(pool: PoolResult, handle: CampaignHandle, rng: Rng) -> list:
     """Campaign end: the first `threshold` winners each post the summed
     analytics ciphertexts plus their partial decryptions; the fund
     contract combines them into per-ad totals."""
@@ -580,7 +585,7 @@ def pool_analytics(pool: PoolResult, registrant_by_id: dict, handle: CampaignHan
     for participant_id in pool.winners[:k]:
         share = pool.shares[participant_id]
         partials = [partial_decrypt(share, ct, rng.child(f"partial/{participant_id}")) for ct in sums]
-        registrant = registrant_by_id[participant_id]
+        registrant = pool.registrants[participant_id]
         handle.chain.create_account(registrant.account)
         receipts.append(
             handle.chain.call(

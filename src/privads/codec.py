@@ -35,12 +35,19 @@ def type_error(value, hint, path: str) -> str | None:
     """Why `value` does not fit the annotation `hint`, or None if it fits.
 
     A value fits a class if it is an instance of it (a bool is not an
-    int), `list[X]` if it is a list whose items fit X, and `X | None` if
-    it fits X or is None.
+    int), a bytes subclass with a SIZE (ledger.Address) if it is bytes of
+    exactly SIZE bytes, `list[X]` if it is a list whose items fit X, and
+    `X | None` if it fits X or is None.
     """
     options = get_args(hint) if isinstance(hint, UnionType) else (hint,)
     for option in options:
         kind = get_origin(option) or option
+        if hasattr(kind, "SIZE") and issubclass(kind, bytes):
+            if isinstance(value, bytes) and len(value) == kind.SIZE:
+                return None
+            if isinstance(value, bytes):
+                return f"{path}: expected {kind.SIZE} bytes, got {len(value)}"
+            continue
         if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
             if kind is list and get_args(option):
                 for i, item in enumerate(value):

@@ -17,8 +17,15 @@ signed 6-bit window tables; a multiply through one is a list of table
 entries (_window_points), summed with mixed additions for one point or,
 for a whole vector of ciphertexts or a batch of multiples of G
 (mul_gen_batch), as lanes of affine additions that share one field
-inversion per step (_sum_lanes).  A committed polynomial is evaluated at
-a small share index by Horner's rule (commitment_eval).
+inversion per step (_sum_lanes).  Any other base is multiplied through
+its GLV split, each half recoded in width-4 NAF: a single multiply, or a
+multi-scalar multiply of a few terms, runs every half over one Jacobian
+doubling chain (Straus, _straus); a batch of independent multiplies
+(mul_batch) runs as lanes of one affine doubling chain whose doublings,
+and whose additions, share one inversion per step (_mul_lanes); a larger
+multi-scalar multiply takes Pippenger's bucket method.  A committed
+polynomial is evaluated at a small share index by Horner's rule
+(commitment_eval).
 
 No constant-time hardening; this is simulation-grade crypto, reproducible
 from explicit seeds.
@@ -54,6 +61,7 @@ __all__ = [
     "hash_to_scalar",
     "hash_to_point",
     "keygen",
+    "keygen_batch",
     "random_scalar",
     "encrypt",
     "decrypt",
@@ -63,6 +71,7 @@ __all__ = [
     "combine_ciphertexts",
     "msm",
     "mul_gen_batch",
+    "mul_batch",
     "commitment_eval",
     "encrypt_vector",
     "precompute_base",
@@ -280,45 +289,49 @@ def _mul_windowed(k: int, table) -> tuple:
 
 
 def _sum_lanes(lanes: Sequence[list]) -> list:
-    """Affine sum of each list of affine points, None for the identity.
-
-    Every lane takes one addition per step, and all of a step's affine
-    additions share one field inversion (Montgomery's trick), so a step
-    costs one inversion plus about six multiplies per lane.  A step whose
-    two points share x is a doubling (P + P) or gives the identity
-    (P + -P)."""
-    p = _P
-    sums = [None] * len(lanes)
+    """Affine sum of each list of affine points, None for the identity:
+    every lane takes one addition per step (_add_round)."""
+    xs = [None] * len(lanes)
+    ys = [None] * len(lanes)
     for step in range(max(map(len, lanes), default=0)):
-        work = []  # (lane, x1, y1, x2, numerator, denominator, prefix product)
-        prod = 1
-        for i, lane in enumerate(lanes):
-            if step >= len(lane):
-                continue
-            x2, y2 = lane[step]
-            acc = sums[i]
-            if acc is None:
-                sums[i] = (x2, y2)
-                continue
-            x1, y1 = acc
-            if x1 != x2:
-                num, den = y2 - y1, x2 - x1
-            elif y1 == y2:
-                num, den = 3 * x1 * x1, 2 * y1
-            else:
-                sums[i] = None
-                continue
-            work.append((i, x1, y1, x2, num, den, prod))
-            prod = prod * den % p
-        if not work:
+        _add_round(xs, ys, [(i, lane[step]) for i, lane in enumerate(lanes) if step < len(lane)])
+    return [None if x is None else (x, y) for x, y in zip(xs, ys)]
+
+
+def _add_round(xs: list, ys: list, adds: list) -> None:
+    """Add the affine point (x2, y2) to lane i's (xs[i], ys[i]) for each
+    (i, (x2, y2)) in adds, at most one per lane; None is the identity.
+
+    All the affine additions share one field inversion (Montgomery's
+    trick), so a round costs one inversion plus about six multiplies per
+    lane.  A lane whose point shares x with the added one is doubled
+    (P + P) or becomes the identity (P + -P)."""
+    p = _P
+    work = []  # (lane, x1, y1, x2, numerator, denominator, prefix product)
+    prod = 1
+    for i, (x2, y2) in adds:
+        x1, y1 = xs[i], ys[i]
+        if x1 is None:
+            xs[i], ys[i] = x2, y2
             continue
-        inv = pow(prod, -1, p)
-        for i, x1, y1, x2, num, den, prefix in reversed(work):
-            lam = num * (inv * prefix % p) % p
-            inv = inv * den % p
-            x3 = (lam * lam - x1 - x2) % p
-            sums[i] = (x3, (lam * (x1 - x3) - y1) % p)
-    return sums
+        if x1 != x2:
+            num, den = y2 - y1, x2 - x1
+        elif y1 == y2:
+            num, den = 3 * x1 * x1, 2 * y1
+        else:
+            xs[i] = None
+            continue
+        work.append((i, x1, y1, x2, num, den, prod))
+        prod = prod * den % p
+    if not work:
+        return
+    inv = pow(prod, -1, p)
+    for i, x1, y1, x2, num, den, before in reversed(work):
+        lam = num * (inv * before % p) % p
+        inv = inv * den % p
+        x3 = (lam * lam - x1 - x2) % p
+        xs[i] = x3
+        ys[i] = (lam * (x1 - x3) - y1) % p
 
 
 # secp256k1 endomorphism: lambda * (x, y) == (beta * x, y).  Splitting the
@@ -348,48 +361,133 @@ def _glv_split(k: int) -> tuple[int, int]:
 
 
 def _naf_digits(k: int) -> list:
-    """Width-4 non-adjacent form (odd digits in [-7, 7]), least significant
-    digit first."""
+    """The nonzero digits of k >= 0 in width-4 non-adjacent form, as
+    (position, digit) pairs, least significant first: odd digits in
+    [-7, 7], at least four positions apart.  A run of zero bits is skipped
+    in one shift, so the loop runs once per nonzero digit."""
     digits = []
+    position = 0
     while k:
-        if k & 1:
-            d = k & 15
-            if d >= 8:
-                d -= 16
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        position += zeros
+        d = k & 15
+        if d >= 8:
+            d -= 16
+        digits.append((position, d))
+        k = (k - d) >> 4  # k - d is 0 mod 16: the next three digits are zero
+        position += 4
     return digits
 
 
-def _mul_var(k: int, x: int, y: int, p=_P) -> tuple:
-    """Variable-base multiply via GLV split + interleaved signed windows."""
-    k1, k2 = _glv_split(k)
-    s1, s2 = (k1 < 0), (k2 < 0)
-    n1, n2 = _naf_digits(abs(k1)), _naf_digits(abs(k2))
-    # odd multiples 1P, 3P, 5P, 7P of each half-base, affine in one batch
-    y1 = (-y) % p if s1 else y
-    two = _jac_double(x, y1, 1)
-    odd = [_jac_add_affine(*two, x, y1)]
-    for _ in range(2):
-        odd.append(_jac_add(*odd[-1], *two))
-    odd1 = [(x, y1), *_batch_affine(odd)]
-    flip = s1 != s2
-    odd2 = [(_BETA * q[0] % p, (-q[1]) % p if flip else q[1]) for q in odd1]
+def _glv_halves(terms) -> list:
+    """The additions of k*P's doubling chain for each term (k, x, y) with
+    0 < k < ORDER: per term, one list per GLV half of k, of (position,
+    point) such that k*P is the sum of 2**position * point over both lists,
+    each point an affine (x, y).
+
+    Each half is recoded in width-4 NAF, so its points are the odd
+    multiples +-1..7 of P, or of lambda*P = (beta*x, y) for the second
+    half.  The odd multiples of every term go affine in one batch
+    inversion."""
+    p = _P
+    jac, splits = [], []
+    for k, x, y in terms:
+        k1, k2 = _glv_split(k)
+        y1 = p - y if k1 < 0 else y
+        two = _jac_double(x, y1, 1)
+        three = _jac_add_affine(*two, x, y1)
+        five = _jac_add(*three, *two)
+        jac += (three, five, _jac_add(*five, *two))
+        splits.append((k1, k2, x, y1))
+    odd = _batch_affine(jac)
+    halves = []
+    for t, (k1, k2, x, y1) in enumerate(splits):
+        odd1 = [(x, y1), *odd[3 * t : 3 * t + 3]]
+        flip = (k1 < 0) != (k2 < 0)
+        odd2 = [(_BETA * ox % p, p - oy if flip else oy) for ox, oy in odd1]
+        halves.append((_signed_points(odd1, abs(k1)), _signed_points(odd2, abs(k2))))
+    return halves
+
+
+def _signed_points(odd: list, k: int) -> list:
+    """(position, point) of each nonzero NAF digit d of k: the point is
+    odd[|d| >> 1], negated for d < 0."""
+    signed = [(x, _P - y) for x, y in reversed(odd)] + odd  # d = -7..7 at (d + 7) >> 1
+    return [(position, signed[(d + 7) >> 1]) for position, d in _naf_digits(k)]
+
+
+def _straus(terms) -> tuple:
+    """sum(k * (x, y)) over terms (k, x, y) with 0 < k < ORDER, Jacobian:
+    the GLV halves of every term interleaved over one doubling chain
+    (Straus's method), one mixed addition per nonzero digit."""
+    adds = sorted((a for halves in _glv_halves(terms) for half in halves for a in half), reverse=True)
     acc = _INF
-    for i in range(max(len(n1), len(n2)) - 1, -1, -1):
+    position = adds[0][0] if adds else 0
+    for at, (x, y) in adds:
+        for _ in range(position - at):
+            acc = _jac_double(*acc)
+        position = at
+        acc = _jac_add_affine(*acc, x, y)
+    for _ in range(position):
         acc = _jac_double(*acc)
-        if i < len(n1) and n1[i]:
-            d = n1[i]
-            e = odd1[(d if d > 0 else -d) >> 1]
-            acc = _jac_add_affine(*acc, e[0], e[1] if d > 0 else (-e[1]) % p)
-        if i < len(n2) and n2[i]:
-            d = n2[i]
-            e = odd2[(d if d > 0 else -d) >> 1]
-            acc = _jac_add_affine(*acc, e[0], e[1] if d > 0 else (-e[1]) % p)
     return acc
+
+
+def _mul_var(k: int, x: int, y: int) -> tuple:
+    """Variable-base multiply (Jacobian), 0 < k < ORDER: Straus's method on
+    one term."""
+    return _straus([(k, x, y)])
+
+
+# 3/2 mod p: an affine doubling's slope is 3x**2 / 2y.
+_THREE_HALVES = 3 * pow(2, -1, _P) % _P
+
+
+def _mul_lanes(terms) -> list:
+    """Affine k * (x, y) of each term (k, x, y), 0 < k < ORDER, None for
+    the identity: the terms as lanes of one affine doubling chain.
+
+    Every step doubles each lane, then adds each lane's digit of the first
+    GLV half, then its digit of the second; the doublings of a step share
+    one field inversion (Montgomery's trick), and so do the additions of
+    each half.  An affine doubling costs the 7 field multiplies of a
+    Jacobian one; an affine addition costs about 6 against 11, and no
+    lane needs a final inversion of its own."""
+    p = _P
+    halves = _glv_halves(terms)
+    top = max((half[-1][0] for pair in halves for half in pair if half), default=-1)
+    # steps[position][half]: the lanes with a digit there.  A lane's
+    # additions are popped off the top of its half as the chain reaches
+    # them, so the lists shrink as the chain runs.
+    steps = [([], []) for _ in range(top + 1)]
+    for lane, pair in enumerate(halves):
+        for which, half in enumerate(pair):
+            for position, _ in half:
+                steps[position][which].append(lane)
+    xs = [None] * len(terms)
+    ys = [None] * len(terms)
+    for step in range(top, -1, -1):
+        live = [i for i, x in enumerate(xs) if x is not None]
+        if live:
+            prefix = []
+            prod = 1
+            for i in live:
+                prefix.append(prod)
+                prod = prod * ys[i] % p
+            # every lane's 1/y carries the factor 3/2 of its slope
+            inv = pow(prod, -1, p) * _THREE_HALVES % p
+            for t in range(len(live) - 1, -1, -1):
+                i = live[t]
+                x, y = xs[i], ys[i]
+                lam = x * x % p * (inv * prefix[t] % p) % p
+                inv = inv * y % p
+                x3 = (lam * lam - x - x) % p
+                xs[i] = x3
+                ys[i] = (lam * (x - x3) - y) % p
+        for which, lanes in enumerate(steps[step]):
+            _add_round(xs, ys, [(i, halves[i][which].pop()[1]) for i in lanes])
+    return [None if x is None else (x, y) for x, y in zip(xs, ys)]
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +601,18 @@ def _mul_jac(k: int, x: int, y: int) -> tuple:
     return _mul_windowed(k, table)
 
 
-# Below this many distinct terms a multi-scalar multiply runs one multiply
-# per term; from here on Pippenger's bucket method is faster (measured with
-# 256-bit scalars on CPython 3.11: per-term wins at 6 terms, loses at 8).
-_PIPPENGER_MIN_TERMS = 8
+# A multi-scalar multiply interleaves its terms over one doubling chain
+# (Straus) below this many distinct terms, if some scalar is wider than
+# _STRAUS_MIN_BITS; otherwise Pippenger's bucket method is faster.  On the
+# Straus path a long-lived base's term is its window-table entries.
+# Measured on CPython 3.11 (2-core x86-64), Straus against Pippenger:
+# 256-bit scalars 2.1 vs 4.5 ms at 2 terms, 41 vs 48 ms at 64, 88 vs 69 ms
+# at 128; 64-bit scalars 1.9 vs 2.5 ms at 8 terms, 7.2 vs 7.6 ms at 32;
+# 5-bit scalars 0.22 vs 0.08 ms at 2 terms (Straus computes 3P, 5P and 7P
+# of every term, which a small scalar never uses).
+_PIPPENGER_MIN_TERMS = 64
+_STRAUS_MIN_BITS = 33
+
 
 def msm(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
     """sum(k_i * P_i) in one pass: the package's multi-scalar multiply.
@@ -530,11 +636,18 @@ def msm(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
         else:
             entry[1] = (entry[1] + (k if y == entry[0] else -k)) % ORDER
     terms = [(k, x, y) for x, (y, k) in merged.items() if k]
-    if len(terms) >= _PIPPENGER_MIN_TERMS:
+    if len(terms) >= _PIPPENGER_MIN_TERMS or all(k.bit_length() < _STRAUS_MIN_BITS for k, _, _ in terms):
         return _from_jac(_pippenger(terms))
-    acc = _INF
+    chained, entries = [], []  # a long-lived base's term is its table entries
     for k, x, y in terms:
-        acc = _jac_add(*acc, *_mul_var(k, x, y))
+        table = _base_table(x, y)
+        if table is None:
+            chained.append((k, x, y))
+        else:
+            _window_points(k, table, entries)
+    acc = _straus(chained)
+    for x, y in entries:
+        acc = _jac_add_affine(*acc, x, y)
     return _from_jac(acc)
 
 
@@ -548,7 +661,7 @@ def _pippenger(terms: list) -> tuple:
     # k on P and ORDER - k on -P are the same term; the smaller scalar has
     # fewer digits (a small negative coefficient arrives as a 256-bit one).
     terms = [(ORDER - k, x, _P - y) if k > ORDER >> 1 else (k, x, y) for k, x, y in terms]
-    windows = max(k.bit_length() for k, _, _ in terms) // c + 1
+    windows = max((k.bit_length() for k, _, _ in terms), default=0) // c + 1
     # rows[w][b] is the Jacobian sum of every point whose digit w is +-b.
     rows = [[None] * (half + 1) for _ in range(windows)]
     for k, x, y in terms:
@@ -580,20 +693,62 @@ def _pippenger(terms: list) -> tuple:
     return acc
 
 
-# Lanes per _sum_lanes call in mul_gen_batch: a call holds every lane's
-# entries and sums at once, so a long batch goes in groups of this size.
+# Lanes per group in mul_gen_batch and mul_batch: a group holds every
+# lane's entries and sums at once, so a long batch goes in groups of this
+# size.  1000 variable-base lanes in one group peaked at 6.5 MB of traced
+# memory against 1.1 MB in groups of 128, for at most a few percent of
+# speed.
 _LANE_GROUP = 128
+
+# Below this many lanes a group of mul_gen_batch sums each multiple through
+# _mul_windowed, whose Jacobian sums share one inversion at the end, and
+# below _MUL_LANES_MIN a mul_batch runs _mul_var per point: a lane step's
+# shared inversion costs more than the cheaper affine additions save until
+# enough lanes share it.  Measured on CPython 3.11 (2-core x86-64), per
+# multiple of G: 611 vs 457 us at 4 lanes, 455 vs 456 at 8, 401 vs 450 at
+# 12; per variable-base multiply: 1.60 vs 1.12 ms at 12 lanes, 1.50 vs
+# 1.51 at 32, 1.67 vs 1.91 at 48, 1.52 vs 1.90 at 128.
+_SUM_LANES_MIN = 8
+_MUL_LANES_MIN = 32
 
 
 def mul_gen_batch(scalars: Sequence[int]) -> list[GroupElement]:
     """[G.mul(k) for k in scalars]: each multiple is a lane of G's window
     table entries, summed in groups of _LANE_GROUP lanes that share one
-    field inversion per step."""
+    field inversion per step; a group below _SUM_LANES_MIN lanes sums each
+    multiple on its own."""
     table = _base_table(_GX, _GY)
     out = []
     for start in range(0, len(scalars), _LANE_GROUP):
-        lanes = [_window_points(k % ORDER, table, []) for k in scalars[start : start + _LANE_GROUP]]
-        out.extend(IDENTITY if a is None else GroupElement(*a) for a in _sum_lanes(lanes))
+        group = [k % ORDER for k in scalars[start : start + _LANE_GROUP]]
+        if len(group) < _SUM_LANES_MIN:
+            sums = _batch_affine([_mul_windowed(k, table) for k in group])
+        else:
+            sums = _sum_lanes([_window_points(k, table, []) for k in group])
+        out.extend(IDENTITY if a is None else GroupElement(*a) for a in sums)
+    return out
+
+
+def mul_batch(scalars: Sequence[int], points: Sequence[GroupElement]) -> list[GroupElement]:
+    """[P.mul(k) for k, P in zip(scalars, points)] for independent
+    variable-base multiplies: the nonzero terms run as lanes of one affine
+    doubling chain (_mul_lanes), in groups of _LANE_GROUP lanes; a group
+    below _MUL_LANES_MIN lanes runs one multiply at a time."""
+    out = [IDENTITY] * len(scalars)
+    work = []  # (position, k, x, y)
+    for i, (k, point) in enumerate(zip(scalars, points, strict=True)):
+        k %= ORDER
+        if k and not point.is_identity:
+            work.append((i, k, point.x, point.y))
+    sums = []
+    for start in range(0, len(work), _LANE_GROUP):
+        group = [term[1:] for term in work[start : start + _LANE_GROUP]]
+        if len(group) < _MUL_LANES_MIN:
+            sums += _batch_affine([_mul_var(*term) for term in group])
+        else:
+            sums += _mul_lanes(group)
+    for (i, *_), a in zip(work, sums):
+        out[i] = IDENTITY if a is None else GroupElement(*a)
     return out
 
 
@@ -687,12 +842,21 @@ class KeyPair:
 
 def keygen(seed: bytes) -> KeyPair:
     """Deterministic keypair from a non-empty byte seed."""
+    sk = _keygen_secret(seed)
+    return KeyPair(sk, G.mul(sk))
+
+
+def keygen_batch(seeds: Sequence[bytes]) -> list[KeyPair]:
+    """[keygen(seed) for seed in seeds], the public keys from one
+    mul_gen_batch."""
+    sks = [_keygen_secret(seed) for seed in seeds]
+    return [KeyPair(sk, pk) for sk, pk in zip(sks, mul_gen_batch(sks))]
+
+
+def _keygen_secret(seed: bytes) -> Scalar:
     if not seed:
         raise ValueError("seed must be non-empty")
-    sk = hash_to_scalar(b"keygen", seed)
-    if sk == 0:
-        sk = 1
-    return KeyPair(sk, G.mul(sk))
+    return hash_to_scalar(b"keygen", seed) or 1
 
 
 @dataclass(frozen=True)

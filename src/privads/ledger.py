@@ -53,7 +53,12 @@ __all__ = [
     "private_wrap",
 ]
 
-Address = bytes  # 20 bytes
+
+class Address(bytes):
+    """An account or contract address: an entry point argument declared
+    Address takes bytes of exactly SIZE bytes (codec.type_error)."""
+
+    SIZE = 20
 
 
 class BadNonce(Exception):

@@ -22,6 +22,7 @@ from .group import (
     hash_to_point,
     hash_to_scalar,
     msm,
+    mul_batch,
     random_scalar,
     scalar_bytes,
     decrypt,
@@ -36,6 +37,7 @@ __all__ = [
     "prove_decryption",
     "verify_decryption",
     "vrf_rand",
+    "vrf_rand_batch",
     "vrf_eval",
     "vrf_verify",
 ]
@@ -82,14 +84,15 @@ def dleq_prove(tag: bytes, base_a, pub_a, base_b, pub_b, secret: Scalar, rng) ->
 
 
 def dleq_verify(tag: bytes, base_a, pub_a, base_b, pub_b, proof: DecryptionProof) -> bool:
-    if not (0 <= proof.challenge < ORDER and 0 <= proof.response < ORDER):
+    """Each equation s*base + c*pub == commit is one two-term msm."""
+    c, s = proof.challenge, proof.response
+    if not (0 <= c < ORDER and 0 <= s < ORDER):
         return False
-    if base_a.mul(proof.response) + pub_a.mul(proof.challenge) != proof.commit_a:
+    if msm([s, c], [base_a, pub_a]) != proof.commit_a:
         return False
-    if base_b.mul(proof.response) + pub_b.mul(proof.challenge) != proof.commit_b:
+    if msm([s, c], [base_b, pub_b]) != proof.commit_b:
         return False
-    c = _dleq_challenge(tag, base_a, pub_a, base_b, pub_b, proof.commit_a, proof.commit_b)
-    return c == proof.challenge
+    return _dleq_challenge(tag, base_a, pub_a, base_b, pub_b, proof.commit_a, proof.commit_b) == c
 
 
 _WEIGHT_MASK = (1 << 128) - 1
@@ -184,12 +187,16 @@ def _vrf_rand(gamma: GroupElement, p: int) -> int:
     return int.from_bytes(digest, "big") % p
 
 
-def _vrf_gamma(vrf_keypair: KeyPair, seed: bytes, p: int) -> tuple:
-    """(h, gamma = sk*h) for a draw; takes the keypair as held (pk = sk*G)."""
+def _check_draw(seed: bytes, p: int) -> None:
     if p < 2:
         raise ValueError("modulus must be >= 2")
     if not seed:
         raise ValueError("seed must be non-empty")
+
+
+def _vrf_gamma(vrf_keypair: KeyPair, seed: bytes, p: int) -> tuple:
+    """(h, gamma = sk*h) for a draw; takes the keypair as held (pk = sk*G)."""
+    _check_draw(seed, p)
     h = _vrf_point(vrf_keypair.pk, seed)
     return h, h.mul(vrf_keypair.sk)
 
@@ -202,6 +209,15 @@ def vrf_rand(vrf_keypair: KeyPair, seed: bytes, p: int) -> int:
     proved output.
     """
     return _vrf_rand(_vrf_gamma(vrf_keypair, seed, p)[1], p)
+
+
+def vrf_rand_batch(vrf_keypairs, seed: bytes, p: int) -> list[int]:
+    """[vrf_rand(kp, seed, p) for kp in vrf_keypairs]: one lottery round's
+    draws, their sk*h multiplies as lanes of one group.mul_batch.  Raises
+    ValueError as vrf_rand does, for an empty list too."""
+    _check_draw(seed, p)
+    points = [_vrf_point(kp.pk, seed) for kp in vrf_keypairs]
+    return [_vrf_rand(gamma, p) for gamma in mul_batch([kp.sk for kp in vrf_keypairs], points)]
 
 
 def vrf_eval(vrf_keypair: KeyPair, seed: bytes, p: int) -> VrfOutput:

@@ -25,7 +25,6 @@ from . import __version__
 from .actors import (
     AdvertiserAgent,
     CampaignHandle,
-    ConsensusParticipant,
     FacilitatorAgent,
     UserAgent,
     pool_analytics,
@@ -49,7 +48,6 @@ class ChainRun:
     advertisers: list
     users: list  # (global_index, UserAgent)
     pool: object
-    registrants: dict
     oracle_totals: list  # per-slot interaction sums over every user and period
     period_blocks: dict = field(default_factory=dict)  # period -> [heights]
     audit_verdicts: list = field(default_factory=list)
@@ -148,15 +146,14 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
     handle = cf.deploy_campaign(
         chain, advertisers, scenario.catalog_size, scenario.reward_cap, scenario.epoch_blocks
     )
-    run = ChainRun(chain, handle, cf, advertisers, users, None, {}, _oracle_totals(scenario, user_indices))
+    run = ChainRun(chain, handle, cf, advertisers, users, None, _oracle_totals(scenario, user_indices))
     for adv in advertisers:
         adv.verify_and_stake(handle)
     mine()
 
     start = time.perf_counter()
     registrants = [
-        ConsensusParticipant(f"reg{chain_index}/{i}", keygen(rng.child(f"vrf/{i}").take_bytes(32)))
-        for i in range(scenario.pool.draw_pool)
+        (f"reg{chain_index}/{i}", rng.child(f"vrf/{i}").take_bytes(32)) for i in range(scenario.pool.draw_pool)
     ]
     lottery_seed = hashlib.sha256(
         f"lottery/{scenario.seed}/{scenario.name}/{chain_index}".encode()
@@ -170,7 +167,6 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
         recovery_bound=max(run.oracle_totals) + 2,
     )
     run.pool = pool
-    run.registrants = {r.participant_id: r for r in registrants}
     mine()
     timings["pool_formation_s"].append(time.perf_counter() - start)
 
@@ -201,7 +197,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
         mine()
 
         if period == last_period and users:
-            pool_analytics(pool, run.registrants, handle, rng.child("analytics"))
+            pool_analytics(pool, handle, rng.child("analytics"))
             mine()
 
         if users:

@@ -8,11 +8,13 @@ sub-share, which is checked against the commitments.  A dealer whose
 sub-share fails its check is excluded and the run restarts without it.
 No party ever holds the combined secret; any k shares decrypt.
 
-Each round's fixed-base multiplies (the n*k coefficient commitments, the
-n*n sub-share points s*G, the n share commitments) are one
-group.mul_gen_batch each, and every sub-share is checked against its
-dealer's commitments evaluated by Horner's rule at the recipient's index
-(group.commitment_eval).
+Each round's fixed-base multiplies (the n*k coefficient commitments and
+the n share commitments) are one group.mul_gen_batch each.  All n*n
+sub-shares are checked against their dealers' commitments at once, as one
+randomly weighted sum in one group.msm; only a batch that fails is
+checked pair by pair (each sub-share point s*G against its dealer's
+commitments evaluated by Horner's rule at the recipient's index,
+group.commitment_eval) to name the dealers to exclude.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .group import (
     msm,
     mul_gen_batch,
     random_scalar,
+    scalar_bytes,
+    tagged_hash,
 )
 from .proofs import DecryptionProof, dleq_first_invalid, dleq_prove, dleq_verify
 
@@ -192,14 +196,10 @@ def dkg_run(participants, k: int, rng) -> DkgResult:
         coeffs, dealt = _deal(active, k, rng)
         points = mul_gen_batch([c for dealer in active for c in coeffs[dealer]])
         commits = {dealer: points[i * k : (i + 1) * k] for i, dealer in enumerate(active)}
-        # Round 2: recipients check sub-shares against the commitments.
-        pairs = [(dealer, recipient) for recipient in active for dealer in active]
-        received = mul_gen_batch([dealt[pair] for pair in pairs])
-        offenders = [
-            dealer
-            for (dealer, recipient), point in zip(pairs, received)
-            if point != commitment_eval(commits[dealer], recipient)
-        ]
+        # Round 2: recipients check sub-shares against the commitments, all
+        # in one weighted statement; only a failed batch is checked pair by
+        # pair, to name the offenders.
+        offenders = [] if _subshares_hold(active, commits, dealt) else _offenders(active, commits, dealt)
         if offenders:
             excluded.append(min(offenders))
             continue
@@ -221,6 +221,49 @@ def dkg_run(participants, k: int, rng) -> DkgResult:
             if share.commitment != tpk.share_commitment(recipient):
                 raise ShareCommitmentMismatch(recipient)
         return DkgResult(tpk, shares, excluded)
+
+
+def _subshares_hold(active, commits: dict, dealt: dict) -> bool:
+    """Whether every sub-share s of dealer d to recipient r matches d's
+    commitments, s*G == sum_j r**j * C_{d,j}, checked at once as
+
+        sum_{d,r} w_{d,r} * (s_{d,r}*G - sum_j r**j * C_{d,j}) == 0
+
+    in one msm over G and the n*k commitments (small-exponent batch
+    verification, Bellare-Garay-Rabin 1998), so a batch holding a false
+    sub-share passes with probability about 2**-128.  The 128-bit weights
+    hash every commitment and sub-share; no Rng is drawn."""
+    seed = tagged_hash(
+        b"dkg-batch",
+        *(c.encode() for dealer in active for c in commits[dealer]),
+        *(scalar_bytes(dealt[dealer, recipient]) for dealer in active for recipient in active),
+    )
+    at_g = 0
+    scalars, points = [], []
+    for dealer in active:
+        coefficients = [0] * len(commits[dealer])
+        for recipient in active:
+            pair = f"{dealer}/{recipient}".encode()
+            weight = int.from_bytes(tagged_hash(b"dkg-batch/weight", seed, pair)[:16], "big")
+            at_g += weight * dealt[dealer, recipient]
+            for j in range(len(coefficients)):
+                coefficients[j] += weight
+                weight = weight * recipient % ORDER
+        scalars += coefficients
+        points += [-c for c in commits[dealer]]
+    return msm([at_g, *scalars], [G, *points]).is_identity
+
+
+def _offenders(active, commits: dict, dealt: dict) -> list:
+    """The dealer of each sub-share that fails its recipient's own check,
+    once per failed pair."""
+    pairs = [(dealer, recipient) for recipient in active for dealer in active]
+    received = mul_gen_batch([dealt[pair] for pair in pairs])
+    return [
+        dealer
+        for (dealer, recipient), point in zip(pairs, received)
+        if point != commitment_eval(commits[dealer], recipient)
+    ]
 
 
 def _deal(active, k: int, rng) -> tuple[dict, dict]:

@@ -22,6 +22,7 @@ from privads.group import (
     decrypt,
     encrypt,
     keygen,
+    keygen_batch,
     precompute_base,
     random_scalar,
     recover_plaintext,
@@ -33,7 +34,7 @@ from privads.proofs import (
     prove_decryption,
     verify_decryption,
     vrf_eval,
-    vrf_rand,
+    vrf_rand_batch,
     vrf_verify,
 )
 from privads.rng import Rng
@@ -218,11 +219,11 @@ def test_criterion_06_lottery_calibration():
     probability = threshold / modulus
     sigma = (draw_pool * probability * (1 - probability)) ** 0.5
     low, high = expected - 3 * sigma, expected + 3 * sigma
-    kps = [keygen(b"lottery/%d" % i) for i in range(draw_pool)]
+    kps = keygen_batch([b"lottery/%d" % i for i in range(draw_pool)])
     within = 0
     for s in range(seeds):
         seed = hashlib.sha256(b"round-%d" % s).digest()
-        winners = sum(draw_winner(vrf_rand(kp, seed, modulus), threshold) for kp in kps)
+        winners = sum(draw_winner(rand, threshold) for rand in vrf_rand_batch(kps, seed, modulus))
         if low <= winners <= high:
             within += 1
     assert within >= 95, f"only {within}/100 rounds within 3 sigma"

@@ -13,7 +13,6 @@ from privads import actors, group
 from privads.actors import (
     AdvertiserAgent,
     CampaignHandle,
-    ConsensusParticipant,
     FacilitatorAgent,
     InsufficientWinners,
     PolicyMismatch,
@@ -47,13 +46,11 @@ def make_user(campaign, uid="u0", period=0, interaction_cap=1000, recovery_bound
 
 def pool_for(campaign, draw_pool=6, threshold=2, participants=2, seed=b"pool-seed"):
     rng = Rng("pool-tests")
-    registrants = [
-        ConsensusParticipant(f"reg{i}", keygen(b"vrf%d" % i)) for i in range(draw_pool)
-    ]
+    registrants = [(f"reg{i}", b"vrf%d" % i) for i in range(draw_pool)]
     params = PoolParams(expected=participants, threshold=threshold, draw_pool=draw_pool, modulus=100_000)
     pool = run_pool_lifecycle(registrants, params, seed, handle_of(campaign), rng, recovery_bound=2**12)
     campaign.mine()
-    return pool, {r.participant_id: r for r in registrants}
+    return pool
 
 
 class TestUserClaims:
@@ -64,7 +61,7 @@ class TestUserClaims:
         assert campaign.chain.pending == []
 
     def test_claim_encrypts_analytics_to_the_published_key(self, campaign, monkeypatch):
-        pool, _ = pool_for(campaign)
+        pool = pool_for(campaign)
         keys = []
         encrypt_vector = actors.encrypt_vector
 
@@ -77,7 +74,7 @@ class TestUserClaims:
         assert keys[1] == campaign.psc.threshold_key == pool.threshold_key.pk
 
     def test_worked_example_claim(self, campaign):
-        pool, _ = pool_for(campaign)
+        pool = pool_for(campaign)
         user = make_user(campaign, "u0")
         user.claim(handle_of(campaign), [3, 0, 2])
         campaign.mine()
@@ -88,7 +85,7 @@ class TestUserClaims:
         assert campaign.fsc.payment_requests[0]["amount"] == 36
 
     def test_all_zero_claim(self, campaign):
-        pool, _ = pool_for(campaign)
+        pool = pool_for(campaign)
         user = make_user(campaign, "zero")
         user.claim(handle_of(campaign), [0, 0, 0])
         campaign.mine()
@@ -97,7 +94,7 @@ class TestUserClaims:
         assert user.claimed[0] == 0
 
     def test_oversized_vector_rejected_locally(self, campaign):
-        pool, _ = pool_for(campaign)
+        pool = pool_for(campaign)
         user = make_user(campaign, "greedy", interaction_cap=4)
         before = campaign.chain.height
         with pytest.raises(ValueError):
@@ -105,7 +102,7 @@ class TestUserClaims:
         assert campaign.chain.height == before and not campaign.chain.pending
 
     def test_double_request_same_period(self, campaign):
-        pool, _ = pool_for(campaign)
+        pool = pool_for(campaign)
         user = make_user(campaign, "dup")
         user.claim(handle_of(campaign), [1, 0, 0])
         campaign.mine()
@@ -118,7 +115,7 @@ class TestUserClaims:
 
     def test_request_decrypts_once(self, campaign, monkeypatch):
         # decrypting and proving share one sk*c1 multiply
-        pool, _ = pool_for(campaign)
+        pool = pool_for(campaign)
         user = make_user(campaign, "u0")
         user.claim(handle_of(campaign), [3, 0, 2])
         campaign.mine()
@@ -135,7 +132,7 @@ class TestUserClaims:
         assert len(unmasks) == 1
 
     def test_unrecoverable_aggregate_not_submitted(self, campaign):
-        pool, _ = pool_for(campaign)
+        pool = pool_for(campaign)
         user = make_user(campaign, "tiny-bound", recovery_bound=10)
         user.claim(handle_of(campaign), [3, 0, 2])
         campaign.mine()
@@ -192,49 +189,54 @@ class TestAdvertiserSetup:
 
 class TestPoolLifecycle:
     def test_threshold_key_published(self, campaign):
-        pool, _ = pool_for(campaign)
+        pool = pool_for(campaign)
         assert campaign.psc.threshold_key == pool.threshold_key.pk
         assert campaign.fsc.pool_threshold == 2
         assert len(pool.winners) >= 2
-        for out in pool.vrf_outputs.values():
-            assert out.rand < max_draw(PoolParams(2, 2, 6, 100_000))
+        seed = b"pool-seed"  # the last draw's seed: each redraw re-derives it
+        for attempt in range(1, pool.draws):
+            seed = hashlib.sha256(seed + attempt.to_bytes(4, "big")).digest()
+        threshold = max_draw(PoolParams(2, 2, 6, 100_000))
+        assert pool.winners == [
+            pid for pid, r in pool.registrants.items() if vrf_rand(r.vrf_keypair, seed, 100_000) < threshold
+        ]
 
     def test_single_user_analytics(self, campaign):
-        pool, registrants = pool_for(campaign)
+        pool = pool_for(campaign)
         user = make_user(campaign, "solo")
         user.claim(handle_of(campaign), [3, 0, 2])
         campaign.mine()
-        pool_analytics(pool, registrants, handle_of(campaign), Rng("analytics"))
+        pool_analytics(pool, handle_of(campaign), Rng("analytics"))
         campaign.mine()
         assert campaign.fsc.analytics_totals == [3, 0, 2]
 
     def test_many_users_totals_are_elementwise_sums(self, campaign):
-        pool, registrants = pool_for(campaign)
+        pool = pool_for(campaign)
         vectors = [[1, 2, 0], [3, 0, 2], [0, 1, 1], [2, 2, 2]]
         for i, vector in enumerate(vectors):
             user = make_user(campaign, f"u{i}")
             user.claim(handle_of(campaign), vector)
         campaign.mine()
-        pool_analytics(pool, registrants, handle_of(campaign), Rng("analytics"))
+        pool_analytics(pool, handle_of(campaign), Rng("analytics"))
         campaign.mine()
         oracle = [sum(v[slot] for v in vectors) for slot in range(3)]
         assert campaign.fsc.analytics_totals == oracle
 
     def test_below_threshold_no_totals(self, campaign):
-        pool, registrants = pool_for(campaign)
+        pool = pool_for(campaign)
         user = make_user(campaign, "solo")
         user.claim(handle_of(campaign), [1, 1, 1])
         campaign.mine()
         # only one of the required two participants posts
         first = pool.winners[0]
         one_pool = dataclasses.replace(pool, winners=[first])
-        pool_analytics(one_pool, registrants, handle_of(campaign), Rng("analytics"))
+        pool_analytics(one_pool, handle_of(campaign), Rng("analytics"))
         campaign.mine()
         assert campaign.fsc.analytics_totals is None
         assert len(campaign.fsc.analytics_partials) == 1
 
     def test_insufficient_winners_raises(self, campaign):
-        registrants = [ConsensusParticipant(f"reg{i}", keygen(b"w%d" % i)) for i in range(3)]
+        registrants = [(f"reg{i}", b"w%d" % i) for i in range(3)]
         params = PoolParams(expected=0, threshold=1, draw_pool=3, modulus=100_000)
         with pytest.raises(InsufficientWinners, match="after 16 draws"):
             run_pool_lifecycle(registrants, params, b"seed", handle_of(campaign), Rng("x"), recovery_bound=2**12)
@@ -242,15 +244,13 @@ class TestPoolLifecycle:
     def test_redraw_with_derived_seed(self, campaign):
         # find a seed whose first draw has too few winners but whose
         # derived re-draw succeeds, then check the lifecycle used 2 draws
-        registrants = [ConsensusParticipant(f"reg{i}", keygen(b"r%d" % i)) for i in range(4)]
+        registrants = [(f"reg{i}", b"r%d" % i) for i in range(4)]
+        keypairs = [keygen(key_seed) for _, key_seed in registrants]
         params = PoolParams(expected=1, threshold=1, draw_pool=4, modulus=1000)
         threshold = max_draw(params)
 
         def winners_for(seed):
-            return sum(
-                draw_winner(vrf_rand(r.vrf_keypair, seed, params.modulus), threshold)
-                for r in registrants
-            )
+            return sum(draw_winner(vrf_rand(kp, seed, params.modulus), threshold) for kp in keypairs)
 
         chosen = None
         for i in range(500):
@@ -267,14 +267,14 @@ class TestPoolLifecycle:
 
 class TestAdvertiserAudit:
     def test_honest_audit_passes(self, campaign):
-        pool, registrants = pool_for(campaign)
+        pool = pool_for(campaign)
         handle = handle_of(campaign)
         user = make_user(campaign, "u0")
         user.claim(handle, [3, 0, 2])
         campaign.mine()
         user.request_payment(handle)
         campaign.mine()
-        pool_analytics(pool, registrants, handle, Rng("analytics"))
+        pool_analytics(pool, handle, Rng("analytics"))
         campaign.mine()
         cf = FacilitatorAgent(campaign.cf, campaign.rng, "honest")
         marked = cf.settle(handle, {user.payouts[0]: user})
@@ -291,12 +291,12 @@ class TestAdvertiserAudit:
         from privads.group import G
         from privads.threshold import PartialDecryption
 
-        pool, registrants = pool_for(campaign)
+        pool = pool_for(campaign)
         handle = handle_of(campaign)
         user = make_user(campaign, "u0")
         user.claim(handle, [1, 0, 0])
         campaign.mine()
-        pool_analytics(pool, registrants, handle, Rng("analytics"))
+        pool_analytics(pool, handle, Rng("analytics"))
         campaign.mine()
         # corrupt one stored partial after the fact; the audit must notice
         index = sorted(campaign.fsc.analytics_partials)[0]
@@ -319,7 +319,7 @@ class TestFixedBaseTables:
         tables: the user, the window tables it built and the base of every
         variable-base multiply it made."""
         campaign = build_campaign(policies=tuple(range(1, n + 1)), impressions=(100,) * n, seed=f"tables-{n}")
-        pool, _ = pool_for(campaign)
+        pool = pool_for(campaign)
         handle = handle_of(campaign)
         make_user(campaign, "warm").claim(handle, [1] * n)
         user = make_user(campaign, "u0")

@@ -28,7 +28,7 @@ from privads.group import (
     keygen,
     sign,
 )
-from privads.ledger import Chain, Transaction
+from privads.ledger import Address, Chain, Transaction
 from privads.payments import Commitment, TransferNote
 from privads.proofs import DecryptionProof, VrfOutput
 from privads.rng import Rng
@@ -64,7 +64,7 @@ def test_every_entry_point_declares_its_args():
         "amount": int,
         "reward_sig": Signature,
         "proof": DecryptionProof,
-        "payout_address": bytes,
+        "payout_address": Address,
     }
     assert ENTRY_POINTS["fsc"]["finalize"] == {}
     assert CONSTRUCTORS["fsc"] == {"cf_pk": GroupElement, "catalog_size": int, "epoch_blocks": int}
@@ -115,8 +115,12 @@ def typed(hint, addresses=()):
         return INTS
     if hint is str:
         return st.one_of(st.sampled_from(["adv0", "adv1", "psc", "fsc"]), st.text(max_size=6))
-    if hint is bytes:
-        return st.one_of(st.binary(max_size=40), *([st.sampled_from(addresses)] if addresses else []))
+    if hint in (bytes, Address):
+        return st.one_of(
+            st.binary(max_size=40),
+            st.binary(min_size=Address.SIZE, max_size=Address.SIZE),
+            *([st.sampled_from(addresses)] if addresses else []),
+        )
     if hint is dict:
         return st.one_of(*(arguments(params, addresses) for params in CONSTRUCTORS.values()))
     if getattr(hint, "__origin__", None) is list:
@@ -272,6 +276,36 @@ def _receipt(campaign, target, function, args, sender=None):
 )
 def test_malformed_args_get_typed_codes(campaign, args, error):
     assert _receipt(campaign, campaign.fsc_address, "settlement_request", args).error == error
+
+
+@pytest.mark.parametrize("bad", [b"", b"\x01" * (Address.SIZE + 1)])
+@pytest.mark.parametrize(
+    "target, function, args, name",
+    [
+        (None, "transfer", {"amount": 5}, "to"),
+        ("fsc", "link_psc", {}, "psc"),
+        ("fsc", "store_adv_id", {"id": "adv9", "budget": 1, "fee": 1, "ads": [0]}, "account"),
+        ("fsc", "payment_processed", {"tx_ref": b"\x00" * 32}, "addr"),
+        (
+            "psc",
+            "payment_request",
+            {"user_pk": G, "amount": 1, "reward_sig": Signature(1, 2), "proof": DecryptionProof(G, G, 1, 1)},
+            "payout_address",
+        ),
+    ],
+)
+def test_address_args_take_exactly_20_bytes(campaign, bad, target, function, args, name):
+    address = {"psc": campaign.psc_address, "fsc": campaign.fsc_address, None: None}[target]
+    receipt = _receipt(campaign, address, function, {**args, name: bad}, sender=campaign.advertisers[0][2])
+    assert receipt.error == f"BadArgs: {name}: expected 20 bytes, got {len(bad)}"
+    assert campaign.chain.balances.get(bad) is None
+
+
+@pytest.mark.parametrize("bad", [b"", b"\x01" * (Address.SIZE + 1)])
+def test_policy_contract_takes_a_20_byte_fund_contract(campaign, bad):
+    params = {"cf_pk": G, "catalog_size": 3, "fsc": bad, "reward_cap": 100}
+    receipt = _receipt(campaign, None, "deploy", {"kind": "psc", "params": params})
+    assert receipt.error == f"BadArgs: fsc: expected 20 bytes, got {len(bad)}"
 
 
 @pytest.mark.parametrize(

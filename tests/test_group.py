@@ -312,8 +312,101 @@ class TestMulGenBatch:
 
     def test_sums_one_lane_group_at_a_time(self, monkeypatch):
         calls = _counting(monkeypatch, "_sum_lanes", _sum_lanes)
+        windowed = _counting(monkeypatch, "_mul_windowed", _mul_windowed)
         mul_gen_batch(list(range(1, 2 * _LANE_GROUP + 2)))
-        assert [len(args[0]) for args in calls] == [_LANE_GROUP, _LANE_GROUP, 1]
+        # the trailing one-lane group is below _SUM_LANES_MIN: summed alone
+        assert [len(args[0]) for args in calls] == [_LANE_GROUP, _LANE_GROUP]
+        assert [args[0] for args in windowed] == [2 * _LANE_GROUP + 1]
+
+
+def _double_and_add(k, P):
+    """k * P by plain double-and-add over the bits of k mod ORDER, one
+    affine point addition at a time: the oracle of the GLV/wNAF paths."""
+    acc = IDENTITY
+    for bit in bin(k % ORDER)[2:]:
+        acc = acc + acc
+        if bit == "1":
+            acc = acc + P
+    return acc
+
+
+def _glv_sign_examples() -> list:
+    """One scalar for each sign pattern (k1 < 0, k2 < 0) of its GLV split."""
+    found = {}
+    i = 1
+    while len(found) < 4:
+        k = (i * 0x9E3779B97F4A7C15) ** 3 % ORDER
+        k1, k2 = group._glv_split(k)
+        found.setdefault((k1 < 0, k2 < 0), k)
+        i += 1
+    return [found[signs] for signs in sorted(found)]
+
+
+_GLV_SIGNS = _glv_sign_examples()
+_MUL_LANES_MIN = group._MUL_LANES_MIN
+
+
+class TestVariableBase:
+    @pytest.mark.parametrize(
+        "k", [k % ORDER for k in _EDGE_SCALARS + _GLV_SIGNS + [2**128 - 1, 2**128, _ALL_DIGITS_33] if k % ORDER]
+    )
+    def test_mul_var_matches_double_and_add(self, k):
+        P = G.mul(0x5EED)
+        assert GroupElement(*_jac_to_affine(*_mul_var(k, P.x, P.y))) == _double_and_add(k, P)
+
+    def test_naf_digits_recode_the_scalar(self):
+        for k in [1, 7, 8, 15, 16, 2**128 - 1, *_GLV_SIGNS]:
+            digits = group._naf_digits(k)
+            assert sum(d << position for position, d in digits) == k
+            assert all(d % 2 and -7 <= d <= 7 for _, d in digits)
+            assert all(b - a >= 4 for (a, _), (b, _) in zip(digits, digits[1:]))
+
+
+def _scalar_list(ks, pad):
+    """ks, then `pad` more scalars, so a list can reach the lane path."""
+    return ks + [(i * 0x9E3779B97F4A7C15) ** 5 % ORDER for i in range(1, pad + 1)]
+
+
+class TestMulBatch:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        ks=st.lists(st.one_of(st.sampled_from(_EDGE_SCALARS + _GLV_SIGNS), st.integers(-(2**300), 2**300)), max_size=12),
+        pad=st.sampled_from([0, _MUL_LANES_MIN]),
+        bases=st.lists(st.integers(1, ORDER - 1), min_size=1, max_size=3),
+        twist=st.sampled_from(["none", "negate", "identity"]),
+    )
+    @example(ks=[], pad=0, bases=[1], twist="none")
+    @example(ks=_around_lane_group(_LANE_GROUP + 1), pad=0, bases=[3, 5], twist="negate")
+    @example(ks=_scalar_list(_GLV_SIGNS, _MUL_LANES_MIN - 5), pad=0, bases=[7], twist="none")
+    @example(ks=_scalar_list(_GLV_SIGNS, _MUL_LANES_MIN - 4), pad=0, bases=[7], twist="identity")
+    def test_matches_per_point_mul(self, ks, pad, bases, twist):
+        """Repeated points (a few bases cycled), negated ones and the
+        identity, with scalars 0, 1, ORDER - 1, above ORDER and negative."""
+        ks = _scalar_list(ks, pad)
+        points = [G.mul(bases[i % len(bases)]) for i in range(len(ks))]
+        if twist == "negate":
+            points[1::2] = [-P for P in points[1::2]]
+        if twist == "identity":
+            points[::3] = [IDENTITY] * len(points[::3])
+        assert group.mul_batch(ks, points) == [P.mul(k) for k, P in zip(ks, points)]
+
+    def test_lanes_match_double_and_add(self):
+        ks = _scalar_list(_GLV_SIGNS + [1, ORDER - 1, 2**128], _MUL_LANES_MIN)
+        P = G.mul(0xBA5E)
+        expected = [_double_and_add(k, P) for k in ks]
+        assert [GroupElement(*a) for a in group._mul_lanes([(k, P.x, P.y) for k in ks])] == expected
+
+    def test_small_groups_multiply_one_at_a_time(self, monkeypatch):
+        lanes = _counting(monkeypatch, "_mul_lanes", group._mul_lanes)
+        per_point = _counting(monkeypatch, "_mul_var", _mul_var)
+        ks = _scalar_list([], _LANE_GROUP + 1)
+        group.mul_batch(ks, [H] * len(ks))
+        assert [len(args[0]) for args in lanes] == [_LANE_GROUP]
+        assert len(per_point) == 1
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            group.mul_batch([1, 2], [G])
 
 
 def _msm_oracle(scalars, points):
@@ -342,6 +435,12 @@ class TestMsm:
         scalars = [rng.randrange(21) for _ in range(n)]
         assert msm(scalars, points) == _msm_oracle(scalars, points)
 
+    def test_long_lived_bases_on_the_straus_path(self, rng):
+        points = [G, H, G.mul(random_scalar(rng)), -G]
+        for n in range(1, len(points) + 1):
+            scalars = [random_scalar(rng) for _ in range(n)]
+            assert msm(scalars, points[:n]) == _msm_oracle(scalars, points[:n])
+
     def test_cancelling_terms_give_identity(self, rng):
         P = G.mul(random_scalar(rng))
         assert msm([5, 5], [P, -P]).is_identity
@@ -362,6 +461,12 @@ class TestMsm:
 
 
 class TestKeygen:
+    def test_batch_matches_one_at_a_time(self):
+        seeds = [b"k%d" % i for i in range(20)]
+        assert group.keygen_batch(seeds) == [keygen(seed) for seed in seeds]
+        with pytest.raises(ValueError):
+            group.keygen_batch([b"ok", b""])
+
     def test_deterministic(self):
         assert keygen(b"\x00\x01") == keygen(b"\x00\x01")
 

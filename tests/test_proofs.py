@@ -6,13 +6,16 @@ statement must flip verification to False.
 
 import pytest
 
-from privads.group import G, encrypt, decrypt, keygen, random_scalar
+from privads import group
+from privads.group import G, GroupElement, encrypt, decrypt, keygen, random_scalar
 from privads.proofs import (
     DecryptionProof,
     dleq_prove,
     prove_decryption,
     verify_decryption,
     vrf_eval,
+    vrf_rand,
+    vrf_rand_batch,
     vrf_verify,
 )
 from privads.rng import Rng
@@ -170,9 +173,44 @@ class TestVrf:
         assert a.rand != b.rand
 
     def test_rand_only_path_matches_full_eval(self):
-        from privads.proofs import vrf_rand
-
         kp = keygen(b"vrf-fast")
         for i in range(20):
             seed = b"s%d" % i
             assert vrf_rand(kp, seed, 997) == vrf_eval(kp, seed, 997).rand
+
+
+class TestVrfBatch:
+    @pytest.mark.parametrize("n", [0, 1, group._MUL_LANES_MIN - 1, group._MUL_LANES_MIN, group._LANE_GROUP + 1])
+    def test_matches_vrf_rand_per_keypair(self, n):
+        keypairs = group.keygen_batch([b"draw-%d" % i for i in range(n)])
+        seed = b"round-seed"
+        assert vrf_rand_batch(keypairs, seed, 997) == [vrf_rand(kp, seed, 997) for kp in keypairs]
+
+    @pytest.mark.parametrize("seed, p", [(b"", 997), (b"seed", 1), (b"seed", 0)])
+    def test_raises_as_vrf_rand_does(self, seed, p):
+        kp = keygen(b"draw")
+        with pytest.raises(ValueError) as single:
+            vrf_rand(kp, seed, p)
+        with pytest.raises(ValueError) as batch:
+            vrf_rand_batch([kp], seed, p)
+        assert str(batch.value) == str(single.value)
+
+
+def test_verify_decryption_makes_no_single_or_variable_base_multiply(monkeypatch, rng):
+    kp, ct, plain, proof = _proof_setup(rng)
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(GroupElement, "mul")
+    counting(group, "_mul_var")
+    counting(group, "_straus")
+    assert verify_decryption(kp.pk, ct, plain, proof)
+    assert calls == ["_straus", "_straus"]  # one joint multiply per equation

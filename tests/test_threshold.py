@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import privads.group
 import privads.threshold
 from privads.group import G, IDENTITY, ORDER, GroupElement, KeyPair, encrypt, decrypt, random_scalar, scalar_bytes
-from privads.proofs import dleq_first_invalid, dleq_prove, vrf_rand
+from privads.proofs import dleq_first_invalid, dleq_prove, vrf_rand_batch
 from privads.rng import Rng
 from privads.threshold import (
     DuplicateShareIndex,
@@ -107,7 +107,7 @@ class TestLottery:
         params = PoolParams(expected=20, threshold=3, draw_pool=200, modulus=2**30)
         thr = max_draw(params)
         kps = [KeyPair(sk, G.mul(sk)) for sk in (random_scalar(rng) for _ in range(params.draw_pool))]
-        winners = sum(draw_winner(vrf_rand(kp, b"round-seed", params.modulus), thr) for kp in kps)
+        winners = sum(draw_winner(rand, thr) for rand in vrf_rand_batch(kps, b"round-seed", params.modulus))
         mean = params.expected
         sigma = (params.draw_pool * (mean / params.draw_pool) * (1 - mean / params.draw_pool)) ** 0.5
         assert abs(winners - mean) <= 3 * sigma
@@ -177,6 +177,28 @@ class TestDkg:
         share = result.shares[1]
         assert G.mul(share.share) == result.public_key.pk
 
+    def test_single_party_sums_no_lanes(self, rng, monkeypatch):
+        lanes = []
+        sum_lanes = privads.group._sum_lanes
+        monkeypatch.setattr(privads.group, "_sum_lanes", lambda group: lanes.append(group) or sum_lanes(group))
+        dkg_run([1], 1, rng)
+        assert lanes == []
+
+    def test_offsetting_corruptions_are_caught(self, rng, monkeypatch):
+        # Two bad sub-shares of one dealer whose errors cancel in a plain
+        # sum: the batch weights keep them apart.
+        deal = privads.threshold._deal
+
+        def corrupted(active, k, rng):
+            coeffs, dealt = deal(active, k, rng)
+            if 2 in active:
+                dealt[2, 1] = (dealt[2, 1] + 1) % ORDER
+                dealt[2, 3] = (dealt[2, 3] - 1) % ORDER
+            return coeffs, dealt
+
+        monkeypatch.setattr(privads.threshold, "_deal", corrupted)
+        assert dkg_run([1, 2, 3, 4], 2, rng).excluded == [2]
+
     def test_deterministic_given_seed(self):
         a = dkg_run([1, 2, 3], 2, Rng("dkg-seed"))
         b = dkg_run([1, 2, 3], 2, Rng("dkg-seed"))
@@ -198,7 +220,8 @@ def _dkg_digest(result):
 class TestLargeDkg:
     """An 11-of-24 DKG, the size of the pool benchmark, pinned to the
     values of the per-check implementation (one G.mul per commitment and
-    sub-share, one msm per commitment evaluation)."""
+    sub-share, one msm per commitment evaluation); the batched check must
+    deal, exclude and restart exactly as that one did."""
 
     def test_honest_run_pinned(self):
         result = dkg_run(list(range(1, 25)), 11, Rng("golden/dkg-24-11"))
@@ -229,7 +252,7 @@ class TestLargeDkg:
         counting(privads.group, "_mul_var")
         result = dkg_run(list(range(1, 25)), 11, Rng("op-counts/dkg"))
         assert len(result.shares) == 24
-        assert calls == []
+        assert calls == ["msm"]  # every sub-share, checked in one statement
 
 
 class TestThresholdDecryption:
