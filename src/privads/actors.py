@@ -277,15 +277,15 @@ class AdvertiserAgent:
                 a.encode() == b.encode() for a, b in zip(sums, fsc.analytics_enc_totals)
             )
             verdict["checks"].append(("homomorphic_sum_matches", match))
-            posts = sorted(fsc.analytics_partials.items())
+            posts = fsc.analytics_partials
             cts = fsc.analytics_enc_totals
             tpk = fsc.pool_key
             # One batch over every post; only when it fails is each post
             # checked on its own, to tell which one is bad.
-            all_ok = _partials_verify(tpk, cts * len(posts), [p for _, partials in posts for p in partials])
-            for index, partials in posts:
+            all_ok = _partials_verify(tpk, cts * len(posts), [p for partials in posts for p in partials])
+            for partials in posts:
                 ok = all_ok or _partials_verify(tpk, cts, partials)
-                verdict["checks"].append((f"partials_from_{index}_verify", ok))
+                verdict["checks"].append((f"partials_from_{partials[0].index}_verify", ok))
             verdict["checks"].append(("enough_partials", len(posts) >= (fsc.pool_threshold or 0)))
 
         record = fsc.advertisers[self.adv_id]
@@ -527,7 +527,7 @@ def run_pool_lifecycle(
             if draw_winner(rand, threshold):
                 out = vrf_eval(registrant.vrf_keypair, round_seed, params.modulus)
                 if not vrf_verify(registrant.vrf_keypair.pk, round_seed, out, params.modulus):
-                    continue  # would be rejected by the pool contract
+                    continue  # an unproved win is dropped here; no contract checks VRF proofs yet
                 winners.append(registrant)
         if len(winners) >= params.threshold:
             break

@@ -18,7 +18,6 @@ whitespace, key order, escapes, non-integer numbers, deep nesting).
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -28,7 +27,7 @@ from .payments import Commitment, TransferNote
 from .proofs import DecryptionProof, VrfOutput
 from .threshold import PartialDecryption
 
-__all__ = ["to_wire", "from_wire", "encode_args", "decode_args", "canonical_json", "digest", "type_error"]
+__all__ = ["to_wire", "from_wire", "encode_args", "decode_args", "canonical_json", "type_error"]
 
 
 def type_error(value, hint, path: str) -> str | None:
@@ -191,7 +190,3 @@ def decode_args(data: bytes):
     if encode_args(value) != data:
         raise ValueError("argument bytes are not in canonical form")
     return value
-
-
-def digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()

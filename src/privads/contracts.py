@@ -17,9 +17,16 @@ carry; FUNCTIONS is the set of those names, and a call to any other name
 fails with UnknownFunction.  Args that do not fit the declaration fail
 with BadArgs before any contract code runs, and contract code turns every
 failure it expects into a ContractError code.
+
+A contract's state, which the chain's state hash covers, is its KIND plus
+every public attribute; memory that is not state (a decrypted cache, the
+pool key's commitment cache) is underscore-named.  No contract lists its
+fields a second time.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from .codec import encode_args
 from .group import (
@@ -88,6 +95,13 @@ class _Contract:
         if ctx.sender != self.cf_account:
             raise ContractError("NotCF")
 
+    def _state(self) -> dict:
+        """The contract's kind plus every public attribute, as plain values
+        that codec.canonical_json wires and sorts.  Each contract class
+        still defines its own state_dict, so perfbench/tracing.py can wrap
+        it on that class."""
+        return {"kind": self.KIND, **{k: v for k, v in vars(self).items() if not k.startswith("_")}}
+
 
 class PolicyContract(_Contract):
     """Per-catalog reward computation and payment-request validation."""
@@ -109,7 +123,7 @@ class PolicyContract(_Contract):
         self.aggregates: dict[bytes, Ciphertext] = {}
         self.aggregate_signatures: dict[bytes, Signature] = {}
         self.reported_vectors: list = []  # (period, user_pk bytes, tuple[Ciphertext])
-        self.requested_this_period: set = set()
+        self.requested_this_period: dict[bytes, bool] = {}  # user pk bytes -> True
         self.period = 0
         # Contract memory outside the state: the policy values, decrypted on
         # first use once fsc.init has frozen enc_policies and enc_keys.
@@ -221,34 +235,18 @@ class PolicyContract(_Contract):
         if amount > self.reward_cap:
             raise ContractError("CapExceeded", f"{amount} > {self.reward_cap}")
         self._fsc(ctx).buffer_payment(payout_address, amount, key)
-        self.requested_this_period.add(key)
+        self.requested_this_period[key] = True
         return None
 
     @entry_point
     def advance_period(self, ctx):
         self._require_cf(ctx)
         self.period += 1
-        self.requested_this_period = set()
+        self.requested_this_period = {}
         return None
 
-    # -- state -------------------------------------------------------------------
-
     def state_dict(self) -> dict:
-        """Plain state values; codec.canonical_json wires and sorts them."""
-        return {
-            "kind": self.KIND,
-            "cf": self.cf_account,
-            "catalog_size": self.catalog_size,
-            "enc_policies": self.enc_policies,
-            "enc_keys": self.enc_keys,
-            "threshold_key": self.threshold_key,
-            "aggregates": self.aggregates,
-            "aggregate_sigs": self.aggregate_signatures,
-            "reported": self.reported_vectors,
-            "requested": sorted(self.requested_this_period),
-            "period": self.period,
-            "reward_cap": self.reward_cap,
-        }
+        return self._state()
 
 
 class FundContract(_Contract):
@@ -270,10 +268,11 @@ class FundContract(_Contract):
         self.advertisers: dict[str, dict] = {}
         self.payment_requests: list[dict] = []
         self.payed_requests: dict[bytes, bytes] = {}  # payout addr -> tx_ref
-        self.pool_key: ThresholdPublicKey | None = None
+        self.pool_verification: tuple | None = None  # the pool key's coefficient commitments
+        self._pool_key: ThresholdPublicKey | None = None  # built from them, with its commitment cache
         self.recovery_bound: int | None = None  # registered with the pool
         self.analytics_enc_totals: list | None = None
-        self.analytics_partials: dict[int, list] = {}
+        self.analytics_partials: list[list[PartialDecryption]] = []  # one list per post, by share index
         self.analytics_totals: list | None = None
         self.settlement_counter = 0
         self.settled_total = 0
@@ -338,7 +337,7 @@ class FundContract(_Contract):
     def register_pool(self, ctx, *, threshold: int, verification: list[GroupElement], recovery_bound: int):
         """Fix the pool's verification vector once; its head must be the
         threshold key published in the policy contract."""
-        if self.pool_key is not None:
+        if self.pool_verification is not None:
             raise ContractError("AlreadyInitialized", "pool already registered")
         published = ctx.contract(self.psc_address, PolicyContract.KIND).threshold_key
         if published is None or not verification or verification[0] != published:
@@ -348,13 +347,19 @@ class FundContract(_Contract):
         if not 1 <= recovery_bound <= ANALYTICS_BOUND:
             raise ContractError("BadRecoveryBound", f"{recovery_bound} outside [1, {ANALYTICS_BOUND}]")
         self.recovery_bound = recovery_bound
-        self.pool_key = ThresholdPublicKey(published, tuple(verification))
+        self.pool_verification = tuple(verification)
+        self._pool_key = ThresholdPublicKey(published, self.pool_verification)
         return None
+
+    @property
+    def pool_key(self) -> ThresholdPublicKey | None:
+        """The registered pool key, read-only."""
+        return self._pool_key
 
     @property
     def pool_threshold(self) -> int | None:
         """Shares needed to decrypt: one per coefficient commitment."""
-        return len(self.pool_key.verification) if self.pool_key else None
+        return len(self.pool_verification) if self.pool_verification else None
 
     @property
     def click_totals(self) -> list:
@@ -377,7 +382,7 @@ class FundContract(_Contract):
             raise ContractError("AnalyticsMismatch", "posted ciphertexts disagree")
         if not 1 <= index < ORDER:  # i +- ORDER would alias share i
             raise ContractError("IndexOutOfRange", str(index))
-        if index in self.analytics_partials:
+        if any(post[0].index == index for post in self.analytics_partials):
             raise ContractError("DuplicatePost", str(index))
         if any(partial.index != index for partial in partials):
             raise ContractError("IndexMismatch")
@@ -387,17 +392,17 @@ class FundContract(_Contract):
             raise ContractError("InvalidShareProof", str(index)) from None
         if stored is None:
             self.analytics_enc_totals = list(enc_totals)
-        self.analytics_partials[index] = list(partials)
+        insort(self.analytics_partials, list(partials), key=lambda post: post[0].index)
         if self.analytics_totals is None and len(self.analytics_partials) >= self.pool_threshold:
             self._combine_analytics()
         return {"posted": index, "combined": self.analytics_totals is not None}
 
     def _combine_analytics(self):
         """Every stored post was verified when it landed."""
-        chosen = sorted(self.analytics_partials)[: self.pool_threshold]
+        chosen = self.analytics_partials[: self.pool_threshold]
         totals = []
         for slot, ct in enumerate(self.analytics_enc_totals):
-            partials = [self.analytics_partials[i][slot] for i in chosen]
+            partials = [post[slot] for post in chosen]
             point = combine_verified_partials(partials, ct, self.pool_threshold)
             try:
                 totals.append(recover_plaintext(point, self.recovery_bound))
@@ -534,25 +539,5 @@ class FundContract(_Contract):
         )
         return {"verdict": "cf_flagged"}
 
-    # -- state ----------------------------------------------------------------------------
-
     def state_dict(self) -> dict:
-        """Plain state values; codec.canonical_json wires and sorts them."""
-        return {
-            "kind": self.KIND,
-            "cf": self.cf_account,
-            "init": self.init,
-            "status": self.status,
-            "advertisers": self.advertisers,
-            "payment_requests": self.payment_requests,
-            "payed": self.payed_requests,
-            "pool_verification": self.pool_key.verification if self.pool_key else None,
-            "analytics_totals": self.analytics_totals,
-            "analytics_posts": sorted(self.analytics_partials),
-            "settled_total": self.settled_total,
-            "refunds": self.refunds_paid,
-            "top_up_due": self.top_up_due,
-            "refunds_done": self.refunds_done,
-            "complaints": self.complaints,
-            "epoch_blocks": self.epoch_blocks,
-        }
+        return self._state()

@@ -1003,7 +1003,7 @@ class Signature:
         return scalar_bytes(self.challenge) + scalar_bytes(self.response)
 
 
-def sign(kp: KeyPair, msg: bytes, rng, tag: bytes = b"sig/default") -> Signature:
+def sign(kp: KeyPair, msg: bytes, rng, tag: bytes) -> Signature:
     k = random_scalar(rng)
     R = G.mul(k)
     c = hash_to_scalar(tag, kp.pk.encode(), R.encode(), msg)
@@ -1011,7 +1011,7 @@ def sign(kp: KeyPair, msg: bytes, rng, tag: bytes = b"sig/default") -> Signature
     return Signature(c, s)
 
 
-def verify_sig(pk: GroupElement, msg: bytes, sig: Signature, tag: bytes = b"sig/default") -> bool:
+def verify_sig(pk: GroupElement, msg: bytes, sig: Signature, tag: bytes) -> bool:
     if not (0 <= sig.challenge < ORDER and 0 <= sig.response < ORDER):
         return False
     R = G.mul(sig.response) + pk.mul(sig.challenge)

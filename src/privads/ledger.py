@@ -10,7 +10,9 @@ call's args are checked against them before it runs.  A ContractError is
 a failed receipt and the block goes on; any other exception is a bug and
 escapes mine_block.  The full chain state hashes canonically after every
 block, and identical (seed, transaction sequence) reproduce identical
-hashes.
+hashes.  That state is the chain's fields listed in state_view plus, for
+each contract, its kind and every public attribute (state_dict); contract
+memory that is not state is underscore-named.
 """
 
 from __future__ import annotations

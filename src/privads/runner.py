@@ -31,13 +31,12 @@ from .actors import (
     run_pool_lifecycle,
 )
 from .bench import simulated_throughput
-from .codec import from_wire
 from .group import keygen
 from .ledger import Chain
 from .rng import Rng
 from .scenario import Scenario
 
-__all__ = ["RunOutcome", "run_scenario", "report_bytes"]
+__all__ = ["RunOutcome", "run_scenario", "report_bytes", "public_text"]
 
 
 @dataclass
@@ -49,7 +48,7 @@ class ChainRun:
     users: list  # (global_index, UserAgent)
     pool: object
     oracle_totals: list  # per-slot interaction sums over every user and period
-    period_blocks: dict = field(default_factory=dict)  # period -> [heights]
+    period_blocks: dict = field(default_factory=dict)  # period -> range of its block heights
     audit_verdicts: list = field(default_factory=list)
     conservation_ok: bool = True
 
@@ -173,7 +172,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
     users_by_payout = {}
     last_period = scenario.payout_periods - 1
     for period in range(scenario.payout_periods):
-        heights = []
+        first_height = chain.height
         if period > 0:
             chain.call(cf.account, handle.psc_address, "advance_period", {})
         for gi, user in users:
@@ -183,7 +182,6 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
             user.claim(handle, vector)
             timings["interaction_encryption_s"].append(time.perf_counter() - start)
         start = time.perf_counter()
-        heights.append(chain.height)
         mine()
         timings["aggregate_computation_s"].append(time.perf_counter() - start)
 
@@ -193,7 +191,6 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
             timings["request_generation_s"].append(time.perf_counter() - start)
             if submitted is not None:
                 users_by_payout[user.payouts[period]] = user
-        heights.append(chain.height)
         mine()
 
         if period == last_period and users:
@@ -203,24 +200,20 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
         if users:
             start = time.perf_counter()
             marked = cf.settle(handle, users_by_payout)
-            heights.append(chain.height)
             mine()
             timings["settlement_s"].append(time.perf_counter() - start)
 
             for _, user in users:
                 user.verify_payment(handle, period)
-            heights.append(chain.height)
             mine()
 
             cf.mark_processed(handle, marked)
-            heights.append(chain.height)
             mine()
 
             for _, user in users:
                 user.redeem(handle, period)
-            heights.append(chain.height)
             mine()
-        run.period_blocks[period] = heights
+        run.period_blocks[period] = range(first_height, chain.height)
 
     for adv in advertisers:
         run.audit_verdicts.append(adv.audit(handle))
@@ -379,32 +372,39 @@ def _build_report(scenario: Scenario, chain_runs) -> tuple:
     return sections, violations, complaints_total
 
 
+def public_text(block_records) -> str:
+    """What anyone reading the blocks sees, as text to search: each tx's
+    sender, the args of each public tx as their canonical JSON (the text
+    decode_args reads, with points and bytes as plain hex), and the
+    receipts.  A private tx's args are ciphertext and are left out."""
+    lines = []
+    for record in block_records:
+        for tx in record["txs"]:
+            lines.append(tx["sender"])
+            if not tx["private"]:
+                lines.append(bytes.fromhex(tx["args"]).decode(errors="backslashreplace"))
+        lines.append(json.dumps(record["receipts"], sort_keys=True))
+    return "\n".join(lines)
+
+
 def _unlinkability_violations(run: ChainRun) -> list:
     """No ephemeral pk, payout address or sender of a user's period may
-    surface in another period's transactions (mechanical hygiene check over
-    the serialized blocks).  A period's sender is the account that sent the
-    public claim carrying that period's ephemeral pk."""
+    surface in another period's public_text, taken over every block the
+    period mined (its analytics block included).  A period's sender is the
+    account its claim and requests go out from."""
     violations = []
-    period_ranges = run.period_blocks
-    if len(period_ranges) < 2:
+    if len(run.period_blocks) < 2:
         return violations
-    blobs = {}
-    claim_senders = {}  # ephemeral pk hex -> sender hex
-    for period, heights in period_ranges.items():
-        lo, hi = min(heights), max(heights)
-        blocks = [b for b in run.chain.blocks if lo <= b.height <= hi]
-        blobs[period] = "".join(json.dumps(b.record(), sort_keys=True) for b in blocks)
-        for block in blocks:
-            for tx in block.tx_records:
-                if tx["function"] == "compute_aggregate":
-                    user_pk = from_wire(json.loads(bytes.fromhex(tx["args"]))["user_pk"])
-                    claim_senders[user_pk.encode().hex()] = tx["sender"]
+    texts = {
+        period: public_text(run.chain.blocks[height].record() for height in heights)
+        for period, heights in run.period_blocks.items()
+    }
     for _, user in run.users:
-        for period in period_ranges:
+        for period in run.period_blocks:
             pk_hex = user.ephemerals.get(period, b"").hex()
             addr_hex = user.payouts.get(period, b"").hex()
-            sender_hex = claim_senders.get(pk_hex)
-            for other, text in blobs.items():
+            sender_hex = user.accounts.get(period, b"").hex()
+            for other, text in texts.items():
                 if other == period:
                     continue
                 if pk_hex and pk_hex in text:

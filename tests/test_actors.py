@@ -299,11 +299,9 @@ class TestAdvertiserAudit:
         pool_analytics(pool, handle, Rng("analytics"))
         campaign.mine()
         # corrupt one stored partial after the fact; the audit must notice
-        index = sorted(campaign.fsc.analytics_partials)[0]
-        original = campaign.fsc.analytics_partials[index]
-        campaign.fsc.analytics_partials[index] = [
-            PartialDecryption(p.index, p.share_point + G, p.proof) for p in original
-        ]
+        posts = campaign.fsc.analytics_partials
+        index = posts[0][0].index
+        posts[0] = [PartialDecryption(p.index, p.share_point + G, p.proof) for p in posts[0]]
         adv_id, adv_kp, _, budget, fee, slots, policies = campaign.advertisers[0]
         adv = AdvertiserAgent(adv_id, adv_kp, slots, policies, [100, 100, 100], fee)
         verdict = adv.audit(handle)

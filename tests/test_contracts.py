@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from privads.codec import encode_args
+from privads.codec import canonical_json, encode_args
 from privads.contracts import FundContract, PolicyContract
 from privads.group import (
     G,
@@ -315,7 +315,7 @@ class TestPeriods:
         rid = campaign.cf_call(campaign.psc_address, "advance_period", {})
         campaign.mine()
         assert campaign.chain.receipt(rid).ok
-        assert campaign.psc.period == 1 and campaign.psc.requested_this_period == set()
+        assert campaign.psc.period == 1 and campaign.psc.requested_this_period == {}
 
 
 class TestStaking:
@@ -377,9 +377,10 @@ class TestAnalyticsPosts:
         enc_totals = encrypt_vector(pool.public_key.pk, [5, 0, 7], campaign.rng)
         junk_totals = encrypt_vector(pool.public_key.pk, [9, 9, 9], campaign.rng)
         junk = [partial_decrypt(pool.shares[3], ct, campaign.rng) for ct in enc_totals]
+        before = canonical_json(campaign.fsc.state_dict())
         receipt = post_analytics(campaign, pool, junk_totals, 3, partials=junk)
         assert "InvalidShareProof" in receipt.error
-        assert campaign.fsc.analytics_enc_totals is None and campaign.fsc.analytics_partials == {}
+        assert canonical_json(campaign.fsc.state_dict()) == before
         for index in (1, 2):
             receipt = post_analytics(campaign, pool, enc_totals, index)
             assert receipt.ok, receipt.error

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from privads import contracts
-from privads.codec import decode_args, encode_args
+from privads.codec import canonical_json, decode_args, encode_args
 from privads.contracts import FundContract, PolicyContract
 from privads.group import (
     ANALYTICS_BOUND,
@@ -263,6 +263,11 @@ def _receipt(campaign, target, function, args, sender=None):
     return campaign.chain.receipt(rid)
 
 
+def _state(contract) -> str:
+    """The contract's state as the chain hashes it, frozen."""
+    return canonical_json(contract.state_dict())
+
+
 @pytest.mark.parametrize(
     "args, error",
     [
@@ -349,10 +354,45 @@ def test_store_adv_id_rejects_negative_amounts():
 def test_register_pool_bounds_the_recovery_bound(campaign, bound):
     pool = dkg_run([1], 1, campaign.rng)
     campaign.cf_call(campaign.psc_address, "store_threshold_key", {"pk": pool.public_key.pk})
+    campaign.mine()
+    before = _state(campaign.fsc)
     args = {"threshold": 1, "verification": pool.public_key.verification, "recovery_bound": bound}
     receipt = _receipt(campaign, campaign.fsc_address, "register_pool", args)
     assert receipt.error == f"BadRecoveryBound: {bound} outside [1, {ANALYTICS_BOUND}]"
-    assert campaign.fsc.pool_key is None and campaign.fsc.recovery_bound is None
+    assert _state(campaign.fsc) == before
+
+
+def test_the_recovery_bound_is_state():
+    """Two campaigns whose pools differ only in the registered bound hash
+    to different chain states."""
+    states = []
+    for bound in (2**12, 2**12 + 1):
+        campaign = build_campaign()
+        pool = dkg_run([1], 1, campaign.rng)
+        campaign.cf_call(campaign.psc_address, "store_threshold_key", {"pk": pool.public_key.pk})
+        args = {"threshold": 1, "verification": pool.public_key.verification, "recovery_bound": bound}
+        assert _receipt(campaign, campaign.fsc_address, "register_pool", args).ok
+        states.append((_state(campaign.fsc), campaign.chain.state_hash()))
+    (fsc_a, chain_a), (fsc_b, chain_b) = states
+    assert fsc_a != fsc_b and chain_a != chain_b
+
+
+def test_linking_a_psc_changes_the_fund_state(campaign):
+    chain = campaign.chain
+    fsc = _deploy(chain, campaign.cf_account, "fsc", {"cf_pk": G, "catalog_size": 3, "epoch_blocks": 0})
+    psc = _deploy(chain, campaign.cf_account, "psc", {"cf_pk": G, "catalog_size": 3, "fsc": fsc, "reward_cap": 100})
+    before = _state(chain.contracts[fsc])
+    assert _receipt(campaign, fsc, "link_psc", {"psc": psc}).ok
+    assert _state(chain.contracts[fsc]) != before
+
+
+def test_a_zero_settlement_changes_the_fund_state(campaign):
+    """A zero-amount settlement moves no tokens but uses up its counter, so
+    its signature cannot be replayed: that write is state."""
+    before = _state(campaign.fsc)
+    sig = sign(campaign.cf, encode_args(["settlement", campaign.fsc_address, 0, 0]), campaign.rng, tag=b"sig/settlement")
+    assert _receipt(campaign, campaign.fsc_address, "settlement_request", {"amount": 0, "sig": sig}).ok
+    assert _state(campaign.fsc) != before
 
 
 def test_unrecoverable_total_is_a_typed_code(campaign):

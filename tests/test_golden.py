@@ -27,28 +27,28 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     "divert": (
-        "20fbf33dd4d7a2ed96eed19dd2e48d0ad1234a64271551702dbfe32499599de9",
-        ["e84a43dfe97a0b497b952bc82db8caeab4311f4b6cd3f9654d36c8915b045b3b"],
+        "d453ed872aecd3c3a71cf369edee3b7a70ce7982324518bca0239c51b73f6d03",
+        ["c9bff76c355a6ed53aea7c77a481bd7771cb0a8262a95903559bd3f41c1381b2"],
     ),
     "honest_small": (
-        "411fae23c62f3563a849c3e56ede0e2f4c7e5aecc150ee251464b360ab861e86",
-        ["7bc535c89f39b87a6ed484b9cd6af6c9a11ab002cdc4fe624cfd6916eeb2bb1b"],
+        "a13aded36e6c21ce3c85f7eda5b870ca46b70bc07bc4474afde40803316e1513",
+        ["c35a6f88e3f15e9342f0aa954b2803d264c0179a1c7e340b5a50510994963052"],
     ),
     "multichain": (
-        "9fffa2acb0b58e3d77a3146018c8a63d8de614d7c1a264f0819f9dd5f959256e",
+        "4cdd8baa235ef7f2d081fd404b04bd63a2c9f9a20667682bce56c44c060d4c0d",
         [
-            "a8fb280ce39cfb5a4af6bb22db125e2e9dd2315031a3c004c430e5cd185499d7",
-            "f1c7472fa58f89ee1b3e655567a3c0e5a5cc46d87387c591bc562b65ca1391b6",
-            "6f3bd362db2d6125ab13e0e5b33b334cd671953498eb0829810b53972387d6fa",
+            "8b05baa522ea9950ebb32ec9047d6e64b290b5cc0b27c81c565df293d6aa128d",
+            "10f73fe1625de10a693eb95b33ed5357c4cfd2b2453a14555ba09ffa186eba74",
+            "c8059928674a5b9b1b031c29a2ce4c3718f230598723e8193727542388b99233",
         ],
     ),
     "strawman": (
-        "cc799240b26cb93a88ffd7fc8edfb81d81631602439954d3ba2991799a8fb725",
-        ["d58a59a2b2b256e372ab8ec91a3c0949cb2511de47227ca09230cb24e89146f7"],
+        "4da30411cac9ebd3116e39f7a165630413d3effbdf0ffffcfe2914d8be2181e5",
+        ["169ea02f92163731044715240da7b75aab921a1ec787fc13da423986fe5b7db6"],
     ),
     "underpay": (
-        "d885a4354bfdbd08f74a91eedb52a5c8623627607a8f8cde5799f2398430af4c",
-        ["4d71a26f28ab996b0c386e3791f10f2221bd426d293ed73e12d46ac2c743adc3"],
+        "1192c26b60561c53073c0bbb2c98b52dccf74484be8f8e57fd595690e34f1dfe",
+        ["98c255110e406d9d943cad26c2e8e949954ccadde5853fce7c39478b0f0eb701"],
     ),
 }
 

@@ -650,20 +650,20 @@ class TestRecovery:
 
 class TestSignatures:
     def test_roundtrip(self, rng, kp):
-        sig = sign(kp, b"settlement request", rng)
-        assert verify_sig(kp.pk, b"settlement request", sig)
+        sig = sign(kp, b"settlement request", rng, tag=b"sig/test")
+        assert verify_sig(kp.pk, b"settlement request", sig, tag=b"sig/test")
 
     def test_bit_flip_rejected(self, rng, kp):
-        sig = sign(kp, b"settlement request", rng)
-        assert not verify_sig(kp.pk, b"settlement sequest", sig)
+        sig = sign(kp, b"settlement request", rng, tag=b"sig/test")
+        assert not verify_sig(kp.pk, b"settlement sequest", sig, tag=b"sig/test")
 
     def test_wrong_pk_rejected(self, rng, kp):
-        sig = sign(kp, b"msg", rng)
-        assert not verify_sig(keygen(b"imposter").pk, b"msg", sig)
+        sig = sign(kp, b"msg", rng, tag=b"sig/test")
+        assert not verify_sig(keygen(b"imposter").pk, b"msg", sig, tag=b"sig/test")
 
     def test_domain_separation(self, rng, kp):
         sig = sign(kp, b"msg", rng, tag=b"sig/aggregate")
-        assert not verify_sig(kp.pk, b"msg", sig, tag=b"sig/default")
+        assert not verify_sig(kp.pk, b"msg", sig, tag=b"sig/test")
         assert verify_sig(kp.pk, b"msg", sig, tag=b"sig/aggregate")
 
     def test_random_signatures_reject(self, rng, kp):
@@ -671,7 +671,7 @@ class TestSignatures:
 
         for _ in range(50):
             fake = Signature(random_scalar(rng), random_scalar(rng))
-            assert not verify_sig(kp.pk, b"msg", fake)
+            assert not verify_sig(kp.pk, b"msg", fake, tag=b"sig/test")
 
 
 class TestHybrid:

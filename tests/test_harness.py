@@ -8,7 +8,7 @@ import pytest
 from privads.audit import load_block_log, verify_run, write_block_log
 from privads.bench import format_table, run_bench, simulated_throughput
 from privads.cli import main as cli_main
-from privads.runner import report_bytes, run_scenario
+from privads.runner import public_text, report_bytes, run_scenario
 from privads.scenario import Scenario, ScenarioError, load_scenario
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -179,6 +179,27 @@ class TestRunnerBehavior:
         totals = section(outcome, "ad_totals")["rows"][0]
         assert totals["match"] is True
 
+    def test_reused_ephemeral_key_is_named(self, monkeypatch):
+        # user0 claims and requests in period 1 under its period-0 key
+        from privads.actors import UserAgent
+        from privads.ledger import address_from_pk
+
+        fresh_keys = UserAgent.new_period
+        first = {}
+
+        def reuse_first_key(user, period):
+            fresh_keys(user, period)
+            if user.user_id == "user0":
+                user.ephemeral = first.setdefault(user.user_id, user.ephemeral)
+                user.ephemerals[period] = user.ephemeral.pk.encode()
+                user.accounts[period] = address_from_pk(user.ephemeral.pk)
+
+        monkeypatch.setattr(UserAgent, "new_period", reuse_first_key)
+        outcome = run_scenario(load_scenario(SCENARIOS / "honest_small.yaml"))
+        assert "user0: period 0 ephemeral pk leaked into period 1" in outcome.violations
+        assert "user0: period 1 ephemeral pk leaked into period 0" in outcome.violations
+        assert not any(v.startswith("user1:") for v in outcome.violations)
+
     def test_failed_audit_check_is_a_violation(self, monkeypatch):
         import privads.actors
         from privads.threshold import InvalidShareProof
@@ -271,7 +292,8 @@ class TestRunnerBehavior:
         assert outcome.ok
         blocks = tmp_path / "blocks.jsonl"
         write_block_log(outcome.chains, blocks)
-        text = blocks.read_text()
+        # the log as written, and its public text (args as canonical JSON, points and bytes as plain hex)
+        text = blocks.read_text() + public_text(load_block_log(blocks)[0])
         from privads.contracts import policy_blob
 
         assert str(sentinel_policy) not in text
