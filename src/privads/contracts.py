@@ -97,9 +97,11 @@ class _Contract:
 
     def _state(self) -> dict:
         """The contract's kind plus every public attribute, as plain values
-        that codec.canonical_json wires and sorts.  Each contract class
-        still defines its own state_dict, so perfbench/tracing.py can wrap
-        it on that class."""
+        that codec.canonical_json wires and sorts.  The values are the live
+        attributes, not copies, so a caller that keeps a state to compare
+        with a later one serializes it first.  Each contract class still
+        defines its own state_dict, so perfbench/tracing.py can wrap it on
+        that class."""
         return {"kind": self.KIND, **{k: v for k, v in vars(self).items() if not k.startswith("_")}}
 
 
