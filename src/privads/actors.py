@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .codec import encode_args
-from .contracts import FundContract, PolicyContract, aggregate_message, policy_blob, policy_value
+from .contracts import PolicyContract, aggregate_message, policy_blob, policy_value
 from .group import (
     KeyPair,
     NoSolutionInBound,
@@ -135,7 +135,6 @@ class UserAgent:
             raise ValueError("interaction counts must be non-negative")
         enc_vec = encrypt_vector(self.ephemeral, vector, self.rng)
         enc_vec_prime = encrypt_vector(threshold_key, vector, self.rng)
-        handle.chain.create_account(self.accounts[self.period])  # the claim is its first use
         return handle.chain.call(
             self.accounts[self.period],
             handle.psc_address,
@@ -159,7 +158,6 @@ class UserAgent:
         except NoSolutionInBound:
             return None
         payout_address = address_from_pk(self.payout_kp.pk)
-        handle.chain.create_account(payout_address)
         self.claimed[self.period] = amount
         self.payouts[self.period] = payout_address
         return handle.chain.call(
@@ -328,7 +326,6 @@ class FacilitatorAgent:
     mode: str  # honest | underpay | divert
     account: bytes = b""
     sym_keys: dict = field(default_factory=dict)  # adv_id -> key
-    openings: dict = field(default_factory=dict)  # payout addr -> (tx_ref, blinding, amount)
     diverted: int = 0
     divert_account: bytes = b""
 
@@ -342,8 +339,6 @@ class FacilitatorAgent:
     def deploy_campaign(self, chain: Chain, advertisers, catalog_size: int, reward_cap: int, epoch_blocks: int) -> CampaignHandle:
         """Phase one: agree keys, merge encrypted policies, deploy both
         contracts, register advertisers."""
-        chain.register_contract_class("psc", PolicyContract)
-        chain.register_contract_class("fsc", FundContract)
         rid = chain.call(
             self.account,
             None,
@@ -435,7 +430,6 @@ class FacilitatorAgent:
             blinding = random_scalar(self.rng)
             payments.append((request["addr"], amount, blinding))
         if self.mode == "divert" and surplus:
-            handle.chain.create_account(self.divert_account)
             payments.append((self.divert_account, surplus, random_scalar(self.rng)))
         batch_total = sum(amount for _, amount, _ in payments)
         batch = build_batch(payments, batch_total, self.rng)
@@ -445,7 +439,6 @@ class FacilitatorAgent:
         # hand each user its note opening out-of-band
         marked = {}
         for note, (_, amount, blinding) in zip(batch.notes, payments):
-            self.openings[note.recipient] = (note.tx_ref, blinding, amount)
             user = users_by_payout.get(note.recipient)
             if user is not None:
                 period = next(p for p, addr in user.payouts.items() if addr == note.recipient)
@@ -545,7 +538,6 @@ def run_pool_lifecycle(
     precompute_base(result.public_key.pk)  # every claim encrypts to it
 
     coordinator = winners[0]
-    handle.chain.create_account(coordinator.account)
     handle.chain.call(
         coordinator.account,
         handle.psc_address,
@@ -586,7 +578,6 @@ def pool_analytics(pool: PoolResult, handle: CampaignHandle, rng: Rng) -> list:
         share = pool.shares[participant_id]
         partials = [partial_decrypt(share, ct, rng.child(f"partial/{participant_id}")) for ct in sums]
         registrant = pool.registrants[participant_id]
-        handle.chain.create_account(registrant.account)
         receipts.append(
             handle.chain.call(
                 registrant.account,

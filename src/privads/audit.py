@@ -87,8 +87,9 @@ def verify_run(report_path, blocks_path) -> tuple:
         if replayed != stored:
             findings.append(f"chain {run.chain.chain_id}: replayed block hashes differ from the log")
 
-    # 3. the replayed run's own verdict: reward oracle, analytics totals,
-    # stake equations and token conservation, as the runner checks them
+    # 3. the replayed run's own verdict: reward oracle, analytics totals
+    # and stake equations, as the runner checks them (the replay's ledger
+    # has checked token conservation on every block)
     findings.extend(outcome.violations)
 
     return not findings, findings

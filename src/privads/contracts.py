@@ -44,7 +44,7 @@ from .group import (
     sym_decrypt,
     verify_sig,
 )
-from .ledger import Address, ContractError, ExecutionContext, entry_point, entry_points
+from .ledger import CONTRACT_KINDS, Address, ContractError, ExecutionContext, entry_point, entry_points
 from .payments import open_verify
 from .proofs import DecryptionProof, verify_decryption
 from .threshold import InvalidShareProof, PartialDecryption, ThresholdPublicKey, combine_verified_partials, verify_partials
@@ -75,7 +75,8 @@ def _check_catalog_size(catalog_size: int):
 
 
 class _Contract:
-    """Dispatch of a transaction to one of its subclass's entry points."""
+    """Dispatch of a transaction to one of its subclass's entry points.
+    Defining a subclass makes its KIND deployable."""
 
     KIND: str
     FUNCTIONS: frozenset
@@ -83,6 +84,7 @@ class _Contract:
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls.FUNCTIONS = entry_points(cls)
+        CONTRACT_KINDS[cls.KIND] = cls
 
     def call(self, ctx: ExecutionContext, function: str, args):
         # Looked up by name on every call, so a method replaced on the class

@@ -66,8 +66,6 @@ __all__ = [
     "encrypt",
     "decrypt",
     "recover_plaintext",
-    "add_ciphertexts",
-    "scalar_mul_ciphertext",
     "combine_ciphertexts",
     "msm",
     "mul_gen_batch",
@@ -234,9 +232,10 @@ def _batch_affine(points: Sequence[tuple]) -> list:
 
 # The one store of window tables, for long-lived bases only (_base_table).
 # A run uses G, H and three per chain (its pool key, validator and
-# aggregate-signer keys): 8 with two chains, the most any bundled scenario
-# or benchmark workload has.  A process that runs many scenarios holds at
-# most 8 tables.
+# aggregate-signer keys).  Chains run one after another, so at most 5 are
+# in use at once: `multichain` registers 11 bases over its 3 chains and
+# builds each table once (11 misses, none rebuilt).  A process that runs
+# many scenarios holds at most 8 tables.
 @lru_cache(maxsize=8)
 def _window_table(x: int, y: int) -> tuple:
     """Per-base table T[j][d] = affine d * 2**(6j) * B, d in 1..32, for
@@ -883,16 +882,6 @@ def encrypt(pk: GroupElement, m: int, r: Scalar) -> Ciphertext:
 def decrypt(sk: Scalar, ct: Ciphertext) -> GroupElement:
     """Strip the mask; the message stays in the exponent (returns m*G)."""
     return ct.c2 - ct.c1.mul(sk)
-
-
-def add_ciphertexts(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    return Ciphertext(a.c1 + b.c1, a.c2 + b.c2)
-
-
-def scalar_mul_ciphertext(k: int, ct: Ciphertext) -> Ciphertext:
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    return Ciphertext(ct.c1.mul(k), ct.c2.mul(k))
 
 
 def combine_ciphertexts(weights: Sequence[int], cts: Sequence[Ciphertext]) -> Ciphertext:

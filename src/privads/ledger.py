@@ -13,6 +13,15 @@ block, and identical (seed, transaction sequence) reproduce identical
 hashes.  That state is the chain's fields listed in state_view plus, for
 each contract, its kind and every public attribute (state_dict); contract
 memory that is not state is underscore-named.
+
+Only transactions change that state.  Genesis balances are set when the
+chain is made; after that an account enters `nonces` with the first
+transaction it sends and `balances` with the first credit it receives,
+and nothing else creates one.  A deployable contract kind is one that a
+contract class declares (CONTRACT_KINDS).  Every mined block must conserve
+tokens: balances plus the value held in unredeemed notes equal the
+genesis total, or mine_block raises ConservationBroken before it appends
+the block.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ __all__ = [
     "entry_point",
     "entry_points",
     "BadNonce",
-    "UnknownSender",
+    "ConservationBroken",
     "address_from_pk",
     "private_wrap",
 ]
@@ -67,8 +76,14 @@ class BadNonce(Exception):
     pass
 
 
-class UnknownSender(Exception):
-    pass
+class ConservationBroken(Exception):
+    """The block at `height` left balances plus the note pool unequal to
+    the genesis total: some code minted or burned tokens.  A bug, so it
+    escapes mine_block before the block is appended."""
+
+    def __init__(self, height: int):
+        self.height = height
+        super().__init__(f"token conservation broken in block {height}")
 
 
 class ContractError(Exception):
@@ -116,6 +131,11 @@ def entry_points(cls) -> frozenset:
     return frozenset(
         name.removeprefix("_") for name, f in vars(cls).items() if hasattr(f, "wire_params") and name != "__init__"
     )
+
+
+# Deployable contract kinds, KIND -> class: each contract class enters
+# itself as it is defined (contracts._Contract.__init_subclass__).
+CONTRACT_KINDS: dict[str, type] = {}
 
 
 def address_from_pk(pk: GroupElement) -> Address:
@@ -246,46 +266,27 @@ class Chain:
         # claim checks two aggregate signatures: both serve the whole run.
         precompute_base(self.validator_keypair.pk)
         precompute_base(self.aggregate_keypair.pk)
-        self.balances: dict[Address, int] = {}
+        self.balances: dict[Address, int] = dict(genesis_accounts or {})
+        self.genesis_total = sum(self.balances.values())
         self.nonces: dict[Address, int] = {}
         self.contracts: dict[Address, object] = {}
-        self.contract_classes: dict[str, type] = {}
         self.notes: dict[bytes, object] = {}  # tx_ref -> TransferNote
-        self.redeemed: dict[bytes, bool] = {}
+        self.redeemed: set[bytes] = set()  # tx_refs of redeemed notes
         self.note_pool_value = 0
-        self.genesis_total = 0
         self.pending: list[Transaction] = []
         self.blocks: list[Block] = []
         self.receipts: dict[str, Receipt] = {}
-        for address, balance in (genesis_accounts or {}).items():
-            self.create_account(address, balance, genesis=True)
-
-    # -- accounts ----------------------------------------------------------
-
-    def create_account(self, address: Address, balance: int = 0, genesis: bool = False):
-        if address in self.nonces:
-            return
-        self.nonces[address] = 0
-        self.balances[address] = self.balances.get(address, 0) + balance
-        if genesis:
-            self.genesis_total += balance
-        elif balance:
-            raise ValueError("only genesis accounts may mint balance")
-
-    def next_nonce(self, address: Address) -> int:
-        try:
-            return self.nonces[address]
-        except KeyError:
-            raise UnknownSender(address.hex())
 
     # -- transactions ------------------------------------------------------
 
+    def next_nonce(self, address: Address) -> int:
+        return self.nonces.get(address, 0)
+
     def submit_tx(self, tx: Transaction) -> str:
-        if tx.sender not in self.nonces:
-            raise UnknownSender(tx.sender.hex())
-        if tx.nonce != self.nonces[tx.sender]:
-            raise BadNonce(f"expected {self.nonces[tx.sender]}, got {tx.nonce}")
-        self.nonces[tx.sender] += 1
+        expected = self.next_nonce(tx.sender)
+        if tx.nonce != expected:
+            raise BadNonce(f"expected {expected}, got {tx.nonce}")
+        self.nonces[tx.sender] = expected + 1
         self.pending.append(tx)
         return self._tx_hash(tx)
 
@@ -302,11 +303,6 @@ class Chain:
 
     def _tx_hash(self, tx: Transaction) -> str:
         return hashlib.sha256(json.dumps(tx.record(), sort_keys=True).encode()).hexdigest()[:32]
-
-    # -- contracts ---------------------------------------------------------
-
-    def register_contract_class(self, kind: str, cls: type):
-        self.contract_classes[kind] = cls
 
     def receipt(self, receipt_id: str) -> Receipt:
         return self.receipts[receipt_id]
@@ -326,6 +322,8 @@ class Chain:
             tx_records.append(tx.record())
             receipt_records.append(receipt.record())
             self.receipts[receipt.tx_hash] = receipt
+        if not self.conservation_holds():
+            raise ConservationBroken(height)
         state_hash = self.state_hash()
         parent = self.blocks[-1].block_hash if self.blocks else "genesis"
         block = Block(height, parent, tx_records, receipt_records, state_hash)
@@ -365,10 +363,10 @@ class Chain:
 
     @entry_point
     def _deploy(self, ctx: ExecutionContext, tx: Transaction, *, kind: str, params: dict):
-        if kind not in self.contract_classes:
+        if kind not in CONTRACT_KINDS:
             raise ContractError("UnknownContractKind", kind)
         address = _contract_address(kind, tx.sender, tx.nonce)
-        self.contracts[address] = self.contract_classes[kind](address, tx.sender, params)
+        self.contracts[address] = CONTRACT_KINDS[kind](address, tx.sender, params)
         return {"address": address}
 
     @entry_point
@@ -398,11 +396,11 @@ class Chain:
             raise ContractError("UnknownTxRef")
         if note.recipient != tx.sender:
             raise ContractError("NotNoteRecipient")
-        if self.redeemed.get(note.tx_ref):
+        if note.tx_ref in self.redeemed:
             raise ContractError("AlreadyRedeemed")
         if not open_verify(note.commitment, blinding, amount):
             raise ContractError("BadOpening")
-        self.redeemed[note.tx_ref] = True
+        self.redeemed.add(note.tx_ref)
         self.note_pool_value -= amount
         self.balances[tx.sender] = self.balances.get(tx.sender, 0) + amount
         return None
@@ -422,16 +420,12 @@ class Chain:
             "nonces": {a.hex(): v for a, v in sorted(self.nonces.items())},
             "contracts": {a.hex(): self.contracts[a].state_dict() for a in sorted(self.contracts)},
             "notes": [self.notes[ref] for ref in sorted(self.notes)],
-            "redeemed": sorted(ref.hex() for ref, done in self.redeemed.items() if done),
+            "redeemed": sorted(ref.hex() for ref in self.redeemed),
             "pool_value": self.note_pool_value,
         }
 
     def state_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.state_view()).encode()).hexdigest()
-
-    def dump_state(self, path):
-        with open(path, "w") as fh:
-            fh.write(canonical_json(self.state_view()) + "\n")
 
     def conservation_holds(self) -> bool:
         return sum(self.balances.values()) + self.note_pool_value == self.genesis_total

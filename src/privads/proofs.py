@@ -27,6 +27,7 @@ from .group import (
     scalar_bytes,
     decrypt,
 )
+from .rng import Rng
 
 __all__ = [
     "DecryptionProof",
@@ -225,7 +226,7 @@ def vrf_eval(vrf_keypair: KeyPair, seed: bytes, p: int) -> VrfOutput:
     h, gamma = _vrf_gamma(vrf_keypair, seed, p)
     # The proof nonce is derived, not sampled: evaluation stays a pure
     # function of (sk, seed).
-    nonce_rng = _DerivedRng(vrf_keypair.sk, seed)
+    nonce_rng = Rng(b"privads/v1/vrf/nonce" + scalar_bytes(vrf_keypair.sk) + seed)
     proof = dleq_prove(b"vrf", G, vrf_keypair.pk, h, gamma, vrf_keypair.sk, nonce_rng)
     return VrfOutput(_vrf_rand(gamma, p), gamma, proof)
 
@@ -238,17 +239,3 @@ def vrf_verify(vrf_pk: GroupElement, seed: bytes, out: VrfOutput, p: int) -> boo
         return False
     return out.rand == _vrf_rand(out.gamma, p)
 
-
-class _DerivedRng:
-    """Minimal RNG handle yielding the deterministic DLEQ nonce."""
-
-    def __init__(self, sk: Scalar, seed: bytes):
-        self._state = hashlib.sha256(b"privads/v1/vrf/nonce" + scalar_bytes(sk) + seed).digest()
-
-    def getrandbits(self, n: int) -> int:
-        out = b""
-        counter = 0
-        while len(out) * 8 < n:
-            out += hashlib.sha256(self._state + counter.to_bytes(4, "big")).digest()
-            counter += 1
-        return int.from_bytes(out, "big") >> (len(out) * 8 - n)

@@ -7,11 +7,12 @@ collected separately (RunOutcome.timings, written by `privads run
 --timings`) so they never perturb the report.
 
 Invariant checking is part of the run: reward payouts are compared to a
-plaintext dot-product oracle, analytics to element-wise sums, escrow to
-the stake = payouts + refunds + fees equation, and every block to token
-conservation; every advertiser audit check but the refund equation (the
-stake equation again) must pass.  Detected facilitator misbehavior is not a violation; it is
-recorded as complaints (that is the protocol working).
+plaintext dot-product oracle, analytics to element-wise sums, and escrow
+to the stake = payouts + refunds + fees equation (the ledger itself checks
+token conservation on every block it mines); every advertiser audit check
+but the refund equation (the stake equation again) must pass.  Detected
+facilitator misbehavior is not a violation; it is recorded as complaints
+(that is the protocol working).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class ChainRun:
     oracle_totals: list  # per-slot interaction sums over every user and period
     period_blocks: dict = field(default_factory=dict)  # period -> range of its block heights
     audit_verdicts: list = field(default_factory=list)
-    conservation_ok: bool = True
 
 
 @dataclass
@@ -132,23 +132,15 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
         )
         for gi in user_indices
     ]
-    genesis = {cf.account: 0}
-    for adv in advertisers:
-        genesis[adv.account] = adv.budget + adv.fee
+    genesis = {adv.account: adv.budget + adv.fee for adv in advertisers}
     chain = Chain(chain_index, f"{scenario.seed}/{scenario.name}", genesis)
-
-    def mine():
-        chain.mine_block()
-        if not chain.conservation_holds():
-            run.conservation_ok = False
-
     handle = cf.deploy_campaign(
         chain, advertisers, scenario.catalog_size, scenario.reward_cap, scenario.epoch_blocks
     )
     run = ChainRun(chain, handle, cf, advertisers, users, None, _oracle_totals(scenario, user_indices))
     for adv in advertisers:
         adv.verify_and_stake(handle)
-    mine()
+    chain.mine_block()
 
     start = time.perf_counter()
     registrants = [
@@ -166,7 +158,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
         recovery_bound=max(run.oracle_totals) + 2,
     )
     run.pool = pool
-    mine()
+    chain.mine_block()
     timings["pool_formation_s"].append(time.perf_counter() - start)
 
     users_by_payout = {}
@@ -182,7 +174,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
             user.claim(handle, vector)
             timings["interaction_encryption_s"].append(time.perf_counter() - start)
         start = time.perf_counter()
-        mine()
+        chain.mine_block()
         timings["aggregate_computation_s"].append(time.perf_counter() - start)
 
         for gi, user in users:
@@ -191,33 +183,33 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
             timings["request_generation_s"].append(time.perf_counter() - start)
             if submitted is not None:
                 users_by_payout[user.payouts[period]] = user
-        mine()
+        chain.mine_block()
 
         if period == last_period and users:
             pool_analytics(pool, handle, rng.child("analytics"))
-            mine()
+            chain.mine_block()
 
         if users:
             start = time.perf_counter()
             marked = cf.settle(handle, users_by_payout)
-            mine()
+            chain.mine_block()
             timings["settlement_s"].append(time.perf_counter() - start)
 
             for _, user in users:
                 user.verify_payment(handle, period)
-            mine()
+            chain.mine_block()
 
             cf.mark_processed(handle, marked)
-            mine()
+            chain.mine_block()
 
             for _, user in users:
                 user.redeem(handle, period)
-            mine()
+            chain.mine_block()
         run.period_blocks[period] = range(first_height, chain.height)
 
     for adv in advertisers:
         run.audit_verdicts.append(adv.audit(handle))
-    mine()
+    chain.mine_block()
     return run
 
 
@@ -328,8 +320,6 @@ def _build_report(scenario: Scenario, chain_runs) -> tuple:
             complaint_rows.append({"chain": chain_id, **complaint})
         complaints_total += len([c for c in fsc.complaints if c["kind"] == "insufficient_refund"])
 
-        if not chain.conservation_holds() or not run.conservation_ok:
-            violations.append(f"chain {chain_id}: token conservation broken")
         chain_rows.append(
             {
                 "chain": chain_id,

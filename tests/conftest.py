@@ -6,10 +6,20 @@ import pytest
 
 from privads.codec import encode_args
 from privads.contracts import FundContract, PolicyContract, policy_blob
-from privads.group import KeyPair, dh_agree, encrypt_vector, hybrid_encrypt, keygen, sign, sym_encrypt
+from privads.group import Ciphertext, KeyPair, dh_agree, encrypt_vector, hybrid_encrypt, keygen, sign, sym_encrypt
 from privads.ledger import Chain, address_from_pk
 from privads.rng import Rng
 from privads.threshold import dkg_run, partial_decrypt
+
+
+def add_ciphertexts(a: Ciphertext, b: Ciphertext) -> Ciphertext:
+    """Oracle: the componentwise sum, an encryption of the plaintexts' sum."""
+    return Ciphertext(a.c1 + b.c1, a.c2 + b.c2)
+
+
+def scalar_mul_ciphertext(k: int, ct: Ciphertext) -> Ciphertext:
+    """Oracle: both components times k, an encryption of k times the plaintext."""
+    return Ciphertext(ct.c1.mul(k), ct.c2.mul(k))
 
 
 @dataclass
@@ -65,8 +75,6 @@ def build_campaign(
         budgets[adv_id] = budget
         genesis[address_from_pk(adv_keys[adv_id].pk)] = budget + fee + 10_000
     chain = Chain(0, seed, genesis)
-    chain.register_contract_class("psc", PolicyContract)
-    chain.register_contract_class("fsc", FundContract)
 
     rid = chain.call(
         cf_account,

@@ -18,7 +18,6 @@ from privads.audit import verify_run, write_block_log
 from privads.bench import simulated_throughput, time_interaction_encryption, time_request_generation
 from privads.group import (
     G,
-    add_ciphertexts,
     decrypt,
     encrypt,
     keygen,
@@ -26,7 +25,6 @@ from privads.group import (
     precompute_base,
     random_scalar,
     recover_plaintext,
-    scalar_mul_ciphertext,
 )
 from privads.proofs import (
     DecryptionProof,
@@ -50,6 +48,8 @@ from privads.threshold import (
     max_draw,
     partial_decrypt,
 )
+
+from conftest import add_ciphertexts, scalar_mul_ciphertext
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 

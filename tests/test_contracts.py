@@ -79,7 +79,6 @@ class TestPolicyStorage:
     def test_non_cf_rejected(self):
         campaign = build_campaign(stake=False)
         outsider = address_from_pk(keygen(b"outsider").pk)
-        campaign.chain.create_account(outsider)
         rid = campaign.chain.call(
             outsider, campaign.psc_address, "store_policy", {"index": 0, "enc_policy": b"x"}
         )
@@ -308,7 +307,6 @@ class TestPeriods:
         kp = claim(campaign, [3, 0, 2])
         request_payment(campaign, kp)
         outsider = address_from_pk(keygen(b"outsider").pk)
-        campaign.chain.create_account(outsider)
         rid = campaign.chain.call(outsider, campaign.psc_address, "advance_period", {})
         campaign.mine()
         assert "NotCF" in campaign.chain.receipt(rid).error

@@ -167,8 +167,6 @@ def _campaigns() -> dict:
     staked = build_campaign(seed="typed-staked")
     register_pool(staked)
     unstaked = build_campaign(seed="typed-unstaked", stake=False)
-    for campaign in (staked, unstaked):
-        campaign.chain.create_account(OUTSIDER)
     return {"staked": staked, "unstaked": unstaked}
 
 
@@ -435,7 +433,6 @@ def test_a_contract_of_the_wrong_kind_is_unknown():
 def test_an_unlinked_fsc_fails_with_a_typed_code(campaign):
     """Any sender may deploy an fsc whose epoch is already over and try to
     close it, or register a pool, before linking a psc."""
-    campaign.chain.create_account(OUTSIDER)
     fsc = _deploy(campaign.chain, OUTSIDER, "fsc", {"cf_pk": G, "catalog_size": 3, "epoch_blocks": 0})
     assert _receipt(campaign, fsc, "finalize", {}, OUTSIDER).error == "NotLinked: no psc contract linked"
     pool = {"threshold": 1, "verification": [G], "recovery_bound": 9}
@@ -465,7 +462,6 @@ def test_a_foreign_psc_cannot_reach_the_campaign_fsc():
     buffers a payment request in the campaign's escrow."""
     campaign = build_campaign(stake=False)
     chain = campaign.chain
-    chain.create_account(OUTSIDER)
     key = keygen(b"outsider")
     params = {"cf_pk": key.pk, "catalog_size": 3, "fsc": campaign.fsc_address, "reward_cap": 10_000}
     psc = _deploy(chain, OUTSIDER, "psc", params)

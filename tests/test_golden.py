@@ -14,6 +14,9 @@ as it is.
 
 import functools
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,32 +26,33 @@ from privads.scenario import load_scenario
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 GOLDEN = {
     "divert": (
-        "d453ed872aecd3c3a71cf369edee3b7a70ce7982324518bca0239c51b73f6d03",
-        ["c9bff76c355a6ed53aea7c77a481bd7771cb0a8262a95903559bd3f41c1381b2"],
+        "8f3703653b50bb99b263be7a8b63ae7a3ae9a3a644dbc44ab9205542597ffae9",
+        ["d0833e5308016a58009ce7f14584a65926c50876fc0fffaa11459b34bf2c2add"],
     ),
     "honest_small": (
-        "a13aded36e6c21ce3c85f7eda5b870ca46b70bc07bc4474afde40803316e1513",
-        ["c35a6f88e3f15e9342f0aa954b2803d264c0179a1c7e340b5a50510994963052"],
+        "a3a4cafc0a45b334397eb1e34c3ab3fe4459081bcbc94d1880ecfe0a2564498b",
+        ["9c994942e1cbf12982b05c6e6492971836be7ace5f4bdcfe8b81a3bc0ae1ff3e"],
     ),
     "multichain": (
-        "4cdd8baa235ef7f2d081fd404b04bd63a2c9f9a20667682bce56c44c060d4c0d",
+        "7e61007ddf0314227aafde717da002271fc78649dcbcc591f1c7811dd3676d18",
         [
-            "8b05baa522ea9950ebb32ec9047d6e64b290b5cc0b27c81c565df293d6aa128d",
-            "10f73fe1625de10a693eb95b33ed5357c4cfd2b2453a14555ba09ffa186eba74",
-            "c8059928674a5b9b1b031c29a2ce4c3718f230598723e8193727542388b99233",
+            "37756eb89dbc576f519d22dee1a31c396efb46f3dbf02472aaa734da73739e70",
+            "72624b6bfffc7f52f8096335bba7cf15f24e70fee1a5f7f07c9c08497dc33223",
+            "36cb6c6c796677841cec87a4efb752256dbb23e2c15e0beda69afb0edf92e228",
         ],
     ),
     "strawman": (
-        "4da30411cac9ebd3116e39f7a165630413d3effbdf0ffffcfe2914d8be2181e5",
-        ["169ea02f92163731044715240da7b75aab921a1ec787fc13da423986fe5b7db6"],
+        "6539a41d0fcfee342cea2336f9f805b8c98f565cd1aea526face72dead499251",
+        ["9b3a6ebabbdc8bf6ea47b1e36ae6a87ef877c049a1ebe03501e7d77786c61b92"],
     ),
     "underpay": (
-        "1192c26b60561c53073c0bbb2c98b52dccf74484be8f8e57fd595690e34f1dfe",
-        ["98c255110e406d9d943cad26c2e8e949954ccadde5853fce7c39478b0f0eb701"],
+        "ea5fe7f48daeb682d729a4ad0c3547fbe6443e205208842543ab35f15b805545",
+        ["b74832b4bf6f2fdfb0b13b7def944414a4bf654be365d686290355d1f4e74d84"],
     ),
 }
 
@@ -91,3 +95,16 @@ def test_protocol_values_unchanged(name):
             section = {**section, "rows": rows}
         sections.append(section)
     assert hashlib.sha256(report_bytes(sections)).hexdigest() == PROTOCOL[name]
+
+
+def test_strawman_report_unchanged_under_python_O(tmp_path):
+    # Protocol checks are not asserts: with assert statements stripped the
+    # command line writes the same report bytes.
+    out = tmp_path / "report.jsonl"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-O", "-m", "privads.cli", "run", "--scenario", str(SCENARIOS / "strawman.yaml"), "--out", str(out)],
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["strawman"][0]

@@ -20,7 +20,6 @@ from privads.group import (
     IdentityPoint,
     NoSolutionInBound,
     PlaintextOutOfBound,
-    add_ciphertexts,
     combine_ciphertexts,
     decrypt,
     dh_agree,
@@ -34,7 +33,6 @@ from privads.group import (
     precompute_base,
     random_scalar,
     recover_plaintext,
-    scalar_mul_ciphertext,
     sign,
     sym_decrypt,
     sym_encrypt,
@@ -53,6 +51,8 @@ from privads.group import (
     _window_table,
 )
 from privads.rng import Rng
+
+from conftest import add_ciphertexts, scalar_mul_ciphertext
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import pytest
 from privads.audit import load_block_log, verify_run, write_block_log
 from privads.bench import format_table, run_bench, simulated_throughput
 from privads.cli import main as cli_main
+from privads.ledger import Chain
 from privads.runner import public_text, report_bytes, run_scenario
 from privads.scenario import Scenario, ScenarioError, load_scenario
 
@@ -123,6 +124,27 @@ class TestRunnerBehavior:
         rows = section(outcome, "users")["rows"]
         assert rows[0]["paid"] == rows[0]["oracle"] == 36
         assert outcome.ok
+
+    def test_payout_account_appears_with_its_first_transaction(self, monkeypatch):
+        # The payout address rides in the period's private payment request,
+        # blocks before it sends its redeem_note; the accounts in the state
+        # hold it only from the block of that transaction on.
+        accounts = []
+        mine_block = Chain.mine_block
+
+        def recording(chain):
+            block = mine_block(chain)
+            view = chain.state_view()
+            accounts.append(set(view["balances"]) | set(view["nonces"]))
+            return block
+
+        monkeypatch.setattr(Chain, "mine_block", recording)
+        outcome = run_scenario(load_scenario(SCENARIOS / "strawman.yaml"))
+        ((_, user),) = outcome.chains[0].users
+        payout = user.payouts[0].hex()
+        blocks = outcome.chains[0].chain.blocks
+        first = next(b.height for b in blocks if any(tx["sender"] == payout for tx in b.tx_records))
+        assert [payout in held for held in accounts] == [height >= first for height in range(len(blocks))]
 
     def test_honest_run_clean(self):
         outcome = run_scenario(load_scenario(SCENARIOS / "honest_small.yaml"))

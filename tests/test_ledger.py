@@ -6,13 +6,15 @@ from types import SimpleNamespace
 import pytest
 
 from privads.audit import load_block_log, write_block_log
-from privads.codec import encode_args
-from privads.group import ORDER, random_scalar
+from privads.codec import canonical_json, encode_args
+from privads.contracts import FundContract, PolicyContract
+from privads.group import ORDER, keygen, random_scalar
 from privads.ledger import (
     BadNonce,
     Chain,
+    ConservationBroken,
+    ExecutionContext,
     Transaction,
-    UnknownSender,
     private_wrap,
 )
 from privads.payments import build_batch, serialize_batch
@@ -43,10 +45,43 @@ class TestTransactions:
         with pytest.raises(BadNonce):
             chain.submit_tx(tx)
 
-    def test_unknown_sender(self):
+    def test_unseen_sender_starts_at_nonce_zero(self):
+        # An account comes into being with the first transaction it sends:
+        # no set-up call, and a failed one leaves it no balance entry.
         chain = fresh_chain()
-        with pytest.raises(UnknownSender):
-            chain.call(_addr(9), None, "transfer", {"to": _addr(1), "amount": 1})
+        args = encode_args({"to": _addr(1), "amount": 1})
+        with pytest.raises(BadNonce):
+            chain.submit_tx(Transaction(_addr(9), None, "transfer", args, 1))
+        assert _addr(9) not in chain.nonces
+        rid = chain.submit_tx(Transaction(_addr(9), None, "transfer", args, 0))
+        chain.mine_block()
+        assert chain.receipt(rid).error.startswith("InsufficientBalance")
+        assert chain.nonces[_addr(9)] == 1 and _addr(9) not in chain.balances
+        with pytest.raises(BadNonce):
+            chain.submit_tx(Transaction(_addr(9), None, "transfer", args, 0))
+
+    def test_contract_kinds_are_declared_by_their_classes(self):
+        # No registration call: defining PolicyContract and FundContract
+        # made "psc" and "fsc" deployable on every chain.
+        chain = fresh_chain()
+        cf = keygen(b"kinds")
+        fsc = chain.call(
+            _addr(1), None, "deploy", {"kind": "fsc", "params": {"cf_pk": cf.pk, "catalog_size": 2, "epoch_blocks": 5}}
+        )
+        chain.mine_block()
+        fsc_address = chain.receipt(fsc).ret["address"]
+        psc = chain.call(
+            _addr(1),
+            None,
+            "deploy",
+            {"kind": "psc", "params": {"cf_pk": cf.pk, "catalog_size": 2, "fsc": fsc_address, "reward_cap": 9}},
+        )
+        nope = chain.call(_addr(1), None, "deploy", {"kind": "nope", "params": {}})
+        chain.mine_block()
+        psc_address = chain.receipt(psc).ret["address"]
+        assert type(chain.contracts[fsc_address]) is FundContract
+        assert type(chain.contracts[psc_address]) is PolicyContract
+        assert chain.receipt(nope).error == "UnknownContractKind: nope"
 
     def test_execution_order_is_submission_order(self):
         # both txs spend the same balance; only the first can succeed
@@ -106,15 +141,13 @@ class TestBlocks:
         assert records[0]["hash"] == chain.blocks[0].block_hash
         assert load_block_log(path) == {chain.chain_id: records}
 
-    def test_state_dump_matches_hash(self, tmp_path):
+    def test_state_dump_matches_hash(self):
         import hashlib
 
         chain = fresh_chain()
         chain.call(_addr(1), None, "transfer", {"to": _addr(2), "amount": 1})
         block = chain.mine_block()
-        path = tmp_path / "state.json"
-        chain.dump_state(path)
-        dumped = path.read_text().strip()
+        dumped = canonical_json(chain.state_view())
         assert json.loads(dumped)["balances"]
         assert hashlib.sha256(dumped.encode()).hexdigest() == block.state_hash
 
@@ -145,7 +178,6 @@ class TestPrivateInputs:
         # serialized block when sent as a private input
         chain = fresh_chain()
         sentinel = bytes.fromhex("DEADBEEFCAFEBABE" * 4)
-        chain.create_account(_addr(7))
         rid = chain.call(_addr(7), None, "transfer", {"to": sentinel[:20], "amount": 0}, private=True, rng=Rng("private"))
         block = chain.mine_block()
         raw = json.dumps(block.record()).encode()
@@ -161,11 +193,24 @@ class TestConservationAndNotes:
         chain.mine_block()
         assert chain.conservation_holds()
 
+    def test_minting_native_breaks_conservation(self, monkeypatch):
+        # A planted bug: transfer credits the recipient without debiting
+        # the sender.  mine_block refuses the block it would append.
+        def mint(ctx, src, dst, amount):
+            ctx.chain.balances[dst] = ctx.chain.balances.get(dst, 0) + amount
+
+        monkeypatch.setattr(ExecutionContext, "transfer", mint)
+        chain = fresh_chain()
+        chain.mine_block()
+        chain.call(_addr(1), None, "transfer", {"to": _addr(2), "amount": 5})
+        with pytest.raises(ConservationBroken) as broken:
+            chain.mine_block()
+        assert broken.value.height == 1 and chain.height == 1
+
     def test_batch_and_redemption_conserve(self):
         chain = fresh_chain()
         rng = Rng("batch")
         recipient = _addr(3)
-        chain.create_account(recipient)
         r = random_scalar(rng)
         batch = build_batch([(recipient, 40, r)], 40, rng)
         rid = chain.call(_addr(1), None, "submit_batch", {"batch": serialize_batch(batch), "total": 40})
@@ -185,8 +230,6 @@ class TestConservationAndNotes:
         chain = fresh_chain()
         rng = Rng("batch2")
         recipient = _addr(3)
-        chain.create_account(recipient)
-        chain.create_account(_addr(4))
         r = random_scalar(rng)
         batch = build_batch([(recipient, 40, r)], 40, rng)
         chain.call(_addr(1), None, "submit_batch", {"batch": serialize_batch(batch), "total": 40})
@@ -207,7 +250,6 @@ class TestConservationAndNotes:
         chain = fresh_chain()
         rng = Rng("batch4")
         recipient = _addr(3)
-        chain.create_account(recipient)
         r = random_scalar(rng)
         batch = build_batch([(recipient, 40, r)], 40, rng)
         chain.call(_addr(1), None, "submit_batch", {"batch": serialize_batch(batch), "total": 40})
@@ -215,7 +257,7 @@ class TestConservationAndNotes:
         rid = chain.call(recipient, None, "redeem_note", {"tx_ref": ref, "blinding": r, "amount": 40 + ORDER})
         chain.mine_block()
         assert chain.receipt(rid).error == "BadOpening"
-        assert chain.balances[recipient] == 0 and chain.note_pool_value == 40
+        assert recipient not in chain.balances and chain.note_pool_value == 40
 
     def test_bad_batch_proof_rejected(self):
         chain = fresh_chain()
