@@ -15,11 +15,10 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .codec import encode_args
-from .contracts import PolicyContract, aggregate_message, policy_blob, policy_value
+from .contracts import aggregate_message, policy_blob, policy_value, settlement_message
 from .group import (
     KeyPair,
     NoSolutionInBound,
-    combine_ciphertexts,
     dh_agree,
     encrypt_vector,
     hybrid_encrypt,
@@ -167,7 +166,6 @@ class UserAgent:
             {
                 "user_pk": self.ephemeral.pk,
                 "amount": amount,
-                "reward_sig": sig,
                 "proof": proof,
                 "payout_address": payout_address,
             },
@@ -270,7 +268,7 @@ class AdvertiserAgent:
         verdict = {"advertiser": self.adv_id, "ok": True, "checks": [], "claim_receipt": None}
 
         if fsc.analytics_enc_totals is not None and psc.reported_vectors:
-            sums = _analytics_sums(psc)
+            sums = psc.analytics_sums()
             match = all(
                 a.encode() == b.encode() for a, b in zip(sums, fsc.analytics_enc_totals)
             )
@@ -298,12 +296,6 @@ class AdvertiserAgent:
                 self.account, handle.fsc_address, "claim_insufficient_refund", {"id": self.adv_id}
             )
         return verdict
-
-
-def _analytics_sums(psc: PolicyContract) -> list:
-    """Per-slot homomorphic sum of every reported analytics vector."""
-    vectors = [vec for _, _, vec in psc.reported_vectors]
-    return [combine_ciphertexts([1] * len(vectors), column) for column in zip(*vectors)]
 
 
 def _partials_verify(tpk: ThresholdPublicKey, cts: list, partials: list) -> bool:
@@ -413,7 +405,7 @@ class FacilitatorAgent:
             surplus = max(1, fees)
             self.diverted = surplus
         tau = owed + surplus
-        message = encode_args(["settlement", handle.fsc_address, tau, fsc.settlement_counter])
+        message = settlement_message(handle.fsc_address, tau, fsc.settlement_counter)
         sig = sign(self.keypair, message, self.rng, tag=b"sig/settlement")
         handle.chain.call(self.account, handle.fsc_address, "settlement_request", {"amount": tau, "sig": sig})
 
@@ -550,7 +542,6 @@ def run_pool_lifecycle(
         "register_pool",
         {
             "verification": result.public_key.verification,
-            "threshold": params.threshold,
             "recovery_bound": recovery_bound,
         },
     )
@@ -564,15 +555,13 @@ def run_pool_lifecycle(
 
 
 def pool_analytics(pool: PoolResult, handle: CampaignHandle, rng: Rng) -> list:
-    """Campaign end: the first `threshold` winners each post the summed
-    analytics ciphertexts plus their partial decryptions; the fund
-    contract combines them into per-ad totals."""
-    fsc = handle.fsc
-    psc = handle.psc
-    k = fsc.pool_threshold
-    if not psc.reported_vectors:
+    """Campaign end: the first `threshold` winners each post their partial
+    decryptions of the claims' summed analytics ciphertexts, which the fund
+    contract sums for itself; it combines the posts into per-ad totals."""
+    k = handle.fsc.pool_threshold
+    sums = handle.psc.analytics_sums()
+    if not sums:
         return []
-    sums = _analytics_sums(psc)
     receipts = []
     for participant_id in pool.winners[:k]:
         share = pool.shares[participant_id]
@@ -583,11 +572,7 @@ def pool_analytics(pool: PoolResult, handle: CampaignHandle, rng: Rng) -> list:
                 registrant.account,
                 handle.fsc_address,
                 "post_analytics",
-                {
-                    "enc_totals": sums,
-                    "index": share.index,
-                    "partials": partials,
-                },
+                {"index": share.index, "partials": partials},
             )
         )
     return receipts

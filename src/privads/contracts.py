@@ -69,6 +69,12 @@ def aggregate_message(user_pk: GroupElement, ct: Ciphertext) -> bytes:
     return encode_args({"user_pk": user_pk, "aggregate": ct})
 
 
+def settlement_message(fsc: Address, amount: int, counter: int) -> bytes:
+    """Bytes the facilitator signs to pull `amount` from fund contract
+    `fsc` as its settlement number `counter`."""
+    return encode_args(["settlement", fsc, amount, counter])
+
+
 def _check_catalog_size(catalog_size: int):
     if not 1 <= catalog_size <= MAX_CATALOG:
         raise ContractError("BadParams", f"catalog_size {catalog_size} outside [1, {MAX_CATALOG}]")
@@ -211,26 +217,22 @@ class PolicyContract(_Contract):
             raise ContractError("UnknownUser")
         return self.aggregates[key], self.aggregate_signatures[key]
 
+    def analytics_sums(self) -> list:
+        """Per-slot homomorphic sum of every reported analytics vector;
+        empty before the first claim."""
+        vectors = [vec for _, _, vec in self.reported_vectors]
+        return [combine_ciphertexts([1] * len(vectors), column) for column in zip(*vectors)]
+
     # -- payment requests -------------------------------------------------------
 
     @entry_point
-    def payment_request(
-        self, ctx, *, user_pk: GroupElement, amount: int, reward_sig: Signature, proof: DecryptionProof, payout_address: Address
-    ):
+    def payment_request(self, ctx, *, user_pk: GroupElement, amount: int, proof: DecryptionProof, payout_address: Address):
         if not ctx.private:
             raise ContractError("NotPrivate", "payment requests must be private-input")
         key = user_pk.encode()
         if key not in self.aggregates:
             raise ContractError("UnknownUser")
-        aggregate = self.aggregates[key]
-        if not verify_sig(
-            ctx.chain.aggregate_keypair.pk,
-            aggregate_message(user_pk, aggregate),
-            reward_sig,
-            tag=b"sig/aggregate",
-        ):
-            raise ContractError("BadSignature")
-        if not verify_decryption(user_pk, aggregate, G.mul(amount), proof):
+        if not verify_decryption(user_pk, self.aggregates[key], G.mul(amount), proof):
             raise ContractError("BadProof")
         if key in self.requested_this_period:
             raise ContractError("DuplicateRequest")
@@ -338,16 +340,15 @@ class FundContract(_Contract):
     # -- analytics ----------------------------------------------------------------
 
     @entry_point
-    def register_pool(self, ctx, *, threshold: int, verification: list[GroupElement], recovery_bound: int):
+    def register_pool(self, ctx, *, verification: list[GroupElement], recovery_bound: int):
         """Fix the pool's verification vector once; its head must be the
-        threshold key published in the policy contract."""
+        threshold key published in the policy contract, and its length is
+        the pool's threshold k."""
         if self.pool_verification is not None:
             raise ContractError("AlreadyInitialized", "pool already registered")
         published = ctx.contract(self.psc_address, PolicyContract.KIND).threshold_key
         if published is None or not verification or verification[0] != published:
             raise ContractError("ThresholdKeyMismatch", "vector head must be the published threshold key")
-        if len(verification) != threshold:
-            raise ContractError("ThresholdKeyMismatch", "one commitment per coefficient of a threshold-k key")
         if not 1 <= recovery_bound <= ANALYTICS_BOUND:
             raise ContractError("BadRecoveryBound", f"{recovery_bound} outside [1, {ANALYTICS_BOUND}]")
         self.recovery_bound = recovery_bound
@@ -372,30 +373,31 @@ class FundContract(_Contract):
         return self.analytics_totals or [0] * self.catalog_size
 
     @entry_point
-    def post_analytics(self, ctx, *, enc_totals: list[Ciphertext], index: int, partials: list[PartialDecryption]):
-        """One consensus participant posts the summed ciphertexts plus its
-        partial decryptions, checked against the registered pool key; at
-        threshold the contract combines them into the per-ad totals.  A
-        rejected post leaves no trace."""
+    def post_analytics(self, ctx, *, index: int, partials: list[PartialDecryption]):
+        """One consensus participant posts its partial decryptions of the
+        claims' summed analytics ciphertexts, checked against the
+        registered pool key; at threshold the contract combines them into
+        the per-ad totals.  The first post that passes fixes the sums the
+        policy contract holds at that moment.  A rejected post leaves no
+        trace."""
         if self.pool_key is None:
             raise ContractError("NoPoolKey")
-        if len(enc_totals) != self.catalog_size or len(partials) != self.catalog_size:
+        if len(partials) != self.catalog_size:
             raise ContractError("LengthMismatch")
-        stored = self.analytics_enc_totals
-        if stored is not None and [ct.encode() for ct in enc_totals] != [ct.encode() for ct in stored]:
-            raise ContractError("AnalyticsMismatch", "posted ciphertexts disagree")
         if not 1 <= index < ORDER:  # i +- ORDER would alias share i
             raise ContractError("IndexOutOfRange", str(index))
         if any(post[0].index == index for post in self.analytics_partials):
             raise ContractError("DuplicatePost", str(index))
         if any(partial.index != index for partial in partials):
             raise ContractError("IndexMismatch")
+        enc_totals = self.analytics_enc_totals or ctx.contract(self.psc_address, PolicyContract.KIND).analytics_sums()
+        if not enc_totals:
+            raise ContractError("NoClaims", "no analytics vector to decrypt")
         try:
             verify_partials(self.pool_key, enc_totals, partials)
         except InvalidShareProof:
             raise ContractError("InvalidShareProof", str(index)) from None
-        if stored is None:
-            self.analytics_enc_totals = list(enc_totals)
+        self.analytics_enc_totals = enc_totals
         insort(self.analytics_partials, list(partials), key=lambda post: post[0].index)
         if self.analytics_totals is None and len(self.analytics_partials) >= self.pool_threshold:
             self._combine_analytics()
@@ -417,14 +419,17 @@ class FundContract(_Contract):
     # -- payments -------------------------------------------------------------------
 
     def buffer_payment(self, payout_address: Address, amount: int, user_pk: bytes):
-        """Called by the policy contract after it validated a request."""
+        """Called by the policy contract after it validated a request.  A
+        payout address is paid once, so it takes one request."""
+        if any(req["addr"] == payout_address for req in self.payment_requests):
+            raise ContractError("DuplicatePayoutAddress", payout_address.hex())
         self.payment_requests.append({"addr": payout_address, "amount": amount, "user_pk": user_pk})
 
     @entry_point
     def settlement_request(self, ctx, *, amount: int, sig: Signature):
         if self.status == "failed":
             raise ContractError("CampaignFailed")
-        message = encode_args(["settlement", self.address, amount, self.settlement_counter])
+        message = settlement_message(self.address, amount, self.settlement_counter)
         if not verify_sig(self.cf_pk, message, sig, tag=b"sig/settlement"):
             raise ContractError("BadSignature")
         balance = ctx.chain.balances.get(self.address, 0)
@@ -491,8 +496,7 @@ class FundContract(_Contract):
                 self.top_up_due[adv_id] = -owed
                 owed = 0
             paid = min(owed, ctx.chain.balances.get(self.address, 0))
-            if paid:
-                ctx.transfer(self.address, record["account"], paid)
+            ctx.transfer(self.address, record["account"], paid)
             self.refunds_paid[adv_id] = paid
         self.refunds_done = True
 

@@ -16,12 +16,12 @@ memory that is not state is underscore-named.
 
 Only transactions change that state.  Genesis balances are set when the
 chain is made; after that an account enters `nonces` with the first
-transaction it sends and `balances` with the first credit it receives,
-and nothing else creates one.  A deployable contract kind is one that a
-contract class declares (CONTRACT_KINDS).  Every mined block must conserve
-tokens: balances plus the value held in unredeemed notes equal the
-genesis total, or mine_block raises ConservationBroken before it appends
-the block.
+transaction it sends and `balances` with the first credit it receives
+(a zero transfer is not a credit), and nothing else creates one.  A
+deployable contract kind is one that a contract class declares
+(CONTRACT_KINDS).  Every mined block must conserve tokens: balances
+plus the value held in unredeemed notes equal the genesis total, or
+mine_block raises ConservationBroken before it appends the block.
 """
 
 from __future__ import annotations
@@ -229,6 +229,8 @@ class ExecutionContext:
         balance = self.chain.balances.get(src, 0)
         if balance < amount:
             raise ContractError("InsufficientBalance", f"{src.hex()} holds {balance} < {amount}")
+        if not amount:
+            return  # a zero amount is not a credit, so it creates no account
         self.chain.balances[src] = balance - amount
         self.chain.balances[dst] = self.chain.balances.get(dst, 0) + amount
 

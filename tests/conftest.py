@@ -31,6 +31,7 @@ class Campaign:
     psc_address: bytes = b""
     fsc_address: bytes = b""
     rng: Rng = field(default_factory=lambda: Rng("campaign-fixture"))
+    pool: object = None  # the DKG result register_pool registered, if any
 
     @property
     def psc(self) -> PolicyContract:
@@ -142,37 +143,54 @@ def build_campaign(
 def register_pool(campaign, participants=(1,), threshold=1):
     """Run a DKG among `participants`, publish its key in the policy
     contract and register its verification vector as the campaign's
-    analytics pool; returns the DKG result."""
+    analytics pool; returns the DKG result, also kept as campaign.pool."""
     pool = dkg_run(list(participants), threshold, campaign.rng)
     campaign.cf_call(campaign.psc_address, "store_threshold_key", {"pk": pool.public_key.pk})
     campaign.cf_call(
         campaign.fsc_address,
         "register_pool",
-        {"verification": pool.public_key.verification, "threshold": threshold, "recovery_bound": 2**12},
+        {"verification": pool.public_key.verification, "recovery_bound": 2**12},
     )
     campaign.mine()
+    campaign.pool = pool
     return pool
 
 
-def post_analytics(campaign, pool, enc_totals, index=1, partials=None):
-    """Post participant `index`'s partial decryptions of enc_totals (its
-    honest ones unless `partials` is given); returns the receipt."""
-    if partials is None:
-        partials = [partial_decrypt(pool.shares[index], ct, campaign.rng) for ct in enc_totals]
+def claim_analytics(campaign, enc_totals, tag="analytics"):
+    """Land enc_totals as one claim's analytics vector (and its reward
+    vector, which nobody requests), so they add into the sums the pool
+    decrypts."""
+    user_pk = keygen(b"analytics/" + tag.encode()).pk
     rid = campaign.cf_call(
-        campaign.fsc_address,
-        "post_analytics",
-        {"enc_totals": enc_totals, "index": index, "partials": partials},
+        campaign.psc_address,
+        "compute_aggregate",
+        {"user_pk": user_pk, "enc_vec": enc_totals, "enc_vec_prime": enc_totals},
     )
+    campaign.mine()
+    receipt = campaign.chain.receipt(rid)
+    assert receipt.ok, receipt.error
+
+
+def post_analytics(campaign, pool, index=1, partials=None):
+    """Post participant `index`'s partial decryptions of the claims'
+    analytics sums (its honest ones unless `partials` is given); returns
+    the receipt."""
+    if partials is None:
+        sums = campaign.psc.analytics_sums()
+        partials = [partial_decrypt(pool.shares[index], ct, campaign.rng) for ct in sums]
+    rid = campaign.cf_call(campaign.fsc_address, "post_analytics", {"index": index, "partials": partials})
     campaign.mine()
     return campaign.chain.receipt(rid)
 
 
 def land_analytics(campaign, totals):
-    """Register a one-member pool and post `totals` through it, so the fund
-    contract combines them at once."""
-    pool = register_pool(campaign)
-    receipt = post_analytics(campaign, pool, encrypt_vector(pool.public_key.pk, totals, campaign.rng))
+    """Land `totals` as one claim's analytics vector under the campaign's
+    pool (a one-member pool registered here if it has none) and post
+    through that pool, so the fund contract combines the claims' sums at
+    once."""
+    pool = campaign.pool or register_pool(campaign)
+    claim_analytics(campaign, encrypt_vector(pool.public_key.pk, totals, campaign.rng))
+    receipt = post_analytics(campaign, pool)
     assert receipt.ok, receipt.error
 
 

@@ -27,15 +27,18 @@ from privads.payments import build_batch, serialize_batch
 from privads.proofs import prove_decryption
 from privads.threshold import KeyShare, dkg_run, partial_decrypt
 
-from conftest import build_campaign, land_analytics, post_analytics, register_pool
+from conftest import build_campaign, claim_analytics, land_analytics, post_analytics, register_pool
 
 
 def claim(campaign, vector, tag="user"):
-    """Submit a claim; returns the ephemeral keypair used."""
+    """Submit a claim, its analytics copy under the campaign's pool key (a
+    one-member pool registered here if it has none); returns the ephemeral
+    keypair used."""
     rng = campaign.rng
     kp = keygen(b"eph/" + tag.encode())
+    pool = campaign.pool or register_pool(campaign)
     enc_vec = encrypt_vector(kp.pk, vector, rng)
-    enc_vec_prime = encrypt_vector(kp.pk, vector, rng)  # stand-in analytics copy
+    enc_vec_prime = encrypt_vector(pool.public_key.pk, vector, rng)
     campaign.chain.call(
         campaign.cf_account,
         campaign.psc_address,
@@ -48,7 +51,7 @@ def claim(campaign, vector, tag="user"):
 
 def request_payment(campaign, kp, amount=None, payout=None, rng=None):
     rng = rng or campaign.rng
-    ct, sig = campaign.psc.get_aggregate(kp.pk)
+    ct, _ = campaign.psc.get_aggregate(kp.pk)
     plain, proof = prove_decryption(kp, ct, rng)
     recovered = recover_plaintext(plain, 2**20)
     claim_amount = recovered if amount is None else amount
@@ -60,7 +63,6 @@ def request_payment(campaign, kp, amount=None, payout=None, rng=None):
         {
             "user_pk": kp.pk,
             "amount": claim_amount,
-            "reward_sig": sig,
             "proof": proof,
             "payout_address": payout,
         },
@@ -253,6 +255,18 @@ class TestPaymentRequest:
         ]
         assert recovered == 36
 
+    def test_a_payout_address_takes_one_request(self, campaign):
+        # A payout address is paid once, so a second request naming it
+        # would never be marked; it fails and buffers nothing.
+        first = claim(campaign, [3, 0, 2], tag="first")
+        second = claim(campaign, [1, 1, 1], tag="second")
+        rid, _, payout = request_payment(campaign, first)
+        assert campaign.chain.receipt(rid).ok
+        before = canonical_json(campaign.psc.state_dict()), canonical_json(campaign.fsc.state_dict())
+        rid, _, _ = request_payment(campaign, second, payout=payout)
+        assert campaign.chain.receipt(rid).error == f"DuplicatePayoutAddress: {payout.hex()}"
+        assert (canonical_json(campaign.psc.state_dict()), canonical_json(campaign.fsc.state_dict())) == before
+
     def test_wrong_amount_rejected(self, campaign):
         kp = claim(campaign, [3, 0, 2])
         rid, _, _ = request_payment(campaign, kp, amount=37)
@@ -285,7 +299,7 @@ class TestPaymentRequest:
 
     def test_public_submission_rejected(self, campaign):
         kp = claim(campaign, [3, 0, 2])
-        ct, sig = campaign.psc.get_aggregate(kp.pk)
+        ct, _ = campaign.psc.get_aggregate(kp.pk)
         _, proof = prove_decryption(kp, ct, campaign.rng)
         rid = campaign.cf_call(
             campaign.psc_address,
@@ -293,7 +307,6 @@ class TestPaymentRequest:
             {
                 "user_pk": kp.pk,
                 "amount": 36,
-                "reward_sig": sig,
                 "proof": proof,
                 "payout_address": address_from_pk(kp.pk),
             },
@@ -361,27 +374,64 @@ class TestStaking:
 
 
 class TestAnalyticsPosts:
+    def land(self, campaign, pool, *vectors):
+        """Land each vector as one claim's analytics copy under the pool key."""
+        for i, vector in enumerate(vectors):
+            claim_analytics(campaign, encrypt_vector(pool.public_key.pk, vector, campaign.rng), tag=f"claim{i}")
+
     def test_threshold_combination(self, campaign):
         pool = register_pool(campaign, (1, 2, 3), threshold=2)
-        totals_plain = [5, 0, 7]
-        enc_totals = encrypt_vector(pool.public_key.pk, totals_plain, campaign.rng)
+        self.land(campaign, pool, [2, 0, 3], [3, 0, 4])
         for index in (1, 2):
-            receipt = post_analytics(campaign, pool, enc_totals, index)
+            receipt = post_analytics(campaign, pool, index)
             assert receipt.ok, receipt.error
-        assert campaign.fsc.analytics_totals == totals_plain
+        # oracle: the plaintext sum of the two claims
+        assert campaign.fsc.analytics_totals == [5, 0, 7]
+
+    def test_the_pool_threshold_is_the_vector_length(self, campaign):
+        pool = register_pool(campaign, (1, 2, 3), threshold=2)
+        assert campaign.fsc.pool_verification == tuple(pool.public_key.verification)
+        assert campaign.fsc.pool_threshold == 2
+
+    def test_post_before_any_claim_is_a_typed_code(self, campaign):
+        pool = register_pool(campaign)
+        before = canonical_json(campaign.fsc.state_dict())
+        stray = encrypt_vector(G, [1, 2, 3], campaign.rng)
+        partials = [partial_decrypt(pool.shares[1], ct, campaign.rng) for ct in stray]
+        receipt = post_analytics(campaign, pool, 1, partials=partials)
+        assert receipt.error == "NoClaims: no analytics vector to decrypt"
+        assert canonical_json(campaign.fsc.state_dict()) == before
 
     def test_rejected_first_post_stores_nothing(self, campaign):
+        # Member 3 posts first, decrypting the first claim's analytics
+        # vector alone: the contract checks its partials against the sums
+        # it takes from the claims, so the post fails, fixes nothing and
+        # cannot block the honest posts.
         pool = register_pool(campaign, (1, 2, 3), threshold=2)
-        enc_totals = encrypt_vector(pool.public_key.pk, [5, 0, 7], campaign.rng)
-        junk_totals = encrypt_vector(pool.public_key.pk, [9, 9, 9], campaign.rng)
-        junk = [partial_decrypt(pool.shares[3], ct, campaign.rng) for ct in enc_totals]
+        self.land(campaign, pool, [2, 0, 3], [3, 0, 4])
+        first_vector = campaign.psc.reported_vectors[0][2]
+        junk = [partial_decrypt(pool.shares[3], ct, campaign.rng) for ct in first_vector]
         before = canonical_json(campaign.fsc.state_dict())
-        receipt = post_analytics(campaign, pool, junk_totals, 3, partials=junk)
-        assert "InvalidShareProof" in receipt.error
+        receipt = post_analytics(campaign, pool, 3, partials=junk)
+        assert receipt.error == "InvalidShareProof: 3"
         assert canonical_json(campaign.fsc.state_dict()) == before
         for index in (1, 2):
-            receipt = post_analytics(campaign, pool, enc_totals, index)
+            receipt = post_analytics(campaign, pool, index)
             assert receipt.ok, receipt.error
+        assert campaign.fsc.analytics_totals == [5, 0, 7]
+
+    def test_the_first_post_fixes_the_sums(self, campaign):
+        # A claim landing after the first post changes the policy
+        # contract's sums but not the ones being decrypted; the audit's
+        # homomorphic_sum_matches check is what reports it.
+        pool = register_pool(campaign, (1, 2, 3), threshold=2)
+        self.land(campaign, pool, [5, 0, 7])
+        fixed = campaign.psc.analytics_sums()
+        assert post_analytics(campaign, pool, 1).ok
+        claim_analytics(campaign, encrypt_vector(pool.public_key.pk, [1, 1, 1], campaign.rng), tag="late")
+        partials = [partial_decrypt(pool.shares[2], ct, campaign.rng) for ct in fixed]
+        receipt = post_analytics(campaign, pool, 2, partials=partials)
+        assert receipt.ok, receipt.error
         assert campaign.fsc.analytics_totals == [5, 0, 7]
 
     def test_each_partial_checked_once_in_a_batch(self, campaign, monkeypatch):
@@ -390,8 +440,9 @@ class TestAnalyticsPosts:
 
         rng = campaign.rng
         pool = register_pool(campaign, (1, 2, 3), threshold=2)
-        enc_totals = encrypt_vector(pool.public_key.pk, [5, 0, 7], rng)
-        posts = {i: [partial_decrypt(pool.shares[i], ct, rng) for ct in enc_totals] for i in (1, 2)}
+        self.land(campaign, pool, [5, 0, 7])
+        sums = campaign.psc.analytics_sums()
+        posts = {i: [partial_decrypt(pool.shares[i], ct, rng) for ct in sums] for i in (1, 2)}
         single, batched = [], []
 
         def counted_single(*args):
@@ -407,7 +458,7 @@ class TestAnalyticsPosts:
         monkeypatch.setattr(privads.threshold, "dleq_verify", counted_single)
         monkeypatch.setattr(privads.threshold, "dleq_first_invalid", counted_batch)
         for index, partials in posts.items():
-            post_analytics(campaign, pool, enc_totals, index, partials=partials)
+            post_analytics(campaign, pool, index, partials=partials)
         assert campaign.fsc.analytics_totals == [5, 0, 7]
         assert single == []
         assert batched == [3, 3]
@@ -415,10 +466,10 @@ class TestAnalyticsPosts:
     def test_forged_partial_rejected(self, campaign):
         rng = campaign.rng
         pool = register_pool(campaign, (1, 2), threshold=2)
-        enc_totals = encrypt_vector(pool.public_key.pk, [1, 2, 3], rng)
-        partials = [partial_decrypt(pool.shares[1], ct, rng) for ct in enc_totals]
+        self.land(campaign, pool, [1, 2, 3])
+        partials = [partial_decrypt(pool.shares[1], ct, rng) for ct in campaign.psc.analytics_sums()]
         forged = [type(p)(p.index, p.share_point + G, p.proof) for p in partials]
-        receipt = post_analytics(campaign, pool, enc_totals, 1, partials=forged)
+        receipt = post_analytics(campaign, pool, 1, partials=forged)
         assert "InvalidShareProof" in receipt.error
 
     def test_post_cannot_bring_its_own_verification_vector(self, campaign):
@@ -429,12 +480,12 @@ class TestAnalyticsPosts:
         rng = campaign.rng
         pool = register_pool(campaign, (1, 2, 3), threshold=2)
         pk = pool.public_key.pk
-        enc_totals = encrypt_vector(pk, [5, 0, 7], rng)
+        self.land(campaign, pool, [5, 0, 7])
         s = random_scalar(rng)
         made_up = KeyShare(3, s, G.mul(s))
         forged_vector = [pk, (G.mul(s) - pk).mul(pow(3, -1, ORDER))]
-        forged = [partial_decrypt(made_up, ct, rng) for ct in enc_totals]
-        post = {"enc_totals": enc_totals, "index": 3, "partials": forged}
+        forged = [partial_decrypt(made_up, ct, rng) for ct in campaign.psc.analytics_sums()]
+        post = {"index": 3, "partials": forged}
         carried = campaign.cf_call(
             campaign.fsc_address, "post_analytics", {**post, "tpk_pk": pk, "tpk_vector": forged_vector}
         )
@@ -443,7 +494,7 @@ class TestAnalyticsPosts:
         assert campaign.chain.receipt(carried).error == "BadArgs: unknown tpk_pk, unknown tpk_vector"
         assert "InvalidShareProof" in campaign.chain.receipt(rid).error
         for index in (1, 2):
-            receipt = post_analytics(campaign, pool, enc_totals, index)
+            receipt = post_analytics(campaign, pool, index)
             assert receipt.ok, receipt.error
         assert campaign.fsc.analytics_totals == [5, 0, 7]
 
@@ -452,45 +503,47 @@ class TestAnalyticsPosts:
         # modulo ORDER would pass the proof check and then break every
         # Lagrange combination; the contract refuses it outright.
         pool = register_pool(campaign, (1, 2, 3), threshold=2)
-        enc_totals = encrypt_vector(pool.public_key.pk, [5, 0, 7], campaign.rng)
-        honest = [partial_decrypt(pool.shares[1], ct, campaign.rng) for ct in enc_totals]
-        assert post_analytics(campaign, pool, enc_totals, 1, partials=honest).ok
+        self.land(campaign, pool, [5, 0, 7])
+        honest = [partial_decrypt(pool.shares[1], ct, campaign.rng) for ct in campaign.psc.analytics_sums()]
+        assert post_analytics(campaign, pool, 1, partials=honest).ok
         for index in (0, 1 - ORDER, 1 + ORDER):
             before = canonical_json(campaign.fsc.state_dict())
             replay = [type(p)(index, p.share_point, p.proof) for p in honest]
-            receipt = post_analytics(campaign, pool, enc_totals, index, partials=replay)
+            receipt = post_analytics(campaign, pool, index, partials=replay)
             assert "IndexOutOfRange" in receipt.error
             assert canonical_json(campaign.fsc.state_dict()) == before
         for index in (2, 3):
-            receipt = post_analytics(campaign, pool, enc_totals, index)
+            receipt = post_analytics(campaign, pool, index)
             assert receipt.ok, receipt.error
         assert campaign.fsc.analytics_totals == [5, 0, 7]
 
-    @pytest.mark.parametrize("bad", ["other_key", "short_vector"])
+    @pytest.mark.parametrize("bad", ["other_key", "empty_vector"])
     def test_register_pool_checks_the_published_key(self, campaign, bad):
         pool = dkg_run([1, 2], 2, campaign.rng)
         campaign.cf_call(campaign.psc_address, "store_threshold_key", {"pk": pool.public_key.pk})
         if bad == "other_key":
             verification = dkg_run([1, 2], 2, campaign.rng).public_key.verification
         else:
-            verification = pool.public_key.verification[:1]
+            verification = []
         rid = campaign.cf_call(
             campaign.fsc_address,
             "register_pool",
-            {"verification": verification, "threshold": 2, "recovery_bound": 2**12},
+            {"verification": verification, "recovery_bound": 2**12},
         )
         campaign.mine()
         assert "ThresholdKeyMismatch" in campaign.chain.receipt(rid).error
         assert campaign.fsc.pool_key is None
 
 
-def settle_campaign(campaign, kps_with_amounts, pool_totals, underpay_addr=None, surplus=0):
-    """Drive settlement: analytics, settlement request, batch, processed marks.
+def settle_campaign(campaign, kps_with_amounts, underpay_addr=None, surplus=0):
+    """Drive settlement: analytics over the claims, settlement request,
+    batch, processed marks.
 
     Returns {payout_addr: (tx_ref, blinding, amount_paid)}.
     """
     rng = campaign.rng
-    land_analytics(campaign, pool_totals)
+    receipt = post_analytics(campaign, campaign.pool)
+    assert receipt.ok, receipt.error
 
     pending = campaign.fsc.payment_requests
     total = sum(r["amount"] for r in pending) + surplus
@@ -526,7 +579,7 @@ class TestSettlementAndClose:
         kp = claim(campaign, [3, 0, 2])
         request_payment(campaign, kp)
         escrow_before = campaign.chain.balances[campaign.fsc_address]
-        settle_campaign(campaign, [(kp, 36)], [3, 0, 2])
+        settle_campaign(campaign, [(kp, 36)])
         assert campaign.fsc.settled_total == 36
         assert escrow_before - campaign.chain.balances[campaign.fsc_address] == 36
         # the whole tau went into the settlement batch
@@ -550,7 +603,7 @@ class TestSettlementAndClose:
     def test_full_close_pays_fees_and_refunds(self, campaign):
         kp = claim(campaign, [3, 0, 2])
         request_payment(campaign, kp)
-        notes = settle_campaign(campaign, [(kp, 36)], [3, 0, 2])
+        notes = settle_campaign(campaign, [(kp, 36)])
         (payout_addr, (tx_ref, _, _)), = notes.items()
         adv_id, _, account, budget, fee, _, policies = campaign.advertisers[0]
         before_adv = campaign.chain.balances[account]
@@ -575,7 +628,7 @@ class TestSettlementAndClose:
         campaign = build_campaign()
         kp = claim(campaign, [0, 0, 0], tag="idle")
         request_payment(campaign, kp)
-        notes = settle_campaign(campaign, [(kp, 0)], [0, 0, 0])
+        notes = settle_campaign(campaign, [(kp, 0)])
         (payout_addr, (tx_ref, _, _)), = notes.items()
         adv_id, _, account, budget, fee, _, _ = campaign.advertisers[0]
         campaign.cf_call(campaign.fsc_address, "payment_processed", {"tx_ref": tx_ref, "addr": payout_addr})
@@ -612,7 +665,7 @@ class TestSettlementAndClose:
     def test_double_mark_idempotent(self, campaign):
         kp = claim(campaign, [3, 0, 2])
         request_payment(campaign, kp)
-        notes = settle_campaign(campaign, [(kp, 36)], [3, 0, 2])
+        notes = settle_campaign(campaign, [(kp, 36)])
         (payout_addr, (tx_ref, _, _)), = notes.items()
         campaign.cf_call(campaign.fsc_address, "payment_processed", {"tx_ref": tx_ref, "addr": payout_addr})
         rid = campaign.cf_call(campaign.fsc_address, "payment_processed", {"tx_ref": tx_ref, "addr": payout_addr})
@@ -626,9 +679,7 @@ class TestComplaints:
         campaign = build_campaign()
         kp = claim(campaign, [3, 0, 2])
         _, _, payout = request_payment(campaign, kp)
-        notes = settle_campaign(
-            campaign, [(kp, 36)], [3, 0, 2], underpay_addr=payout if underpay else None
-        )
+        notes = settle_campaign(campaign, [(kp, 36)], underpay_addr=payout if underpay else None)
         tx_ref, blinding, paid = notes[payout]
         return campaign, kp, payout, tx_ref, blinding, paid
 
@@ -683,7 +734,7 @@ class TestComplaints:
         campaign = build_campaign()
         kp = claim(campaign, [3, 0, 2])
         _, _, payout = request_payment(campaign, kp)
-        notes = settle_campaign(campaign, [(kp, 36)], [3, 0, 2], surplus=500)
+        notes = settle_campaign(campaign, [(kp, 36)], surplus=500)
         tx_ref, _, _ = notes[payout]
         campaign.cf_call(campaign.fsc_address, "payment_processed", {"tx_ref": tx_ref, "addr": payout})
         campaign.mine()
@@ -698,7 +749,7 @@ class TestComplaints:
         campaign = build_campaign()
         kp = claim(campaign, [3, 0, 2])
         _, _, payout = request_payment(campaign, kp)
-        notes = settle_campaign(campaign, [(kp, 36)], [3, 0, 2])
+        notes = settle_campaign(campaign, [(kp, 36)])
         tx_ref, _, _ = notes[payout]
         campaign.cf_call(campaign.fsc_address, "payment_processed", {"tx_ref": tx_ref, "addr": payout})
         campaign.mine()

@@ -34,7 +34,7 @@ from privads.proofs import DecryptionProof, VrfOutput
 from privads.rng import Rng
 from privads.threshold import PartialDecryption, dkg_run
 
-from conftest import build_campaign, post_analytics, register_pool
+from conftest import build_campaign, claim_analytics, post_analytics, register_pool
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "privads"
 # Every code a ContractError is raised with somewhere in the program.
@@ -62,10 +62,11 @@ def test_every_entry_point_declares_its_args():
     assert ENTRY_POINTS["psc"]["payment_request"] == {
         "user_pk": GroupElement,
         "amount": int,
-        "reward_sig": Signature,
         "proof": DecryptionProof,
         "payout_address": Address,
     }
+    assert ENTRY_POINTS["fsc"]["post_analytics"] == {"index": int, "partials": list[PartialDecryption]}
+    assert ENTRY_POINTS["fsc"]["register_pool"] == {"verification": list[GroupElement], "recovery_bound": int}
     assert ENTRY_POINTS["fsc"]["finalize"] == {}
     assert CONSTRUCTORS["fsc"] == {"cf_pk": GroupElement, "catalog_size": int, "epoch_blocks": int}
 
@@ -194,7 +195,7 @@ def _assert_typed(records):
 @example(call=("staked", "cf", "psc", "store_encrypted_keys", [1, 2], True))
 @example(call=("staked", "cf", "fsc", "finalize", {"extra": 1}, False))
 @example(call=("unstaked", "cf", "fsc", "store_adv_id", {"id": "a", "account": b"", "budget": 1, "fee": 1, "ads": [-1, 99]}, False))
-@example(call=("unstaked", "cf", "fsc", "register_pool", {"threshold": 1, "verification": [G], "recovery_bound": 2**64}, False))
+@example(call=("unstaked", "cf", "fsc", "register_pool", {"verification": [G], "recovery_bound": 2**64}, False))
 @example(call=("staked", "cf", None, "transfer", {"to": b"\x01" * 20, "amount": True}, False))
 def test_every_call_gets_an_ok_or_typed_receipt(call):
     _assert_typed(_send(*call))
@@ -292,7 +293,7 @@ def test_malformed_args_get_typed_codes(campaign, args, error):
         (
             "psc",
             "payment_request",
-            {"user_pk": G, "amount": 1, "reward_sig": Signature(1, 2), "proof": DecryptionProof(G, G, 1, 1)},
+            {"user_pk": G, "amount": 1, "proof": DecryptionProof(G, G, 1, 1)},
             "payout_address",
         ),
     ],
@@ -354,7 +355,7 @@ def test_register_pool_bounds_the_recovery_bound(campaign, bound):
     campaign.cf_call(campaign.psc_address, "store_threshold_key", {"pk": pool.public_key.pk})
     campaign.mine()
     before = _state(campaign.fsc)
-    args = {"threshold": 1, "verification": pool.public_key.verification, "recovery_bound": bound}
+    args = {"verification": pool.public_key.verification, "recovery_bound": bound}
     receipt = _receipt(campaign, campaign.fsc_address, "register_pool", args)
     assert receipt.error == f"BadRecoveryBound: {bound} outside [1, {ANALYTICS_BOUND}]"
     assert _state(campaign.fsc) == before
@@ -368,7 +369,7 @@ def test_the_recovery_bound_is_state():
         campaign = build_campaign()
         pool = dkg_run([1], 1, campaign.rng)
         campaign.cf_call(campaign.psc_address, "store_threshold_key", {"pk": pool.public_key.pk})
-        args = {"threshold": 1, "verification": pool.public_key.verification, "recovery_bound": bound}
+        args = {"verification": pool.public_key.verification, "recovery_bound": bound}
         assert _receipt(campaign, campaign.fsc_address, "register_pool", args).ok
         states.append((_state(campaign.fsc), campaign.chain.state_hash()))
     (fsc_a, chain_a), (fsc_b, chain_b) = states
@@ -394,13 +395,14 @@ def test_a_zero_settlement_changes_the_fund_state(campaign):
 
 
 def test_unrecoverable_total_is_a_typed_code(campaign):
-    # A 1-of-1 pool whose middle slot decrypts to -1: no discrete log below
-    # the registered bound.
+    # A 1-of-1 pool and one claim whose middle analytics slot decrypts to
+    # -1: no discrete log below the registered bound.
     pool = register_pool(campaign)
     pk = pool.public_key.pk
     enc_totals = encrypt_vector(pk, [5, 0, 7], campaign.rng)
     enc_totals[1] = Ciphertext(enc_totals[1].c1, enc_totals[1].c2 - G)
-    receipt = post_analytics(campaign, pool, enc_totals)
+    claim_analytics(campaign, enc_totals)
+    receipt = post_analytics(campaign, pool)
     assert receipt.error == "NoSolutionInBound: no discrete log below 4096"
 
 
@@ -435,7 +437,7 @@ def test_an_unlinked_fsc_fails_with_a_typed_code(campaign):
     close it, or register a pool, before linking a psc."""
     fsc = _deploy(campaign.chain, OUTSIDER, "fsc", {"cf_pk": G, "catalog_size": 3, "epoch_blocks": 0})
     assert _receipt(campaign, fsc, "finalize", {}, OUTSIDER).error == "NotLinked: no psc contract linked"
-    pool = {"threshold": 1, "verification": [G], "recovery_bound": 9}
+    pool = {"verification": [G], "recovery_bound": 9}
     assert _receipt(campaign, fsc, "register_pool", pool, OUTSIDER).error == "NotLinked: no psc contract linked"
     claim = _receipt(campaign, fsc, "claim_insufficient_refund", {"id": "adv0"}, OUTSIDER)
     assert claim.error == "UnknownAdvertiser: adv0"

@@ -222,6 +222,61 @@ class TestRunnerBehavior:
         assert "user0: period 1 ephemeral pk leaked into period 0" in outcome.violations
         assert not any(v.startswith("user1:") for v in outcome.violations)
 
+    def test_reused_payout_address_does_not_block_the_close(self, monkeypatch):
+        # user0 keeps its period-0 payout key: its period-1 request names an
+        # address that already has a request, so it fails with a typed code
+        # and every buffered request is still marked, which closes the
+        # campaign (fees and refunds paid).
+        from privads.actors import UserAgent
+        from privads.ledger import address_from_pk
+
+        fresh_keys = UserAgent.new_period
+        first = {}
+
+        def reuse_first_payout(user, period):
+            fresh_keys(user, period)
+            if user.user_id == "user0":
+                user.payout_kp = first.setdefault(user.user_id, user.payout_kp)
+
+        monkeypatch.setattr(UserAgent, "new_period", reuse_first_payout)
+        outcome = run_scenario(load_scenario(SCENARIOS / "honest_small.yaml"))
+        (run,) = outcome.chains
+        errors = [r["error"] for block in run.chain.blocks for r in block.receipt_records if not r["ok"]]
+        assert errors == [f"DuplicatePayoutAddress: {address_from_pk(first['user0'].pk).hex()}"]
+        fsc = run.handle.fsc
+        assert len(fsc.payment_requests) == len(fsc.payed_requests) == 11
+        assert fsc.refunds_done
+
+    def test_a_first_post_cannot_choose_what_the_pool_decrypts(self, monkeypatch):
+        # Before the honest posts, pool member 3 posts its partial
+        # decryptions of the first claim's analytics vector alone.  The
+        # fund contract checks them against the claims' sums it computes
+        # itself, so the post fails and the honest posts still combine to
+        # the oracle totals.
+        import privads.runner
+        from privads.threshold import partial_decrypt
+
+        honest_posts = privads.runner.pool_analytics
+        bogus = []
+
+        def bogus_first(pool, handle, rng):
+            member = pool.winners[2]
+            share = pool.shares[member]
+            first_vector = handle.psc.reported_vectors[0][2]
+            partials = [partial_decrypt(share, ct, rng.child("bogus")) for ct in first_vector]
+            post = {"index": share.index, "partials": partials}
+            bogus.append(handle.chain.call(pool.registrants[member].account, handle.fsc_address, "post_analytics", post))
+            return honest_posts(pool, handle, rng)
+
+        monkeypatch.setattr(privads.runner, "pool_analytics", bogus_first)
+        outcome = run_scenario(load_scenario(SCENARIOS / "honest_small.yaml"))
+        (run,) = outcome.chains
+        (rid,) = bogus
+        assert run.chain.receipt(rid).error == "InvalidShareProof: 3"
+        assert run.handle.fsc.analytics_totals == run.oracle_totals
+        assert run.handle.fsc.refunds_done
+        assert outcome.ok, outcome.violations
+
     def test_failed_audit_check_is_a_violation(self, monkeypatch):
         import privads.actors
         from privads.threshold import InvalidShareProof

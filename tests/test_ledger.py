@@ -60,6 +60,14 @@ class TestTransactions:
         with pytest.raises(BadNonce):
             chain.submit_tx(Transaction(_addr(9), None, "transfer", args, 0))
 
+    def test_a_zero_transfer_creates_no_account(self):
+        # A zero amount is no credit: neither end enters balances.
+        chain = fresh_chain()
+        rid = chain.call(_addr(7), None, "transfer", {"to": _addr(9), "amount": 0})
+        chain.mine_block()
+        assert chain.receipt(rid).ok
+        assert chain.balances == {_addr(1): 1000, _addr(2): 500}
+
     def test_contract_kinds_are_declared_by_their_classes(self):
         # No registration call: defining PolicyContract and FundContract
         # made "psc" and "fsc" deployable on every chain.
