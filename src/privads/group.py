@@ -42,6 +42,8 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
+from .forking import fork_map
+
 __all__ = [
     "ORDER",
     "Scalar",
@@ -846,8 +848,18 @@ def keygen(seed: bytes) -> KeyPair:
 
 
 def keygen_batch(seeds: Sequence[bytes]) -> list[KeyPair]:
-    """[keygen(seed) for seed in seeds], the public keys from one
-    mul_gen_batch."""
+    """[keygen(seed) for seed in seeds], for seeds that belong to separate
+    parties (the pool lottery's registrants, each deriving its own key).
+
+    Independent parties' work runs on every usable CPU: forking.fork_map
+    splits the seeds into chunks of at least forking.CHUNK_MIN, one per
+    CPU, and each chunk takes its public keys from one mul_gen_batch.  A
+    smaller batch is one in-process call.  The keys are the same for any
+    CPU count."""
+    return fork_map(_keygen_chunk, seeds)
+
+
+def _keygen_chunk(seeds: Sequence[bytes]) -> list[KeyPair]:
     sks = [_keygen_secret(seed) for seed in seeds]
     return [KeyPair(sk, pk) for sk, pk in zip(sks, mul_gen_batch(sks))]
 

@@ -404,7 +404,8 @@ class Chain:
             raise ContractError("BadOpening")
         self.redeemed.add(note.tx_ref)
         self.note_pool_value -= amount
-        self.balances[tx.sender] = self.balances.get(tx.sender, 0) + amount
+        if amount:  # a zero amount is not a credit, so it creates no account
+            self.balances[tx.sender] = self.balances.get(tx.sender, 0) + amount
         return None
 
     @entry_point

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from .forking import fork_map
 from .group import (
     G,
     ORDER,
@@ -214,11 +215,21 @@ def vrf_rand(vrf_keypair: KeyPair, seed: bytes, p: int) -> int:
 
 def vrf_rand_batch(vrf_keypairs, seed: bytes, p: int) -> list[int]:
     """[vrf_rand(kp, seed, p) for kp in vrf_keypairs]: one lottery round's
-    draws, their sk*h multiplies as lanes of one group.mul_batch.  Raises
-    ValueError as vrf_rand does, for an empty list too."""
+    draws.  Raises ValueError as vrf_rand does, for an empty list too.
+
+    Each registrant evaluates its own VRF, so the draws are independent
+    parties' work and run on every usable CPU: forking.fork_map splits the
+    keypairs into chunks of at least forking.CHUNK_MIN, one per CPU, and
+    each chunk runs its sk*h multiplies as lanes of one group.mul_batch.
+    A smaller batch is one in-process call.  The draws are the same for any
+    CPU count."""
     _check_draw(seed, p)
-    points = [_vrf_point(kp.pk, seed) for kp in vrf_keypairs]
-    return [_vrf_rand(gamma, p) for gamma in mul_batch([kp.sk for kp in vrf_keypairs], points)]
+
+    def draws(keypairs):
+        points = [_vrf_point(kp.pk, seed) for kp in keypairs]
+        return [_vrf_rand(gamma, p) for gamma in mul_batch([kp.sk for kp in keypairs], points)]
+
+    return fork_map(draws, vrf_keypairs)
 
 
 def vrf_eval(vrf_keypair: KeyPair, seed: bytes, p: int) -> VrfOutput:

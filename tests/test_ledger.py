@@ -267,6 +267,21 @@ class TestConservationAndNotes:
         assert chain.receipt(rid).error == "BadOpening"
         assert recipient not in chain.balances and chain.note_pool_value == 40
 
+    def test_a_zero_note_redemption_creates_no_account(self):
+        # The note is spent, but a zero amount is no credit.
+        chain = fresh_chain()
+        rng = Rng("batch5")
+        recipient = _addr(3)
+        r = random_scalar(rng)
+        batch = build_batch([(recipient, 0, r)], 0, rng)
+        chain.call(_addr(1), None, "submit_batch", {"batch": serialize_batch(batch), "total": 0})
+        ref = batch.notes[0].tx_ref
+        ok = chain.call(recipient, None, "redeem_note", {"tx_ref": ref, "blinding": r, "amount": 0})
+        dup = chain.call(recipient, None, "redeem_note", {"tx_ref": ref, "blinding": r, "amount": 0})
+        chain.mine_block()
+        assert chain.receipt(ok).ok and chain.receipt(dup).error == "AlreadyRedeemed"
+        assert chain.balances == {_addr(1): 1000, _addr(2): 500}
+
     def test_bad_batch_proof_rejected(self):
         chain = fresh_chain()
         rng = Rng("batch3")

@@ -1,26 +1,37 @@
-"""Every name perfbench/tracing.py wraps still exists where it looks for it.
+"""The traced benchmark still runs: every name perfbench/tracing.py wraps
+exists where it looks for it, and a traced child passes its checks.
 
 The tracer replaces functions and methods by name, so renaming or deleting
-one breaks only a traced benchmark run.  This test reads the tracer's
-tables without installing anything.
+one breaks only a traced benchmark run.  The perfbench modules are run
+from their source, so nothing is written next to them.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+from unittest import mock
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing():
-    """The tracer module, run from its source so nothing is written next
-    to it."""
-    module = types.ModuleType("perfbench_tracing")
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+def _perfbench(name, **imports):
+    """perfbench/<name>.py run from its source, with `imports` standing in
+    for the perfbench modules it imports by name."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    with mock.patch.dict(sys.modules, imports):
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
-tracing = _tracing()
+tracing = _perfbench("tracing")
+metrics = _perfbench("metrics", tracing=tracing)
 
 
 def _module(name):
@@ -44,3 +55,16 @@ def test_every_traced_method_is_defined_on_its_class():
         if method not in getattr(_module(module), cls_name).__dict__
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["pool", "users"])
+def test_a_traced_child_passes_its_checks(workload, tmp_path):
+    # The run the traced benchmark makes: the correctness gate, and a root
+    # span whose uncovered time stays under metrics.UNCOVERED_MAX.
+    spans = tmp_path / "spans.json"
+    cmd = [sys.executable, str(PERFBENCH / "child.py"), "--workload", workload, "--seed", "1", "--mode", "trace"]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(cmd + ["--spans", str(spans)], capture_output=True, text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["failures"] == []
+    assert metrics.coverage_failures(tracing.load_spans(spans)[0]) == []
