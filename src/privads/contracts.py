@@ -26,8 +26,6 @@ fields a second time.
 
 from __future__ import annotations
 
-from bisect import insort
-
 from .codec import encode_args
 from .group import (
     ANALYTICS_BOUND,
@@ -397,24 +395,23 @@ class FundContract(_Contract):
             verify_partials(self.pool_key, enc_totals, partials)
         except InvalidShareProof:
             raise ContractError("InvalidShareProof", str(index)) from None
+        posts = sorted([*self.analytics_partials, list(partials)], key=lambda post: post[0].index)
+        totals = self.analytics_totals
+        if totals is None and len(posts) >= self.pool_threshold:
+            # every stored post was verified when it landed
+            chosen = posts[: self.pool_threshold]
+            totals = []
+            for slot, ct in enumerate(enc_totals):
+                point = combine_verified_partials([post[slot] for post in chosen], ct, self.pool_threshold)
+                try:
+                    totals.append(recover_plaintext(point, self.recovery_bound))
+                except NoSolutionInBound as exc:
+                    raise ContractError("NoSolutionInBound", str(exc)) from None
+        # Nothing above writes, so a post rejected by any check leaves no trace.
         self.analytics_enc_totals = enc_totals
-        insort(self.analytics_partials, list(partials), key=lambda post: post[0].index)
-        if self.analytics_totals is None and len(self.analytics_partials) >= self.pool_threshold:
-            self._combine_analytics()
-        return {"posted": index, "combined": self.analytics_totals is not None}
-
-    def _combine_analytics(self):
-        """Every stored post was verified when it landed."""
-        chosen = self.analytics_partials[: self.pool_threshold]
-        totals = []
-        for slot, ct in enumerate(self.analytics_enc_totals):
-            partials = [post[slot] for post in chosen]
-            point = combine_verified_partials(partials, ct, self.pool_threshold)
-            try:
-                totals.append(recover_plaintext(point, self.recovery_bound))
-            except NoSolutionInBound as exc:
-                raise ContractError("NoSolutionInBound", str(exc)) from None
+        self.analytics_partials = posts
         self.analytics_totals = totals
+        return {"posted": index, "combined": totals is not None}
 
     # -- payments -------------------------------------------------------------------
 
@@ -449,10 +446,10 @@ class FundContract(_Contract):
             raise ContractError("UnknownAddress")
         if addr in self.payed_requests:
             return {"already": True}
-        self.payed_requests[addr] = tx_ref
-        done = self._all_paid()
+        done = len(self.payed_requests) + 1 == len(self.payment_requests)  # once this one is marked
         if done and self.analytics_totals is not None and not self.refunds_done:
-            self._close(ctx)
+            self._close(ctx)  # first, so a close that fails leaves the mark unwritten
+        self.payed_requests[addr] = tx_ref
         return {"already": False, "all_paid": done}
 
     # -- campaign close ----------------------------------------------------------------
@@ -481,7 +478,8 @@ class FundContract(_Contract):
         """The one campaign close: pay the processing fees, then refund each
         advertiser stake - spent - fee.  A failed status blocks both.
         Shortfalls are paid out as far as the escrow allows and leave an
-        auditable gap."""
+        auditable gap.  Every check comes before the first write, so a
+        close that fails writes nothing."""
         if self.status == "failed":
             return
         policies = self._policies(ctx)

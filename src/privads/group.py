@@ -12,18 +12,22 @@ dumps):
     OpenSSL's square root (_lift_x), which hash_to_point shares.
   * scalars: 32 bytes, little-endian.
 
-Arithmetic is pure Python on Jacobian triples.  Long-lived bases get
-signed 6-bit window tables; a multiply through one is a list of table
-entries (_window_points), summed with mixed additions for one point or,
-for a whole vector of ciphertexts or a batch of multiples of G
-(mul_gen_batch), as lanes of affine additions that share one field
-inversion per step (_sum_lanes).  Any other base is multiplied through
-its GLV split, each half recoded in width-4 NAF: a single multiply, or a
-multi-scalar multiply of a few terms, runs every half over one Jacobian
-doubling chain (Straus, _straus); a batch of independent multiplies
-(mul_batch) runs as lanes of one affine doubling chain whose doublings,
-and whose additions, share one inversion per step (_mul_lanes); a larger
-multi-scalar multiply takes Pippenger's bucket method.  A committed
+Arithmetic is pure Python on Jacobian triples.  Two routines multiply,
+and only they choose between a window table and the variable-base path:
+msm computes every product and sum of products (GroupElement.mul is msm
+of one term), and mul_batch every batch of independent products.
+
+Long-lived bases get signed 6-bit window tables; a product through one
+is a list of table entries (_window_points).  Any other base is
+multiplied through its GLV split, each half recoded in width-4 NAF.
+In msm a table term's entries are added to the sum with mixed additions;
+the other terms run over one Jacobian doubling chain (Straus, _straus),
+or, when they are many or their scalars small, through Pippenger's
+bucket method.  In mul_batch a table product is a lane of affine
+additions that share one field inversion per step (_sum_lanes), and any
+other product a lane of one affine doubling chain (_mul_lanes), whose
+doublings and additions are such shared-inversion steps too
+(_add_round).  A committed
 polynomial is evaluated at a small share index by Horner's rule
 (commitment_eval).
 
@@ -70,7 +74,6 @@ __all__ = [
     "recover_plaintext",
     "combine_ciphertexts",
     "msm",
-    "mul_gen_batch",
     "mul_batch",
     "commitment_eval",
     "encrypt_vector",
@@ -280,15 +283,6 @@ def _window_points(k: int, table, out: list) -> list:
     return out
 
 
-def _mul_windowed(k: int, table) -> tuple:
-    """k * B (Jacobian) for 0 <= k < 2**256 from B's window table: one mixed
-    addition per nonzero signed digit."""
-    acc = _INF
-    for x, y in _window_points(k, table, []):
-        acc = _jac_add_affine(*acc, x, y)
-    return acc
-
-
 def _sum_lanes(lanes: Sequence[list]) -> list:
     """Affine sum of each list of affine points, None for the identity:
     every lane takes one addition per step (_add_round)."""
@@ -435,27 +429,16 @@ def _straus(terms) -> tuple:
     return acc
 
 
-def _mul_var(k: int, x: int, y: int) -> tuple:
-    """Variable-base multiply (Jacobian), 0 < k < ORDER: Straus's method on
-    one term."""
-    return _straus([(k, x, y)])
-
-
-# 3/2 mod p: an affine doubling's slope is 3x**2 / 2y.
-_THREE_HALVES = 3 * pow(2, -1, _P) % _P
-
-
 def _mul_lanes(terms) -> list:
     """Affine k * (x, y) of each term (k, x, y), 0 < k < ORDER, None for
     the identity: the terms as lanes of one affine doubling chain.
 
-    Every step doubles each lane, then adds each lane's digit of the first
-    GLV half, then its digit of the second; the doublings of a step share
-    one field inversion (Montgomery's trick), and so do the additions of
-    each half.  An affine doubling costs the 7 field multiplies of a
-    Jacobian one; an affine addition costs about 6 against 11, and no
-    lane needs a final inversion of its own."""
-    p = _P
+    Every step doubles each lane (an _add_round of each lane's point to
+    itself), then adds each lane's digit of the first GLV half, then its
+    digit of the second; each of these rounds shares one field inversion
+    (Montgomery's trick).  An affine doubling costs about the 7 field
+    multiplies of a Jacobian one; an affine addition costs about 6 against
+    11, and no lane needs a final inversion of its own."""
     halves = _glv_halves(terms)
     top = max((half[-1][0] for pair in halves for half in pair if half), default=-1)
     # steps[position][half]: the lanes with a digit there.  A lane's
@@ -469,23 +452,7 @@ def _mul_lanes(terms) -> list:
     xs = [None] * len(terms)
     ys = [None] * len(terms)
     for step in range(top, -1, -1):
-        live = [i for i, x in enumerate(xs) if x is not None]
-        if live:
-            prefix = []
-            prod = 1
-            for i in live:
-                prefix.append(prod)
-                prod = prod * ys[i] % p
-            # every lane's 1/y carries the factor 3/2 of its slope
-            inv = pow(prod, -1, p) * _THREE_HALVES % p
-            for t in range(len(live) - 1, -1, -1):
-                i = live[t]
-                x, y = xs[i], ys[i]
-                lam = x * x % p * (inv * prefix[t] % p) % p
-                inv = inv * y % p
-                x3 = (lam * lam - x - x) % p
-                xs[i] = x3
-                ys[i] = (lam * (x - x3) - y) % p
+        _add_round(xs, ys, [(i, (x, ys[i])) for i, x in enumerate(xs) if x is not None])
         for which, lanes in enumerate(steps[step]):
             _add_round(xs, ys, [(i, halves[i][which].pop()[1]) for i in lanes])
     return [None if x is None else (x, y) for x, y in zip(xs, ys)]
@@ -524,10 +491,9 @@ class GroupElement:
         return self + (-other)
 
     def mul(self, k: int) -> "GroupElement":
-        k %= ORDER
-        if k == 0 or self.is_identity:
-            return IDENTITY
-        return _from_jac(_mul_jac(k, self.x, self.y))
+        """k * self: msm of one term.  Raises ValueError for a point that
+        is not on the curve."""
+        return msm((k,), (self,))
 
     __rmul__ = mul
 
@@ -593,19 +559,21 @@ def _base_table(x: int, y: int):
     return _window_table(x, y) if (x, y) in _table_bases else None
 
 
-def _mul_jac(k: int, x: int, y: int) -> tuple:
-    """k * (x, y) in Jacobian coordinates, 0 <= k < ORDER: through the
-    base's window table if it is long-lived, else the variable-base path."""
-    table = _base_table(x, y)
-    if table is None:
-        return _mul_var(k, x, y)
-    return _mul_windowed(k, table)
+def _term(k: int, point: GroupElement):
+    """(k mod ORDER, x, y) of the product k * point, None when it is the
+    identity.  Raises ValueError for a point that is not on the curve."""
+    k %= ORDER
+    if not k or point.is_identity:
+        return None
+    x, y = point.x, point.y
+    if not (0 <= x < _P and 0 <= y < _P) or (y * y - x * x * x - 7) % _P:
+        raise ValueError("point not on the curve")
+    return k, x, y
 
 
-# A multi-scalar multiply interleaves its terms over one doubling chain
-# (Straus) below this many distinct terms, if some scalar is wider than
-# _STRAUS_MIN_BITS; otherwise Pippenger's bucket method is faster.  On the
-# Straus path a long-lived base's term is its window-table entries.
+# In msm, the terms without a window table run over one doubling chain
+# (Straus) below this many terms, if some scalar is wider than
+# _STRAUS_MIN_BITS; otherwise Pippenger's bucket method is faster.
 # Measured on CPython 3.11 (2-core x86-64), Straus against Pippenger:
 # 256-bit scalars 2.1 vs 4.5 ms at 2 terms, 41 vs 48 ms at 64, 88 vs 69 ms
 # at 128; 64-bit scalars 1.9 vs 2.5 ms at 8 terms, 7.2 vs 7.6 ms at 32;
@@ -616,37 +584,43 @@ _STRAUS_MIN_BITS = 33
 
 
 def msm(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
-    """sum(k_i * P_i) in one pass: the package's multi-scalar multiply.
+    """sum(k_i * P_i) in one pass: the package's one routine for a product
+    or a sum of products.
 
     Scalars are reduced modulo ORDER; zero scalars and identity points
     drop out, and repeated points (P and -P alike) are merged into one
-    term first.  The sum stays Jacobian and is converted to affine once.
-    Raises ValueError for a point that is not on the curve.
+    term first.  A long-lived base's term is its window-table entries; the
+    other terms go through Straus's method or Pippenger's (see
+    _PIPPENGER_MIN_TERMS), and the table entries are added to their sum.
+    The sum stays Jacobian and is converted to affine once.  Raises
+    ValueError for a point that is not on the curve.
     """
     merged: dict = {}  # x -> [y, k]; on the curve one x holds only P and -P
     for k, point in zip(scalars, points, strict=True):
-        k %= ORDER
-        if not k or point.is_identity:
+        term = _term(k, point)
+        if term is None:
             continue
-        x, y = point.x, point.y
-        if not (0 <= x < _P and 0 <= y < _P) or (y * y - x * x * x - 7) % _P:
-            raise ValueError("point not on the curve")
+        k, x, y = term
         entry = merged.get(x)
         if entry is None:
             merged[x] = [y, k]
         else:
             entry[1] = (entry[1] + (k if y == entry[0] else -k)) % ORDER
-    terms = [(k, x, y) for x, (y, k) in merged.items() if k]
-    if len(terms) >= _PIPPENGER_MIN_TERMS or all(k.bit_length() < _STRAUS_MIN_BITS for k, _, _ in terms):
-        return _from_jac(_pippenger(terms))
-    chained, entries = [], []  # a long-lived base's term is its table entries
-    for k, x, y in terms:
+    chained, entries = [], []
+    for x, (y, k) in merged.items():
+        if not k:
+            continue
         table = _base_table(x, y)
         if table is None:
             chained.append((k, x, y))
         else:
             _window_points(k, table, entries)
-    acc = _straus(chained)
+    if not chained:
+        acc = _INF
+    elif len(chained) >= _PIPPENGER_MIN_TERMS or all(k.bit_length() < _STRAUS_MIN_BITS for k, _, _ in chained):
+        acc = _pippenger(chained)
+    else:
+        acc = _straus(chained)
     for x, y in entries:
         acc = _jac_add_affine(*acc, x, y)
     return _from_jac(acc)
@@ -694,16 +668,14 @@ def _pippenger(terms: list) -> tuple:
     return acc
 
 
-# Lanes per group in mul_gen_batch and mul_batch: a group holds every
-# lane's entries and sums at once, so a long batch goes in groups of this
-# size.  1000 variable-base lanes in one group peaked at 6.5 MB of traced
-# memory against 1.1 MB in groups of 128, for at most a few percent of
-# speed.
+# Lanes per group in mul_batch: a group holds every lane's entries and
+# sums at once, so a long batch goes in groups of this size.  1000
+# variable-base lanes in one group peaked at 6.5 MB of traced memory
+# against 1.1 MB in groups of 128, for at most a few percent of speed.
 _LANE_GROUP = 128
 
-# Below this many lanes a group of mul_gen_batch sums each multiple through
-# _mul_windowed, whose Jacobian sums share one inversion at the end, and
-# below _MUL_LANES_MIN a mul_batch runs _mul_var per point: a lane step's
+# Below _SUM_LANES_MIN table-base lanes, or _MUL_LANES_MIN other lanes, a
+# group of mul_batch computes one product at a time (msm): a lane step's
 # shared inversion costs more than the cheaper affine additions save until
 # enough lanes share it.  Measured on CPython 3.11 (2-core x86-64), per
 # multiple of G: 611 vs 457 us at 4 lanes, 455 vs 456 at 8, 401 vs 450 at
@@ -713,43 +685,38 @@ _SUM_LANES_MIN = 8
 _MUL_LANES_MIN = 32
 
 
-def mul_gen_batch(scalars: Sequence[int]) -> list[GroupElement]:
-    """[G.mul(k) for k in scalars]: each multiple is a lane of G's window
-    table entries, summed in groups of _LANE_GROUP lanes that share one
-    field inversion per step; a group below _SUM_LANES_MIN lanes sums each
-    multiple on its own."""
-    table = _base_table(_GX, _GY)
-    out = []
-    for start in range(0, len(scalars), _LANE_GROUP):
-        group = [k % ORDER for k in scalars[start : start + _LANE_GROUP]]
-        if len(group) < _SUM_LANES_MIN:
-            sums = _batch_affine([_mul_windowed(k, table) for k in group])
-        else:
-            sums = _sum_lanes([_window_points(k, table, []) for k in group])
-        out.extend(IDENTITY if a is None else GroupElement(*a) for a in sums)
-    return out
-
-
 def mul_batch(scalars: Sequence[int], points: Sequence[GroupElement]) -> list[GroupElement]:
     """[P.mul(k) for k, P in zip(scalars, points)] for independent
-    variable-base multiplies: the nonzero terms run as lanes of one affine
-    doubling chain (_mul_lanes), in groups of _LANE_GROUP lanes; a group
-    below _MUL_LANES_MIN lanes runs one multiply at a time."""
+    products, the package's one routine for a batch.
+
+    A long-lived base's product is a lane of its window-table entries
+    (_sum_lanes), any other a lane of one affine doubling chain
+    (_mul_lanes); each kind runs in groups of _LANE_GROUP lanes, and a
+    group below that kind's lane minimum computes one product at a time.
+    Raises ValueError for a point that is not on the curve."""
     out = [IDENTITY] * len(scalars)
-    work = []  # (position, k, x, y)
+    summed, chained = [], []  # (position, (k, table)); (position, (k, x, y))
     for i, (k, point) in enumerate(zip(scalars, points, strict=True)):
-        k %= ORDER
-        if k and not point.is_identity:
-            work.append((i, k, point.x, point.y))
-    sums = []
-    for start in range(0, len(work), _LANE_GROUP):
-        group = [term[1:] for term in work[start : start + _LANE_GROUP]]
-        if len(group) < _MUL_LANES_MIN:
-            sums += _batch_affine([_mul_var(*term) for term in group])
+        term = _term(k, point)
+        if term is None:
+            continue
+        table = _base_table(point.x, point.y)
+        if table is None:
+            chained.append((i, term))
         else:
-            sums += _mul_lanes(group)
-    for (i, *_), a in zip(work, sums):
-        out[i] = IDENTITY if a is None else GroupElement(*a)
+            summed.append((i, (term[0], table)))
+    for work, lanes, minimum in (
+        (summed, lambda terms: _sum_lanes([_window_points(k, table, []) for k, table in terms]), _SUM_LANES_MIN),
+        (chained, _mul_lanes, _MUL_LANES_MIN),
+    ):
+        for start in range(0, len(work), _LANE_GROUP):
+            group = work[start : start + _LANE_GROUP]
+            if len(group) < minimum:
+                products = [msm((scalars[i],), (points[i],)) for i, _ in group]
+            else:
+                products = [IDENTITY if a is None else GroupElement(*a) for a in lanes([t for _, t in group])]
+            for (i, _), product in zip(group, products):
+                out[i] = product
     return out
 
 
@@ -853,15 +820,15 @@ def keygen_batch(seeds: Sequence[bytes]) -> list[KeyPair]:
 
     Independent parties' work runs on every usable CPU: forking.fork_map
     splits the seeds into chunks of at least forking.CHUNK_MIN, one per
-    CPU, and each chunk takes its public keys from one mul_gen_batch.  A
-    smaller batch is one in-process call.  The keys are the same for any
+    CPU, and each chunk takes its public keys from one mul_batch over G.
+    A smaller batch is one in-process call.  The keys are the same for any
     CPU count."""
     return fork_map(_keygen_chunk, seeds)
 
 
 def _keygen_chunk(seeds: Sequence[bytes]) -> list[KeyPair]:
     sks = [_keygen_secret(seed) for seed in seeds]
-    return [KeyPair(sk, pk) for sk, pk in zip(sks, mul_gen_batch(sks))]
+    return [KeyPair(sk, pk) for sk, pk in zip(sks, mul_batch(sks, [G] * len(sks)))]
 
 
 def _keygen_secret(seed: bytes) -> Scalar:
@@ -888,7 +855,7 @@ class Ciphertext:
 def encrypt(pk: GroupElement, m: int, r: Scalar) -> Ciphertext:
     if not 0 <= m < ANALYTICS_BOUND:
         raise PlaintextOutOfBound(f"message {m} outside [0, {ANALYTICS_BOUND})")
-    return Ciphertext(G.mul(r), G.mul(m) + pk.mul(r))
+    return Ciphertext(G.mul(r), msm((m, r), (G, pk)))
 
 
 def decrypt(sk: Scalar, ct: Ciphertext) -> GroupElement:
@@ -907,36 +874,34 @@ def combine_ciphertexts(weights: Sequence[int], cts: Sequence[Ciphertext]) -> Ci
 def encrypt_vector(key: KeyPair | GroupElement, msgs: Sequence[int], rng) -> list[Ciphertext]:
     """Encrypt each entry under a key pair or a bare public key.
 
-    Each of the 2N points is one lane of _sum_lanes: the window-table
-    entries of its multiplies, summed affine with one inversion per step
-    across all lanes.  The key holder knows sk, so m*G + r*pk is
-    (m + r*sk)*G and both halves are lanes over G's table.  Under a bare
-    long-lived pk (the pool threshold key) the c2 lane holds the r-entries
-    of pk's table and then the m-entries of G's; under any other pk it
-    holds a variable-base mask r*pk and the m-entries.
+    The key holder knows sk, so m*G + r*pk is (m + r*sk)*G: both halves of
+    every ciphertext are products of G, all 2N of them one mul_batch.
+    Under a bare key each of the 2N points is one lane of _sum_lanes, the
+    window-table entries of its multiplies summed affine with one
+    inversion per step across all lanes: the c2 lane holds the mask r*pk,
+    as the r-entries of pk's table when pk is long-lived (the pool
+    threshold key) and otherwise as one point from a mul_batch over pk,
+    and then the m-entries of G's table.
     """
     for m in msgs:
         if not 0 <= m < ANALYTICS_BOUND:
             raise PlaintextOutOfBound(f"message {m} outside [0, {ANALYTICS_BOUND})")
-    g_table = _base_table(_GX, _GY)
-    lanes = []
+    rs = [random_scalar(rng) for _ in msgs]
     if isinstance(key, KeyPair):
-        for m in msgs:
-            r = random_scalar(rng)
-            lanes.append(_window_points(r, g_table, []))
-            lanes.append(_window_points((m + r * key.sk) % ORDER, g_table, []))
+        scalars = [k for r, m in zip(rs, msgs) for k in (r, (m + r * key.sk) % ORDER)]
+        flat = mul_batch(scalars, [G] * len(scalars))
     else:
-        rs = [random_scalar(rng) for _ in msgs]
-        if key.is_identity:
-            masks = [[] for _ in rs]
-        elif (table := _base_table(key.x, key.y)) is not None:
-            masks = [_window_points(r, table, []) for r in rs]
+        g_table = _base_table(_GX, _GY)
+        table = _base_table(key.x, key.y)
+        if table is None:
+            masks = [[] if a.is_identity else [(a.x, a.y)] for a in mul_batch(rs, [key] * len(rs))]
         else:
-            masks = [[a] for a in _batch_affine([_mul_var(r, key.x, key.y) for r in rs])]
+            masks = [_window_points(r, table, []) for r in rs]
+        lanes = []
         for r, m, mask in zip(rs, msgs, masks):
             lanes.append(_window_points(r, g_table, []))
             lanes.append(_window_points(m, g_table, mask))
-    flat = [IDENTITY if a is None else GroupElement(*a) for a in _sum_lanes(lanes)]
+        flat = [IDENTITY if a is None else GroupElement(*a) for a in _sum_lanes(lanes)]
     return [Ciphertext(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
 
 
@@ -1015,7 +980,7 @@ def sign(kp: KeyPair, msg: bytes, rng, tag: bytes) -> Signature:
 def verify_sig(pk: GroupElement, msg: bytes, sig: Signature, tag: bytes) -> bool:
     if not (0 <= sig.challenge < ORDER and 0 <= sig.response < ORDER):
         return False
-    R = G.mul(sig.response) + pk.mul(sig.challenge)
+    R = msm((sig.response, sig.challenge), (G, pk))
     return hash_to_scalar(tag, pk.encode(), R.encode(), msg) == sig.challenge
 
 

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from .group import (
     G,
     H,
-    IDENTITY,
     ORDER,
     ANALYTICS_BOUND,
     GroupElement,
     Scalar,
     hash_to_scalar,
+    msm,
     random_scalar,
     scalar_bytes,
     tagged_hash,
@@ -56,7 +56,7 @@ def commit(amount: int, blinding: Scalar) -> Commitment:
     """amount*G + blinding*H; binding under the discrete log between G and H."""
     if not 0 <= amount < ANALYTICS_BOUND:
         raise ValueError(f"amount {amount} outside [0, {ANALYTICS_BOUND})")
-    return Commitment(G.mul(amount) + H.mul(blinding))
+    return Commitment(msm((amount, blinding), (G, H)))
 
 
 def open_verify(c: Commitment, blinding: Scalar, amount: int) -> bool:
@@ -64,7 +64,7 @@ def open_verify(c: Commitment, blinding: Scalar, amount: int) -> bool:
     does, so amount + ORDER cannot open a commitment to amount."""
     if not 0 <= amount < ANALYTICS_BOUND:
         return False
-    return c.point == G.mul(amount) + H.mul(blinding)
+    return c.point == msm((amount, blinding), (G, H))
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,9 @@ def verify_batch(batch: SettlementBatch, total: int) -> bool:
     refs = [n.tx_ref for n in batch.notes]
     if len(set(refs)) != len(refs):
         return False
-    agg = IDENTITY
-    for note in batch.notes:
-        agg = agg + note.commitment.point
     # sum(C_i) - total*G must be a commitment to zero
-    statement = agg - G.mul(total)
-    expected = H.mul(batch.proof_response) + statement.mul(batch.proof_challenge)
-    if expected != batch.proof_commit:
+    statement = msm([1] * len(batch.notes) + [-total], [n.commitment.point for n in batch.notes] + [G])
+    if msm((batch.proof_response, batch.proof_challenge), (H, statement)) != batch.proof_commit:
         return False
     return _batch_challenge(batch.notes, total, batch.proof_commit) == batch.proof_challenge
 

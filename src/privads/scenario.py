@@ -156,6 +156,10 @@ class Scenario:
             errors.append("advertisers: ad slots must cover the catalog exactly once")
         if self.users.count < 0:
             errors.append("users.count: must be >= 0")
+        if self.users.max_count < 0:
+            errors.append("users.max_count: must be >= 0")
+        if self.recovery_bound < 1:
+            errors.append("recovery_bound: must be >= 1")
         if self.users.vectors is not None:
             if len(self.users.vectors) != self.users.count:
                 errors.append("users.vectors: need exactly one vector per user")
@@ -164,6 +168,11 @@ class Scenario:
                     errors.append(f"users.vectors[{j}]: length != catalog_size")
                 elif any(v < 0 for v in vec):
                     errors.append(f"users.vectors[{j}]: negative count")
+            largest = max(map(sum, self.users.vectors), default=0)
+        else:
+            largest = self.users.max_count * self.catalog_size
+        if self.interaction_cap < max(largest, 0):
+            errors.append(f"interaction_cap: {self.interaction_cap} is below a user's largest vector sum {largest}")
         return errors
 
     # -- derived data ---------------------------------------------------------

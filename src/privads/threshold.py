@@ -9,7 +9,7 @@ sub-share fails its check is excluded and the run restarts without it.
 No party ever holds the combined secret; any k shares decrypt.
 
 Each round's fixed-base multiplies (the n*k coefficient commitments and
-the n share commitments) are one group.mul_gen_batch each.  All n*n
+the n share commitments) are one group.mul_batch over G each.  All n*n
 sub-shares are checked against their dealers' commitments at once, as one
 randomly weighted sum in one group.msm; only a batch that fails is
 checked pair by pair (each sub-share point s*G against its dealer's
@@ -31,7 +31,7 @@ from .group import (
     Scalar,
     commitment_eval,
     msm,
-    mul_gen_batch,
+    mul_batch,
     random_scalar,
     scalar_bytes,
     tagged_hash,
@@ -194,7 +194,7 @@ def dkg_run(participants, k: int, rng) -> DkgResult:
         # Round 1: every dealer commits to a random polynomial and deals
         # each participant its sub-share f_i(j).
         coeffs, dealt = _deal(active, k, rng)
-        points = mul_gen_batch([c for dealer in active for c in coeffs[dealer]])
+        points = mul_batch([c for dealer in active for c in coeffs[dealer]], [G] * (len(active) * k))
         commits = {dealer: points[i * k : (i + 1) * k] for i, dealer in enumerate(active)}
         # Round 2: recipients check sub-shares against the commitments, all
         # in one weighted statement; only a failed batch is checked pair by
@@ -215,7 +215,7 @@ def dkg_run(participants, k: int, rng) -> DkgResult:
         values = [sum(dealt[dealer, recipient] for dealer in active) % ORDER for recipient in active]
         shares = {
             recipient: KeyShare(recipient, value, commitment)
-            for recipient, value, commitment in zip(active, values, mul_gen_batch(values))
+            for recipient, value, commitment in zip(active, values, mul_batch(values, [G] * len(values)))
         }
         for recipient, share in shares.items():
             if share.commitment != tpk.share_commitment(recipient):
@@ -258,7 +258,7 @@ def _offenders(active, commits: dict, dealt: dict) -> list:
     """The dealer of each sub-share that fails its recipient's own check,
     once per failed pair."""
     pairs = [(dealer, recipient) for recipient in active for dealer in active]
-    received = mul_gen_batch([dealt[pair] for pair in pairs])
+    received = mul_batch([dealt[pair] for pair in pairs], [G] * len(pairs))
     return [
         dealer
         for (dealer, recipient), point in zip(pairs, received)

@@ -323,13 +323,14 @@ class TestFixedBaseTables:
         user = make_user(campaign, "u0")
         bases, builds = set(group._table_bases), group._window_table.cache_info().misses
         var_bases = []
-        mul_var = group._mul_var
+        for name in ("_straus", "_pippenger", "_mul_lanes"):  # the variable-base engines
+            engine = getattr(group, name)
 
-        def counting_mul_var(k, x, y, *rest):
-            var_bases.append((x, y))
-            return mul_var(k, x, y, *rest)
+            def counting(terms, engine=engine):
+                var_bases.extend((x, y) for _, x, y in terms)
+                return engine(terms)
 
-        monkeypatch.setattr(group, "_mul_var", counting_mul_var)
+            monkeypatch.setattr(group, name, counting)
         user.claim(handle, [1] * n)
         assert group._table_bases == bases  # the ephemeral key is not registered
         return user, group._window_table.cache_info().misses - builds, var_bases

@@ -673,6 +673,21 @@ class TestSettlementAndClose:
         receipt = campaign.chain.receipt(rid)
         assert receipt.ok and receipt.ret == {"already": True}
 
+    def test_processed_mark_whose_close_fails_writes_nothing(self, campaign):
+        """The last mark closes the campaign; with the escrow drained by the
+        settlement the close cannot pay the fees, and the failed mark leaves
+        the state as it was, so a retry fails the same way."""
+        kp = claim(campaign, [3, 0, 2])
+        _, _, payout = request_payment(campaign, kp)
+        escrow = campaign.chain.balances[campaign.fsc_address]
+        tx_ref, _, _ = settle_campaign(campaign, [(kp, 36)], surplus=escrow - 36)[payout]
+        before = (canonical_json(campaign.fsc.state_dict()), dict(campaign.chain.balances))
+        for _ in range(2):
+            rid = campaign.cf_call(campaign.fsc_address, "payment_processed", {"tx_ref": tx_ref, "addr": payout})
+            campaign.mine()
+            assert campaign.chain.receipt(rid).error == "Overdraw: escrow cannot cover fees"
+            assert (canonical_json(campaign.fsc.state_dict()), dict(campaign.chain.balances)) == before
+
 
 class TestComplaints:
     def _settled(self, underpay=False):

@@ -406,6 +406,20 @@ def test_unrecoverable_total_is_a_typed_code(campaign):
     assert receipt.error == "NoSolutionInBound: no discrete log below 4096"
 
 
+def test_unrecoverable_total_leaves_no_trace(campaign):
+    """The post that fails NoSolutionInBound stores nothing: the fund
+    state is unchanged, and a repost fails the same way rather than as a
+    duplicate."""
+    pool = register_pool(campaign)
+    enc_totals = encrypt_vector(pool.public_key.pk, [5, 0, 7], campaign.rng)
+    enc_totals[1] = Ciphertext(enc_totals[1].c1, enc_totals[1].c2 - G)
+    claim_analytics(campaign, enc_totals)
+    before = _state(campaign.fsc)
+    for _ in range(2):
+        assert post_analytics(campaign, pool).error == "NoSolutionInBound: no discrete log below 4096"
+        assert _state(campaign.fsc) == before
+
+
 def test_policy_blob_that_does_not_open_is_a_typed_code():
     campaign = build_campaign(stake=False)
     campaign.cf_call(campaign.psc_address, "store_policy", {"index": 0, "enc_policy": b"junk"})

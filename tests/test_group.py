@@ -29,7 +29,7 @@ from privads.group import (
     hybrid_encrypt,
     keygen,
     msm,
-    mul_gen_batch,
+    mul_batch,
     precompute_base,
     random_scalar,
     recover_plaintext,
@@ -44,8 +44,7 @@ from privads.group import (
     _jac_add,
     _jac_double,
     _jac_to_affine,
-    _mul_var,
-    _mul_windowed,
+    _straus,
     _sum_lanes,
     _window_points,
     _window_table,
@@ -220,8 +219,8 @@ class TestFixedBaseTables:
     def test_windowed_matches_variable_base_at_digit_edges(self, registered, k):
         for B in registered:
             table = _window_table(B.x, B.y)
-            expected = _jac_to_affine(*_mul_var(k, B.x, B.y))
-            assert _jac_to_affine(*_mul_windowed(k, table)) == expected
+            expected = _jac_to_affine(*_straus([(k, B.x, B.y)]))
+            assert msm([k], [B]) == GroupElement(*expected)
             assert _sum_lanes([_window_points(k, table, [])]) == [expected]
 
     def test_windowed_matches_variable_base_random(self, registered):
@@ -229,7 +228,7 @@ class TestFixedBaseTables:
         for B in registered:
             for _ in range(200):
                 k = random_scalar(rng)
-                assert B.mul(k) == GroupElement(*_jac_to_affine(*_mul_var(k, B.x, B.y)))
+                assert B.mul(k) == GroupElement(*_jac_to_affine(*_straus([(k, B.x, B.y)])))
 
     def test_batch_affine_matches_per_point(self):
         jac = [(G.x, G.y, 1)]
@@ -292,6 +291,8 @@ def _around_lane_group(n):
 
 
 class TestMulGenBatch:
+    """mul_batch over G: every product is a lane of G's window table."""
+
     @settings(max_examples=30, deadline=None)
     @given(
         ks=st.lists(st.one_of(st.sampled_from(_EDGE_SCALARS), st.integers(-(2**300), 2**300)), max_size=10),
@@ -308,15 +309,16 @@ class TestMulGenBatch:
             ks = ks + [ORDER - k % ORDER for k in ks]
         if repeat:
             ks = ks + ks[:3]
-        assert mul_gen_batch(ks) == [G.mul(k) for k in ks]
+        assert mul_batch(ks, [G] * len(ks)) == [G.mul(k) for k in ks]
 
     def test_sums_one_lane_group_at_a_time(self, monkeypatch):
         calls = _counting(monkeypatch, "_sum_lanes", _sum_lanes)
-        windowed = _counting(monkeypatch, "_mul_windowed", _mul_windowed)
-        mul_gen_batch(list(range(1, 2 * _LANE_GROUP + 2)))
-        # the trailing one-lane group is below _SUM_LANES_MIN: summed alone
+        single = _counting(monkeypatch, "msm", msm)
+        ks = list(range(1, 2 * _LANE_GROUP + 2))
+        mul_batch(ks, [G] * len(ks))
+        # the trailing one-lane group is below _SUM_LANES_MIN: multiplied alone
         assert [len(args[0]) for args in calls] == [_LANE_GROUP, _LANE_GROUP]
-        assert [args[0] for args in windowed] == [2 * _LANE_GROUP + 1]
+        assert [args[0] for args in single] == [(2 * _LANE_GROUP + 1,)]
 
 
 def _double_and_add(k, P):
@@ -352,7 +354,7 @@ class TestVariableBase:
     )
     def test_mul_var_matches_double_and_add(self, k):
         P = G.mul(0x5EED)
-        assert GroupElement(*_jac_to_affine(*_mul_var(k, P.x, P.y))) == _double_and_add(k, P)
+        assert GroupElement(*_jac_to_affine(*_straus([(k, P.x, P.y)]))) == _double_and_add(k, P)
 
     def test_naf_digits_recode_the_scalar(self):
         for k in [1, 7, 8, 15, 16, 2**128 - 1, *_GLV_SIGNS]:
@@ -397,10 +399,11 @@ class TestMulBatch:
         assert [GroupElement(*a) for a in group._mul_lanes([(k, P.x, P.y) for k in ks])] == expected
 
     def test_small_groups_multiply_one_at_a_time(self, monkeypatch):
+        P = G.mul(0xBA5E)  # a base without a table
         lanes = _counting(monkeypatch, "_mul_lanes", group._mul_lanes)
-        per_point = _counting(monkeypatch, "_mul_var", _mul_var)
+        per_point = _counting(monkeypatch, "msm", msm)
         ks = _scalar_list([], _LANE_GROUP + 1)
-        group.mul_batch(ks, [H] * len(ks))
+        group.mul_batch(ks, [P] * len(ks))
         assert [len(args[0]) for args in lanes] == [_LANE_GROUP]
         assert len(per_point) == 1
 
@@ -409,10 +412,64 @@ class TestMulBatch:
             group.mul_batch([1, 2], [G])
 
 
+_VARIABLE = G.mul(0x5EED)  # a base without a table
+_TABLE_BASES = [G, H]
+_VARIABLE_BASES = [_VARIABLE, -_VARIABLE, G.mul(7)]
+_PATH_SCALARS = st.one_of(
+    st.sampled_from([0, 1, ORDER - 1, ORDER, ORDER + 1]),
+    st.integers(-(2**300), -1),
+    st.integers(ORDER + 1, 2**300),
+    st.integers(0, 2**33 - 1),
+    st.integers(0, ORDER - 1),
+)
+_SUM_LANES_MIN = group._SUM_LANES_MIN
+
+
+class TestMultiplyPaths:
+    """Every multiply path against double-and-add: P.mul and one-term msm
+    on table and variable bases, and mul_batch on mixed bases at the batch
+    sizes around each kind's lane minimum and lane group."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=_PATH_SCALARS, base=st.sampled_from(_TABLE_BASES + _VARIABLE_BASES + [IDENTITY]))
+    def test_product(self, k, base):
+        expected = _double_and_add(k, base)
+        assert base.mul(k) == expected
+        assert msm([k], [base]) == expected
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            _SUM_LANES_MIN - 1,
+            _SUM_LANES_MIN,
+            _SUM_LANES_MIN + 1,
+            _MUL_LANES_MIN - 1,
+            _MUL_LANES_MIN,
+            _MUL_LANES_MIN + 1,
+            _LANE_GROUP + 1,
+        ],
+    )
+    @pytest.mark.parametrize("bases", ["table", "variable", "mixed"])
+    @settings(max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_batch(self, n, bases, data):
+        bases = {"table": _TABLE_BASES, "variable": _VARIABLE_BASES}.get(bases, _TABLE_BASES + _VARIABLE_BASES)
+        ks = data.draw(st.lists(_PATH_SCALARS, min_size=n, max_size=n), label="ks")
+        points = [bases[i % len(bases)] for i in range(n)]
+        assert mul_batch(ks, points) == [_double_and_add(k, P) for k, P in zip(ks, points)]
+
+    def test_point_off_curve_rejected(self):
+        bad = GroupElement(G.x, G.y + 1)
+        with pytest.raises(ValueError):
+            bad.mul(2)
+        with pytest.raises(ValueError):
+            mul_batch([2], [bad])
+
+
 def _msm_oracle(scalars, points):
     acc = IDENTITY
     for k, P in zip(scalars, points):
-        acc = acc + P.mul(k)
+        acc = acc + _double_and_add(k, P)
     return acc
 
 
@@ -440,6 +497,17 @@ class TestMsm:
         for n in range(1, len(points) + 1):
             scalars = [random_scalar(rng) for _ in range(n)]
             assert msm(scalars, points[:n]) == _msm_oracle(scalars, points[:n])
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_long_lived_bases_on_the_pippenger_path(self, monkeypatch, rng, wide):
+        """Small scalars, or _PIPPENGER_MIN_TERMS other terms: G's and H's
+        terms are their table entries, and the buckets hold only the others."""
+        others = [G.mul(random_scalar(rng)) for _ in range(group._PIPPENGER_MIN_TERMS if wide else 3)]
+        points = [G, H, *others]
+        scalars = [random_scalar(rng) if wide else rng.randrange(1, 21) for _ in points]
+        buckets = _counting(monkeypatch, "_pippenger", group._pippenger)
+        assert msm(scalars, points) == _msm_oracle(scalars, points)
+        assert [sorted(x for _, x, _ in args[0]) for args in buckets] == [sorted(P.x for P in others)]
 
     def test_cancelling_terms_give_identity(self, rng):
         P = G.mul(random_scalar(rng))

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from privads.audit import load_block_log, verify_run, write_block_log
 from privads.bench import format_table, run_bench, simulated_throughput
@@ -63,6 +64,29 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioError) as exc:
             Scenario.from_dict({"advertisers": [ADVERTISER], **change})
         assert exc.value.errors == [error]
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"users": {"count": 1, "max_count": -1}}, "users.max_count: must be >= 0"),
+            ({"recovery_bound": 0}, "recovery_bound: must be >= 1"),
+            ({"interaction_cap": -1}, "interaction_cap: -1 is below a user's largest vector sum 15"),
+            ({"interaction_cap": 14}, "interaction_cap: 14 is below a user's largest vector sum 15"),
+            (
+                {"interaction_cap": 5, "users": {"count": 2, "vectors": [[1, 2, 3], [0, 0, 1]]}},
+                "interaction_cap: 5 is below a user's largest vector sum 6",
+            ),
+        ],
+    )
+    def test_inputs_a_run_cannot_serve_are_rejected(self, change, error):
+        with pytest.raises(ScenarioError) as exc:
+            Scenario.from_dict({"advertisers": [ADVERTISER], **change})
+        assert exc.value.errors == [error]
+
+    def test_interaction_cap_may_equal_the_largest_vector_sum(self):
+        assert Scenario.from_dict({"advertisers": [ADVERTISER], "interaction_cap": 15}).validate() == []
+        vectors = {"count": 2, "vectors": [[1, 2, 3], [0, 0, 1]]}
+        assert Scenario.from_dict({"advertisers": [ADVERTISER], "interaction_cap": 6, "users": vectors}).validate() == []
 
     def test_bad_yaml_is_a_scenario_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -422,6 +446,19 @@ class TestCli:
         bad.write_bytes(data)
         assert cli_main(["run", "--scenario", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "field, value", [("users.max_count", -1), ("recovery_bound", 0), ("interaction_cap", -1)]
+    )
+    def test_strawman_with_an_input_a_run_cannot_serve_exit_2(self, tmp_path, capsys, field, value):
+        data = yaml.safe_load((SCENARIOS / "strawman.yaml").read_text())
+        *outer, key = field.split(".")
+        target = data[outer[0]] if outer else data
+        target[key] = value
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(data))
+        assert cli_main(["run", "--scenario", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
     def test_seed_override(self, tmp_path, capsys):
         out1 = tmp_path / "a.jsonl"

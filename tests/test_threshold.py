@@ -249,7 +249,8 @@ class TestLargeDkg:
         counting(GroupElement, "mul")
         counting(privads.group, "msm")
         counting(privads.threshold, "msm")
-        counting(privads.group, "_mul_var")
+        counting(privads.group, "_straus")
+        counting(privads.group, "_mul_lanes")
         result = dkg_run(list(range(1, 25)), 11, Rng("op-counts/dkg"))
         assert len(result.shares) == 24
         assert calls == ["msm"]  # every sub-share, checked in one statement

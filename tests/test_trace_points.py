@@ -57,7 +57,7 @@ def test_every_traced_method_is_defined_on_its_class():
     assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["pool", "users"])
+@pytest.mark.parametrize("workload", ["pool", "users", "catalog"])
 def test_a_traced_child_passes_its_checks(workload, tmp_path):
     # The run the traced benchmark makes: the correctness gate, and a root
     # span whose uncovered time stays under metrics.UNCOVERED_MAX.
