@@ -34,7 +34,7 @@ from .group import (
 )
 from .ledger import Chain, address_from_pk
 from .payments import build_batch, serialize_batch
-from .proofs import prove_decryption, vrf_eval, vrf_rand_batch, vrf_verify
+from .proofs import prove_decryption, vrf_draw_batch, vrf_eval, vrf_verify
 from .rng import Rng
 from .threshold import (
     InsufficientParticipants,
@@ -44,7 +44,7 @@ from .threshold import (
     dkg_run,
     draw_winner,
     max_draw,
-    partial_decrypt,
+    partial_decrypt_batch,
     verify_partials,
 )
 
@@ -494,12 +494,12 @@ def run_pool_lifecycle(
 
     `registrants` holds (participant id, key seed) pairs; each VRF key pair
     is keygen(key seed), all of them from one keygen_batch.  A draw
-    evaluates every registrant's VRF in one vrf_rand_batch.  Losers never
-    publish anything; winners publish their full proved VRF output, which
-    is verified before they join the key generation.  If a draw yields
-    fewer than `threshold` winners the seed is re-derived and the draw
-    repeats, up to MAX_DRAWS draws.  The pool registers `recovery_bound`,
-    the largest analytics total it will recover.
+    evaluates every registrant's VRF in one vrf_draw_batch.  Losers never
+    publish anything; winners prove their own draw and publish the full VRF
+    output, which is verified before they join the key generation.  If a
+    draw yields fewer than `threshold` winners the seed is re-derived and
+    the draw repeats, up to MAX_DRAWS draws.  The pool registers
+    `recovery_bound`, the largest analytics total it will recover.
     """
     keypairs = keygen_batch([key_seed for _, key_seed in registrants])
     participants = [ConsensusParticipant(pid, kp) for (pid, _), kp in zip(registrants, keypairs)]
@@ -508,9 +508,9 @@ def run_pool_lifecycle(
     round_seed = seed
     while True:
         winners = []
-        for registrant, rand in zip(participants, vrf_rand_batch(keypairs, round_seed, params.modulus)):
-            if draw_winner(rand, threshold):
-                out = vrf_eval(registrant.vrf_keypair, round_seed, params.modulus)
+        for registrant, draw in zip(participants, vrf_draw_batch(keypairs, round_seed, params.modulus)):
+            if draw_winner(draw.rand, threshold):
+                out = vrf_eval(registrant.vrf_keypair, round_seed, params.modulus, draw)
                 if not vrf_verify(registrant.vrf_keypair.pk, round_seed, out, params.modulus):
                     continue  # an unproved win is dropped here; no contract checks VRF proofs yet
                 winners.append(registrant)
@@ -565,7 +565,7 @@ def pool_analytics(pool: PoolResult, handle: CampaignHandle, rng: Rng) -> list:
     receipts = []
     for participant_id in pool.winners[:k]:
         share = pool.shares[participant_id]
-        partials = [partial_decrypt(share, ct, rng.child(f"partial/{participant_id}")) for ct in sums]
+        partials = partial_decrypt_batch(share, sums, [rng.child(f"partial/{participant_id}") for _ in sums])
         registrant = pool.registrants[participant_id]
         receipts.append(
             handle.chain.call(

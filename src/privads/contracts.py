@@ -39,6 +39,7 @@ from .group import (
     Signature,
     combine_ciphertexts,
     recover_plaintext,
+    sum_batch,
     sym_decrypt,
     verify_sig,
 )
@@ -217,9 +218,12 @@ class PolicyContract(_Contract):
 
     def analytics_sums(self) -> list:
         """Per-slot homomorphic sum of every reported analytics vector;
-        empty before the first claim."""
-        vectors = [vec for _, _, vec in self.reported_vectors]
-        return [combine_ciphertexts([1] * len(vectors), column) for column in zip(*vectors)]
+        empty before the first claim.  Every slot's c1 and c2 sums come
+        from one group.sum_batch."""
+        columns = list(zip(*(vec for _, _, vec in self.reported_vectors)))
+        halves = [[ct.c1 for ct in column] for column in columns] + [[ct.c2 for ct in column] for column in columns]
+        sums = sum_batch(halves)
+        return [Ciphertext(c1, c2) for c1, c2 in zip(sums, sums[len(columns) :])]
 
     # -- payment requests -------------------------------------------------------
 

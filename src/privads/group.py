@@ -16,20 +16,22 @@ Arithmetic is pure Python on Jacobian triples.  Two routines multiply,
 and only they choose between a window table and the variable-base path:
 msm computes every product and sum of products (GroupElement.mul is msm
 of one term), and mul_batch every batch of independent products.
+sum_batch computes a batch of plain sums.
 
 Long-lived bases get signed 6-bit window tables; a product through one
 is a list of table entries (_window_points).  Any other base is
 multiplied through its GLV split, each half recoded in width-4 NAF.
-In msm a table term's entries are added to the sum with mixed additions;
-the other terms run over one Jacobian doubling chain (Straus, _straus),
-or, when they are many or their scalars small, through Pippenger's
-bucket method.  In mul_batch a table product is a lane of affine
-additions that share one field inversion per step (_sum_lanes), and any
-other product a lane of one affine doubling chain (_mul_lanes), whose
-doublings and additions are such shared-inversion steps too
-(_add_round).  A committed
-polynomial is evaluated at a small share index by Horner's rule
-(commitment_eval).
+Many sums run as lanes of affine additions that share one field
+inversion per step (_sum_lanes, _add_round).  In msm a table term's
+entries are added to the sum with mixed additions; the other terms run
+over one Jacobian doubling chain (Straus, _straus), or, when they are
+many or their scalars small, through Pippenger's bucket method, whose
+buckets are the lanes of one _sum_lanes call when some scalar is wide
+(_LANE_BUCKET_MIN_BITS).  In mul_batch a table product is a lane of its
+entries, and any other product a lane of one affine doubling chain
+(_mul_lanes), whose doublings and additions are shared-inversion steps
+too.  In sum_batch each sum is a lane.  A committed polynomial is
+evaluated at a small share index by Horner's rule (commitment_eval).
 
 No constant-time hardening; this is simulation-grade crypto, reproducible
 from explicit seeds.
@@ -75,6 +77,7 @@ __all__ = [
     "combine_ciphertexts",
     "msm",
     "mul_batch",
+    "sum_batch",
     "commitment_eval",
     "encrypt_vector",
     "precompute_base",
@@ -288,8 +291,13 @@ def _sum_lanes(lanes: Sequence[list]) -> list:
     every lane takes one addition per step (_add_round)."""
     xs = [None] * len(lanes)
     ys = [None] * len(lanes)
-    for step in range(max(map(len, lanes), default=0)):
-        _add_round(xs, ys, [(i, lane[step]) for i, lane in enumerate(lanes) if step < len(lane)])
+    # Longest first, so each step reads only the lanes still running.
+    order = sorted(range(len(lanes)), key=lambda i: len(lanes[i]), reverse=True)
+    running = len(order)
+    for step in range(len(lanes[order[0]]) if lanes else 0):
+        while len(lanes[order[running - 1]]) <= step:
+            running -= 1
+        _add_round(xs, ys, [(i, lanes[i][step]) for i in order[:running]])
     return [None if x is None else (x, y) for x, y in zip(xs, ys)]
 
 
@@ -574,13 +582,23 @@ def _term(k: int, point: GroupElement):
 # In msm, the terms without a window table run over one doubling chain
 # (Straus) below this many terms, if some scalar is wider than
 # _STRAUS_MIN_BITS; otherwise Pippenger's bucket method is faster.
-# Measured on CPython 3.11 (2-core x86-64), Straus against Pippenger:
-# 256-bit scalars 2.1 vs 4.5 ms at 2 terms, 41 vs 48 ms at 64, 88 vs 69 ms
-# at 128; 64-bit scalars 1.9 vs 2.5 ms at 8 terms, 7.2 vs 7.6 ms at 32;
-# 5-bit scalars 0.22 vs 0.08 ms at 2 terms (Straus computes 3P, 5P and 7P
-# of every term, which a small scalar never uses).
-_PIPPENGER_MIN_TERMS = 64
+# Measured on CPython 3.11 (2-core x86-64), Straus against Pippenger with
+# lane buckets: 256-bit scalars 12.4 vs 14.9 ms at 16 terms, 18.0 vs 19.5
+# at 24, 21.0 vs 18.9 at 32, 30.7 vs 23.3 at 64; 64-bit scalars 1.5 vs 1.8
+# ms at 8 terms, 2.8 vs 2.7 at 16, 5.1 vs 4.2 at 32; 5-bit scalars 0.22 vs
+# 0.08 ms at 2 terms (Straus computes 3P, 5P and 7P of every term, which a
+# small scalar never uses).
+_PIPPENGER_MIN_TERMS = 32
 _STRAUS_MIN_BITS = 33
+
+# Pippenger's buckets are lanes of one _sum_lanes call when some scalar
+# has at least this many bits, and Jacobian sums otherwise: narrow scalars
+# give too few buckets for the lanes to share their inversions.  Measured
+# as above, Jacobian against lane buckets: 1-bit scalars 0.14 vs 0.55 ms at
+# 20 terms; 5-bit 1.0 vs 1.5 ms at 64; 32-bit 1.8 vs 1.5 ms at 16 and 4.5
+# vs 4.6 at 64; 64-bit 8.7 vs 7.5 ms at 64; 256-bit 34 vs 24 ms at 64, 55
+# vs 40 at 128, 198 vs 131 at 640.
+_LANE_BUCKET_MIN_BITS = 33
 
 
 def msm(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
@@ -628,7 +646,13 @@ def msm(scalars: Sequence[int], points: Sequence[GroupElement]) -> GroupElement:
 
 def _pippenger(terms: list) -> tuple:
     """Bucket method over signed base-2**c digits; terms are (k, x, y)
-    with 0 < k < ORDER, and the result is Jacobian."""
+    with 0 < k < ORDER, and the result is Jacobian.
+
+    Bucket (w, b) holds every point whose digit w is +-b, as (x, y) or
+    (x, p - y), two tuples made once per term.  With a scalar of at least
+    _LANE_BUCKET_MIN_BITS bits the buckets are summed as the lanes of one
+    _sum_lanes call (one shared inversion per step); with narrower scalars
+    there are too few buckets to share it, and each is a Jacobian sum."""
     c = max(2, len(terms).bit_length() - 3)  # about log2(n) - 2
     full = 1 << c
     half = full >> 1
@@ -636,32 +660,38 @@ def _pippenger(terms: list) -> tuple:
     # k on P and ORDER - k on -P are the same term; the smaller scalar has
     # fewer digits (a small negative coefficient arrives as a 256-bit one).
     terms = [(ORDER - k, x, _P - y) if k > ORDER >> 1 else (k, x, y) for k, x, y in terms]
-    windows = max((k.bit_length() for k, _, _ in terms), default=0) // c + 1
-    # rows[w][b] is the Jacobian sum of every point whose digit w is +-b.
-    rows = [[None] * (half + 1) for _ in range(windows)]
+    bits = max((k.bit_length() for k, _, _ in terms), default=0)
+    windows = bits // c + 1
+    # buckets[w * half + b - 1] lists the points whose digit w is +-b.
+    buckets = [[] for _ in range(windows * half)]
     for k, x, y in terms:
-        w = 0
+        pos, neg = (x, y), (x, _P - y)
+        at = -1
         while k:
             d = k & mask
             k >>= c
             if d > half:  # digits run over (-half, half], carrying into k
-                d -= full
                 k += 1
-            if d:
-                py = y if d > 0 else _P - y
-                d = abs(d)
-                row = rows[w]
-                bucket = row[d]
-                row[d] = (x, py, 1) if bucket is None else _jac_add_affine(*bucket, x, py)
-            w += 1
+                buckets[at + full - d].append(neg)
+            elif d:
+                buckets[at + d].append(pos)
+            at += half
+    if bits >= _LANE_BUCKET_MIN_BITS:
+        sums = [_INF if a is None else (*a, 1) for a in _sum_lanes(buckets)]
+    else:
+        sums = []
+        for bucket in buckets:
+            acc = _INF
+            for x, y in bucket:
+                acc = _jac_add_affine(*acc, x, y)
+            sums.append(acc)
     acc = _INF
-    for row in reversed(rows):
+    for w in range(windows - 1, -1, -1):
         for _ in range(c):
             acc = _jac_double(*acc)
         running = total = _INF
-        for bucket in row[:0:-1]:  # sum(b * row[b]) as a running sum of sums
-            if bucket is not None:
-                running = _jac_add(*running, *bucket)
+        for bucket in reversed(sums[w * half : (w + 1) * half]):  # sum(b * bucket b) as a running sum of sums
+            running = _jac_add(*running, *bucket)
             if running[2]:
                 total = _jac_add(*total, *running)
         acc = _jac_add(*acc, *total)
@@ -718,6 +748,14 @@ def mul_batch(scalars: Sequence[int], points: Sequence[GroupElement]) -> list[Gr
             for (i, _), product in zip(group, products):
                 out[i] = product
     return out
+
+
+def sum_batch(point_lists: Sequence[Sequence[GroupElement]]) -> list[GroupElement]:
+    """[sum(points) for points in point_lists], each sum one lane of a
+    single _sum_lanes call, so every step's additions share one field
+    inversion.  Raises ValueError for a point that is not on the curve."""
+    lanes = [[term[1:] for term in (_term(1, point) for point in points) if term] for points in point_lists]
+    return [IDENTITY if a is None else GroupElement(*a) for a in _sum_lanes(lanes)]
 
 
 def commitment_eval(commitments: Sequence[GroupElement], x: int) -> GroupElement:

@@ -33,12 +33,15 @@ from .rng import Rng
 __all__ = [
     "DecryptionProof",
     "VrfOutput",
+    "VrfDraw",
     "dleq_prove",
+    "dleq_respond",
     "dleq_verify",
     "dleq_first_invalid",
     "prove_decryption",
     "verify_decryption",
     "vrf_rand",
+    "vrf_draw_batch",
     "vrf_rand_batch",
     "vrf_eval",
     "vrf_verify",
@@ -78,11 +81,15 @@ def _dleq_challenge(tag, base_a, pub_a, base_b, pub_b, commit_a, commit_b) -> Sc
 def dleq_prove(tag: bytes, base_a, pub_a, base_b, pub_b, secret: Scalar, rng) -> DecryptionProof:
     """Prove log_{base_a}(pub_a) == log_{base_b}(pub_b) == secret."""
     w = random_scalar(rng)
-    commit_a = base_a.mul(w)
-    commit_b = base_b.mul(w)
-    c = _dleq_challenge(tag, base_a, pub_a, base_b, pub_b, commit_a, commit_b)
-    s = (w - c * secret) % ORDER
-    return DecryptionProof(commit_a, commit_b, c, s)
+    return dleq_respond(tag, (base_a, pub_a, base_b, pub_b), secret, w, base_a.mul(w), base_b.mul(w))
+
+
+def dleq_respond(tag: bytes, statement, secret: Scalar, w: Scalar, commit_a, commit_b) -> DecryptionProof:
+    """dleq_prove's proof for nonce w, whose commitments w*base_a and
+    w*base_b the caller has computed; statement is (base_a, pub_a, base_b,
+    pub_b)."""
+    c = _dleq_challenge(tag, *statement, commit_a, commit_b)
+    return DecryptionProof(commit_a, commit_b, c, (w - c * secret) % ORDER)
 
 
 def dleq_verify(tag: bytes, base_a, pub_a, base_b, pub_b, proof: DecryptionProof) -> bool:
@@ -213,9 +220,20 @@ def vrf_rand(vrf_keypair: KeyPair, seed: bytes, p: int) -> int:
     return _vrf_rand(_vrf_gamma(vrf_keypair, seed, p)[1], p)
 
 
-def vrf_rand_batch(vrf_keypairs, seed: bytes, p: int) -> list[int]:
-    """[vrf_rand(kp, seed, p) for kp in vrf_keypairs]: one lottery round's
-    draws.  Raises ValueError as vrf_rand does, for an empty list too.
+@dataclass(frozen=True)
+class VrfDraw:
+    """One registrant's draw before any proof: its input point h (hashed
+    from its public key and the seed), gamma = sk*h and the number."""
+
+    rand: int
+    point: GroupElement
+    gamma: GroupElement
+
+
+def vrf_draw_batch(vrf_keypairs, seed: bytes, p: int) -> list[VrfDraw]:
+    """One lottery round's draws, one per key pair; draw.rand is
+    vrf_rand(kp, seed, p).  Raises ValueError as vrf_rand does, for an empty
+    list too.
 
     Each registrant evaluates its own VRF, so the draws are independent
     parties' work and run on every usable CPU: forking.fork_map splits the
@@ -227,14 +245,27 @@ def vrf_rand_batch(vrf_keypairs, seed: bytes, p: int) -> list[int]:
 
     def draws(keypairs):
         points = [_vrf_point(kp.pk, seed) for kp in keypairs]
-        return [_vrf_rand(gamma, p) for gamma in mul_batch([kp.sk for kp in keypairs], points)]
+        gammas = mul_batch([kp.sk for kp in keypairs], points)
+        return [VrfDraw(_vrf_rand(gamma, p), h, gamma) for h, gamma in zip(points, gammas)]
 
     return fork_map(draws, vrf_keypairs)
 
 
-def vrf_eval(vrf_keypair: KeyPair, seed: bytes, p: int) -> VrfOutput:
-    """Deterministic random number in [0, p) plus proof of correctness."""
-    h, gamma = _vrf_gamma(vrf_keypair, seed, p)
+def vrf_rand_batch(vrf_keypairs, seed: bytes, p: int) -> list[int]:
+    """[vrf_rand(kp, seed, p) for kp in vrf_keypairs], from vrf_draw_batch."""
+    return [draw.rand for draw in vrf_draw_batch(vrf_keypairs, seed, p)]
+
+
+def vrf_eval(vrf_keypair: KeyPair, seed: bytes, p: int, draw: VrfDraw | None = None) -> VrfOutput:
+    """Deterministic random number in [0, p) plus proof of correctness.
+
+    A lottery winner passes its own draw from vrf_draw_batch for the same
+    seed and p, whose h and gamma are then not computed again."""
+    if draw is None:
+        h, gamma = _vrf_gamma(vrf_keypair, seed, p)
+    else:
+        _check_draw(seed, p)
+        h, gamma = draw.point, draw.gamma
     # The proof nonce is derived, not sampled: evaluation stays a pure
     # function of (sk, seed).
     nonce_rng = Rng(b"privads/v1/vrf/nonce" + scalar_bytes(vrf_keypair.sk) + seed)

@@ -173,6 +173,14 @@ class Scenario:
             largest = self.users.max_count * self.catalog_size
         if self.interaction_cap < max(largest, 0):
             errors.append(f"interaction_cap: {self.interaction_cap} is below a user's largest vector sum {largest}")
+        if sorted(covered) == list(range(self.catalog_size)):  # policy_vector needs every slot in the catalog
+            policies = self.policy_vector()
+            if self.users.vectors is not None:
+                reward = max((sum(p * v for p, v in zip(policies, vec)) for vec in self.users.vectors), default=0)
+            else:
+                reward = self.users.max_count * sum(policies)
+            if self.reward_cap < max(reward, 0):
+                errors.append(f"reward_cap: {self.reward_cap} is below a user's largest reward {reward}")
         return errors
 
     # -- derived data ---------------------------------------------------------

@@ -36,7 +36,7 @@ from .group import (
     scalar_bytes,
     tagged_hash,
 )
-from .proofs import DecryptionProof, dleq_first_invalid, dleq_prove, dleq_verify
+from .proofs import DecryptionProof, dleq_first_invalid, dleq_respond, dleq_verify
 
 __all__ = [
     "PoolParams",
@@ -54,6 +54,7 @@ __all__ = [
     "commitment_eval",
     "dkg_run",
     "partial_decrypt",
+    "partial_decrypt_batch",
     "verify_partial",
     "verify_partials",
     "combine_partials",
@@ -290,9 +291,27 @@ _PARTIAL_TAG = b"partial-decryption"
 
 def partial_decrypt(share: KeyShare, ct: Ciphertext, rng) -> PartialDecryption:
     """Contribute share*c1 with a proof it matches the committed share."""
-    point = ct.c1.mul(share.share)
-    proof = dleq_prove(_PARTIAL_TAG, G, share.commitment, ct.c1, point, share.share, rng)
-    return PartialDecryption(share.index, point, proof)
+    return partial_decrypt_batch(share, [ct], [rng])[0]
+
+
+def partial_decrypt_batch(share: KeyShare, cts, rngs) -> list[PartialDecryption]:
+    """[partial_decrypt(share, ct, rng) for ct, rng in zip(cts, rngs)]: one
+    member's partials.  Each proof's nonce w is drawn from its rng in turn,
+    and every c1*share, w*G and w*c1 is one lane of a single mul_batch."""
+    if len(cts) != len(rngs):
+        raise ValueError("one rng per ciphertext")
+    ws = [random_scalar(rng) for rng in rngs]
+    c1s = [ct.c1 for ct in cts]
+    n = len(cts)
+    products = mul_batch([share.share] * n + ws + ws, c1s + [G] * n + c1s)
+    return [
+        PartialDecryption(
+            share.index,
+            point,
+            dleq_respond(_PARTIAL_TAG, (G, share.commitment, c1, point), share.share, w, commit_a, commit_b),
+        )
+        for c1, w, point, commit_a, commit_b in zip(c1s, ws, products, products[n:], products[2 * n :])
+    ]
 
 
 def verify_partial(tpk: ThresholdPublicKey, ct: Ciphertext, partial: PartialDecryption) -> bool:

@@ -21,13 +21,13 @@ from privads.actors import (
     run_pool_lifecycle,
 )
 from privads.contracts import policy_blob
-from privads.group import G, H, keygen, sym_encrypt
+from privads.group import G, H, ORDER, keygen, sym_encrypt
 from privads.ledger import Chain
 from privads.proofs import vrf_rand
 from privads.rng import Rng
 from privads.runner import run_scenario
 from privads.scenario import load_scenario
-from privads.threshold import PoolParams, draw_winner, max_draw
+from privads.threshold import PoolParams, draw_winner, lagrange_coefficients, max_draw
 
 from conftest import build_campaign
 
@@ -263,6 +263,61 @@ class TestPoolLifecycle:
         assert chosen is not None
         pool = run_pool_lifecycle(registrants, params, chosen, handle_of(campaign), Rng("redraw"), recovery_bound=2**12)
         assert pool.draws == 2
+
+    def test_winners_prove_the_draw_their_round_made(self, campaign, monkeypatch):
+        """A registrant's input point is hashed once per draw, and a
+        winner's once more, by vrf_verify: vrf_eval takes the point and
+        gamma from the winner's draw.  The proved outputs are the ones
+        vrf_eval computes from the key and seed alone."""
+        import privads.proofs
+
+        hashed, proved = [], []
+        hash_point, prove = privads.proofs._vrf_point, actors.vrf_eval
+
+        def counted_hash(pk, seed):
+            hashed.append(pk)
+            return hash_point(pk, seed)
+
+        def recorded_prove(keypair, seed, p, draw=None):
+            out = prove(keypair, seed, p, draw)
+            proved.append((keypair, seed, p, out))
+            return out
+
+        monkeypatch.setattr(privads.proofs, "_vrf_point", counted_hash)
+        monkeypatch.setattr(actors, "vrf_eval", recorded_prove)
+        registrants = [(f"reg{i}", b"d%d" % i) for i in range(6)]
+        params = PoolParams(expected=3, threshold=1, draw_pool=6, modulus=100_000)
+        pool = run_pool_lifecycle(registrants, params, b"draw-seed", handle_of(campaign), Rng("d"), recovery_bound=2**12)
+        assert proved and len(proved) == len(pool.winners)
+        assert len(hashed) == len(registrants) * pool.draws + len(proved)
+        monkeypatch.undo()
+        for keypair, seed, p, out in proved:
+            assert out.encode() == actors.vrf_eval(keypair, seed, p).encode()
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="CHANGES.md FOUND: pool_analytics gives every partial of one post the same DLEQ nonce",
+    )
+    def test_posts_do_not_reveal_a_members_share(self):
+        """Two DLEQ proofs with one nonce w give the secret away: from
+        s_i = w - c_i * share, share = (s_0 - s_1) / (c_1 - c_0).  Every
+        post's partials share their nonce, so anyone who reads the public
+        posts recovers each poster's share (checked against its
+        commitment), and k shares interpolate to the pool secret."""
+        outcome = run_scenario(load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "strawman.yaml"))
+        fsc = outcome.chains[0].handle.fsc
+        tpk = fsc.pool_key
+        recovered = {}
+        for partials in fsc.analytics_partials:
+            first, second = partials[0].proof, partials[1].proof
+            if first.challenge != second.challenge:
+                share = (first.response - second.response) * pow(second.challenge - first.challenge, -1, ORDER) % ORDER
+                if G.mul(share) == tpk.share_commitment(partials[0].index):
+                    recovered[partials[0].index] = share
+        lam = lagrange_coefficients(list(recovered))
+        secret = sum(lam[index] * share for index, share in recovered.items()) % ORDER
+        assert not recovered, f"shares {sorted(recovered)} recovered; pool secret found: {G.mul(secret) == tpk.pk}"
 
 
 class TestAdvertiserAudit:

@@ -14,6 +14,7 @@ from privads.contracts import FundContract, PolicyContract
 from privads.group import (
     G,
     ORDER,
+    combine_ciphertexts,
     decrypt,
     encrypt_vector,
     hybrid_encrypt,
@@ -387,6 +388,33 @@ class TestAnalyticsPosts:
             assert receipt.ok, receipt.error
         # oracle: the plaintext sum of the two claims
         assert campaign.fsc.analytics_totals == [5, 0, 7]
+
+    def test_sums_are_one_sum_batch(self, campaign, monkeypatch):
+        """Every slot's c1 and c2 sums come from one _sum_lanes call, and
+        they are the per-column sums of the reported vectors."""
+        import privads.group
+
+        pool = register_pool(campaign, (1, 2, 3), threshold=2)
+        self.land(campaign, pool, [2, 0, 3], [3, 0, 4], [0, 0, 1])
+        vectors = [vec for _, _, vec in campaign.psc.reported_vectors]
+        calls = []
+
+        def counting(name):
+            original = getattr(privads.group, name)
+
+            def counted(*args):
+                calls.append((name, len(args[0])))
+                return original(*args)
+
+            monkeypatch.setattr(privads.group, name, counted)
+
+        counting("_sum_lanes")
+        counting("msm")
+        sums = campaign.psc.analytics_sums()
+        assert calls == [("_sum_lanes", 2 * 3)]  # one lane per slot and half, no msm
+        monkeypatch.undo()
+        expected = [combine_ciphertexts([1] * len(vectors), column) for column in zip(*vectors)]
+        assert [ct.encode() for ct in sums] == [ct.encode() for ct in expected]
 
     def test_the_pool_threshold_is_the_vector_length(self, campaign):
         pool = register_pool(campaign, (1, 2, 3), threshold=2)

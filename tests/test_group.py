@@ -34,6 +34,7 @@ from privads.group import (
     random_scalar,
     recover_plaintext,
     sign,
+    sum_batch,
     sym_decrypt,
     sym_encrypt,
     verify_sig,
@@ -526,6 +527,89 @@ class TestMsm:
         assert recover_plaintext(decrypt(kp.sk, combined), 1000) == 4 * 3 + 20 * 0 + 0 * 2 + 12 * 7
         with pytest.raises(ValueError):
             combine_ciphertexts([-1, 0, 0, 0], cts)
+
+
+_LANE_BITS = group._LANE_BUCKET_MIN_BITS
+_PIPPENGER_TERMS = group._PIPPENGER_MIN_TERMS
+_BUCKET_POINTS = [G.mul(0xB0C4), G.mul(0xE7), H]
+
+
+class TestPippenger:
+    """Pippenger's buckets against double-and-add: Jacobian buckets below
+    _LANE_BUCKET_MIN_BITS, lane buckets from it on."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        bits=st.sampled_from([1, 5, _LANE_BITS - 1, _LANE_BITS, _LANE_BITS + 1, 128, 256]),
+        n=st.integers(1, 24),
+    )
+    @example(data=None, bits=_LANE_BITS, n=0)
+    def test_buckets_match_double_and_add(self, data, bits, n):
+        """Bases repeat and come negated, so one bucket holds P twice (its
+        lane doubles) or P and -P (its sum reaches the identity)."""
+        bases = _BUCKET_POINTS + [-P for P in _BUCKET_POINTS]
+        terms = [
+            (data.draw(st.integers(1, 2**bits - 1), label="k"), data.draw(st.sampled_from(bases), label="P"))
+            for _ in range(n)
+        ]
+        if terms:  # the widest scalar has `bits` bits
+            terms[0] = (terms[0][0] | 1 << (bits - 1), terms[0][1])
+        acc = group._pippenger([(k, P.x, P.y) for k, P in terms])
+        assert group._from_jac(acc) == _msm_oracle([k for k, _ in terms], [P for _, P in terms])
+
+    @pytest.mark.parametrize("bits", [5, _LANE_BITS, 256])
+    def test_every_bucket_reaching_the_identity(self, bits):
+        """k on P next to k on -P puts every digit's P and -P in one bucket,
+        and each of those sums is the identity; 3 on P twice puts P twice
+        in one bucket, whose sum doubles."""
+        P = _BUCKET_POINTS[0]
+        k = (1 << (bits - 1)) | 0x5A5A5A5A5 % (1 << bits)
+        terms = [(k, P.x, P.y), (k, P.x, _P - P.y), (3, P.x, P.y), (3, P.x, P.y)]
+        assert group._from_jac(group._pippenger(terms)) == P.mul(6)
+
+    @pytest.mark.parametrize("n", [_PIPPENGER_TERMS - 1, _PIPPENGER_TERMS, _PIPPENGER_TERMS + 1])
+    @pytest.mark.parametrize("bits", [_LANE_BITS - 1, _LANE_BITS, 256])
+    def test_msm_at_the_path_rules(self, rng, monkeypatch, n, bits):
+        """Term counts around _PIPPENGER_MIN_TERMS and widths around
+        _LANE_BUCKET_MIN_BITS: the sum matches double-and-add whichever
+        path msm takes, and Pippenger's buckets are lanes exactly when some
+        scalar has _LANE_BUCKET_MIN_BITS bits."""
+        points = [G.mul(random_scalar(rng)) for _ in range(n)]
+        scalars = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(n)]
+        buckets = _counting(monkeypatch, "_pippenger", group._pippenger)
+        lanes = _counting(monkeypatch, "_sum_lanes", _sum_lanes)
+        assert msm(scalars, points) == _msm_oracle(scalars, points)
+        assert len(buckets) == (n >= _PIPPENGER_TERMS or bits < group._STRAUS_MIN_BITS)
+        assert len(lanes) == (len(buckets) == 1 and bits >= _LANE_BITS)
+
+
+class TestSumBatch:
+    """sum_batch against one msm of all-one weights per list."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        lists=st.lists(
+            st.lists(st.sampled_from(_BUCKET_POINTS + [-P for P in _BUCKET_POINTS] + [IDENTITY, G]), max_size=9),
+            max_size=6,
+        )
+    )
+    @example(lists=[])
+    @example(lists=[[], [IDENTITY], [G, -G], [G, G], [G, H, -G, -H, G]])
+    def test_matches_per_list_msm(self, lists):
+        assert sum_batch(lists) == [msm([1] * len(points), points) for points in lists]
+
+    def test_columns_of_ciphertexts(self, rng, kp):
+        vectors = [encrypt_vector(kp.pk, [i, 2 * i, 0], rng) for i in range(5)]
+        vectors.append([Ciphertext(-a.c1, -a.c2) for a in vectors[0]])  # cancels the first vector
+        columns = list(zip(*vectors))
+        sums = sum_batch([[ct.c1 for ct in column] for column in columns])
+        assert sums == [msm([1] * len(column), [ct.c1 for ct in column]) for column in columns]
+        assert sum_batch([[vectors[0][0].c1, vectors[-1][0].c1]]) == [IDENTITY]
+
+    def test_point_off_curve_rejected(self):
+        with pytest.raises(ValueError):
+            sum_batch([[G], [GroupElement(G.x, G.y + 1)]])
 
 
 class TestKeygen:

@@ -76,12 +76,27 @@ class TestScenarioSchema:
                 {"interaction_cap": 5, "users": {"count": 2, "vectors": [[1, 2, 3], [0, 0, 1]]}},
                 "interaction_cap: 5 is below a user's largest vector sum 6",
             ),
+            ({"reward_cap": 14}, "reward_cap: 14 is below a user's largest reward 15"),
+            (
+                {
+                    "reward_cap": 13,
+                    "advertisers": [{**ADVERTISER, "policies": [4, 0, 2]}],
+                    "users": {"count": 2, "vectors": [[1, 9, 3], [3, 0, 1]]},
+                },
+                "reward_cap: 13 is below a user's largest reward 14",
+            ),
         ],
     )
     def test_inputs_a_run_cannot_serve_are_rejected(self, change, error):
         with pytest.raises(ScenarioError) as exc:
             Scenario.from_dict({"advertisers": [ADVERTISER], **change})
         assert exc.value.errors == [error]
+
+    def test_reward_cap_may_equal_the_largest_reward(self):
+        assert Scenario.from_dict({"advertisers": [ADVERTISER], "reward_cap": 15}).validate() == []
+        vectors = {"count": 2, "vectors": [[1, 9, 3], [3, 0, 1]]}
+        advertiser = {**ADVERTISER, "policies": [4, 0, 2]}
+        assert Scenario.from_dict({"advertisers": [advertiser], "reward_cap": 14, "users": vectors}).validate() == []
 
     def test_interaction_cap_may_equal_the_largest_vector_sum(self):
         assert Scenario.from_dict({"advertisers": [ADVERTISER], "interaction_cap": 15}).validate() == []
@@ -448,7 +463,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize(
-        "field, value", [("users.max_count", -1), ("recovery_bound", 0), ("interaction_cap", -1)]
+        "field, value", [("users.max_count", -1), ("recovery_bound", 0), ("interaction_cap", -1), ("reward_cap", 0)]
     )
     def test_strawman_with_an_input_a_run_cannot_serve_exit_2(self, tmp_path, capsys, field, value):
         data = yaml.safe_load((SCENARIOS / "strawman.yaml").read_text())

@@ -320,6 +320,78 @@ class TestThresholdDecryption:
                     combine_partials(result.public_key, [partials[i] for i in subset], ct, k)
 
 
+def _partial_oracle(share, ct, rng):
+    """A partial decryption by its definition: share*c1 and a DLEQ proof
+    from dleq_prove, one multiply at a time."""
+    point = ct.c1.mul(share.share)
+    proof = dleq_prove(b"partial-decryption", G, share.commitment, ct.c1, point, share.share, rng)
+    return PartialDecryption(share.index, point, proof)
+
+
+def _encoded(partials):
+    return [(p.index, p.share_point.encode(), p.proof.encode()) for p in partials]
+
+
+class TestPartialDecryptBatch:
+    """One member's partials in one mul_batch, byte for byte the partials
+    made one at a time."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        rng = Rng("partial-batch")
+        result = dkg_run([1, 2, 3], 2, rng)
+        pk = result.public_key.pk
+        # Sizes around mul_batch's lane minimums; an identity c1 and a
+        # repeated ciphertext among them.
+        cts = [encrypt(pk, m % 7, random_scalar(rng)) for m in range(40)]
+        cts[3] = replace(cts[3], c1=IDENTITY)
+        cts[5] = cts[4]
+        return result, cts
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 15, 16, 17, 40])
+    def test_matches_one_at_a_time(self, pool, n):
+        result, cts = pool
+        share = result.shares[2]
+        batch = privads.threshold.partial_decrypt_batch(share, cts[:n], [Rng(f"nonce/{i}") for i in range(n)])
+        singles = [partial_decrypt(share, ct, Rng(f"nonce/{i}")) for i, ct in enumerate(cts[:n])]
+        oracle = [_partial_oracle(share, ct, Rng(f"nonce/{i}")) for i, ct in enumerate(cts[:n])]
+        assert _encoded(batch) == _encoded(singles) == _encoded(oracle)
+
+    def test_one_rng_draws_in_order(self, pool):
+        """The same rng for every ciphertext draws each nonce in turn, as
+        consecutive partial_decrypt calls do."""
+        result, cts = pool
+        share = result.shares[1]
+        shared = Rng("shared")
+        batch = privads.threshold.partial_decrypt_batch(share, cts[:6], [shared] * 6)
+        again = Rng("shared")
+        assert _encoded(batch) == _encoded([_partial_oracle(share, ct, again) for ct in cts[:6]])
+        assert verify_partials(result.public_key, cts[:6], batch) is None
+
+    def test_one_rng_per_ciphertext(self, pool):
+        result, cts = pool
+        with pytest.raises(ValueError):
+            privads.threshold.partial_decrypt_batch(result.shares[1], cts[:2], [Rng("one")])
+
+    def test_one_mul_batch(self, pool, monkeypatch):
+        result, cts = pool
+        calls = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def counted(scalars, points):
+                calls.append((name, len(scalars)))
+                return original(scalars, points)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(privads.threshold, "mul_batch")
+        counting(privads.group, "msm")  # a product that left the lanes
+        privads.threshold.partial_decrypt_batch(result.shares[1], cts, [Rng(f"n/{i}") for i in range(len(cts))])
+        assert calls == [("mul_batch", 3 * len(cts))]
+
+
 @functools.cache
 def _batch_setup():
     """Three posts (indices 1-3 of a 2-of-3 pool) over four ciphertexts."""
