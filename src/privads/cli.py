@@ -2,7 +2,6 @@
 
     privads run --scenario scenarios/strawman.yaml [--seed 42] [--out report.jsonl]
                 [--blocks blocks.jsonl] [--timings timings.json]
-    privads bench --catalog 64,128,256 --users 10,30,60,100 --chains 1,2,3
     privads verify-run --report report.jsonl --blocks blocks.jsonl
 
 Exit codes: 0 clean, 1 invariant violation (or verification failure),
@@ -16,13 +15,8 @@ import json
 import sys
 
 from .audit import verify_run, write_block_log
-from .bench import format_table, run_bench
 from .runner import report_bytes, run_scenario
 from .scenario import ScenarioError, load_scenario
-
-
-def _int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part]
 
 
 def _cmd_run(args) -> int:
@@ -58,20 +52,6 @@ def _cmd_run(args) -> int:
     return 0 if outcome.ok else 1
 
 
-def _cmd_bench(args) -> int:
-    bench = run_bench(
-        catalog_sizes=args.catalog,
-        user_counts=args.users,
-        chain_counts=args.chains,
-        repeats=args.repeats,
-    )
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(bench, fh, indent=2, sort_keys=True)
-    print(format_table(bench))
-    return 0
-
-
 def _cmd_verify(args) -> int:
     ok, findings = verify_run(args.report, args.blocks)
     if ok:
@@ -94,14 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--blocks", default=None, help="write the block log here")
     run_p.add_argument("--timings", default=None, help="write wall-clock timings here")
     run_p.set_defaults(func=_cmd_run)
-
-    bench_p = sub.add_parser("bench", help="client-op timings and scaling model")
-    bench_p.add_argument("--catalog", type=_int_list, default=[64, 128, 256])
-    bench_p.add_argument("--users", type=_int_list, default=[10, 30, 60, 100])
-    bench_p.add_argument("--chains", type=_int_list, default=[1, 2, 3])
-    bench_p.add_argument("--repeats", type=int, default=5)
-    bench_p.add_argument("--out", default=None, help="write raw bench JSON here")
-    bench_p.set_defaults(func=_cmd_bench)
 
     verify_p = sub.add_parser("verify-run", help="replay and audit a finished run")
     verify_p.add_argument("--report", required=True)

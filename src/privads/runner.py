@@ -21,6 +21,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from statistics import median
 
 from . import __version__
 from .actors import (
@@ -86,13 +87,7 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
 def _timing_summary(values):
     if not values:
         return {"median_s": None, "min_s": None, "max_s": None, "count": 0}
-    ordered = sorted(values)
-    return {
-        "median_s": ordered[len(ordered) // 2],
-        "min_s": ordered[0],
-        "max_s": ordered[-1],
-        "count": len(ordered),
-    }
+    return {"median_s": median(values), "min_s": min(values), "max_s": max(values), "count": len(values)}
 
 
 def _oracle_totals(scenario: Scenario, user_indices) -> list:

@@ -15,6 +15,8 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .codec import type_error
+from .contracts import MAX_CATALOG
+from .group import ANALYTICS_BOUND
 from .rng import Rng
 from .threshold import PoolParams
 
@@ -126,6 +128,8 @@ class Scenario:
             errors.append("seed: must be non-negative")
         if self.catalog_size < 1:
             errors.append("catalog_size: must be >= 1")
+        elif self.catalog_size > MAX_CATALOG:
+            errors.append(f"catalog_size: must be <= {MAX_CATALOG}")
         if self.payout_periods < 1:
             errors.append("payout_periods: must be >= 1")
         if self.chains < 1:
@@ -160,6 +164,8 @@ class Scenario:
             errors.append("users.max_count: must be >= 0")
         if self.recovery_bound < 1:
             errors.append("recovery_bound: must be >= 1")
+        elif self.recovery_bound > ANALYTICS_BOUND:
+            errors.append(f"recovery_bound: must be <= {ANALYTICS_BOUND}")
         if self.users.vectors is not None:
             if len(self.users.vectors) != self.users.count:
                 errors.append("users.vectors: need exactly one vector per user")

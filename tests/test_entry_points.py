@@ -457,6 +457,25 @@ def test_an_unlinked_fsc_fails_with_a_typed_code(campaign):
     assert claim.error == "UnknownAdvertiser: adv0"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="CHANGES.md FOUND: store_threshold_key and register_pool accept any sender (P4, ROADMAP item 7)",
+)
+def test_an_outsider_cannot_set_the_pool_key(campaign):
+    """P4: an outsider publishes the key of its own 1-of-1 DKG and
+    registers its vector.  Both calls fail with a typed code, and the
+    facilitator's pool then registers."""
+    own = dkg_run([1], 1, campaign.rng).public_key
+    published = _receipt(campaign, campaign.psc_address, "store_threshold_key", {"pk": own.pk}, OUTSIDER)
+    args = {"verification": own.verification, "recovery_bound": 2**12}
+    registered = _receipt(campaign, campaign.fsc_address, "register_pool", args, OUTSIDER)
+    for receipt in (published, registered):
+        assert not receipt.ok and receipt.error.split(":")[0] in CODES, receipt.record()
+    pool = register_pool(campaign)
+    assert campaign.fsc.pool_key.pk == pool.public_key.pk
+
+
 @pytest.mark.parametrize("points_at, catalog_size", [("campaign", 3), ("fresh", 2), ("fresh", 4)])
 def test_link_psc_needs_a_psc_deployed_for_this_fsc(campaign, points_at, catalog_size):
     """A psc deployed for another fsc, or for a catalog of another size

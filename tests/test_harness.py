@@ -7,16 +7,24 @@ import pytest
 import yaml
 
 from privads.audit import load_block_log, verify_run, write_block_log
-from privads.bench import format_table, run_bench, simulated_throughput
+from privads.bench import simulated_throughput
 from privads.cli import main as cli_main
+from privads.contracts import MAX_CATALOG
+from privads.group import ANALYTICS_BOUND
 from privads.ledger import Chain
-from privads.runner import public_text, report_bytes, run_scenario
+from privads.runner import _timing_summary, public_text, report_bytes, run_scenario
 from privads.scenario import Scenario, ScenarioError, load_scenario
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 ADVERTISER = {"id": "a", "ads": [0, 1, 2], "policies": [1, 1, 1], "impressions": [1, 1, 1]}
+
+
+def whole_catalog(size):
+    """A scenario of `size` slots held by one advertiser, with no users."""
+    advertiser = {"id": "a", "ads": list(range(size)), "policies": [1] * size, "impressions": [1] * size}
+    return {"catalog_size": size, "advertisers": [advertiser], "users": {"count": 0, "max_count": 0}}
 
 
 def section(outcome, name):
@@ -85,6 +93,11 @@ class TestScenarioSchema:
                 },
                 "reward_cap: 13 is below a user's largest reward 14",
             ),
+            # The bound the pool registration enforces; 2**48 would ask for
+            # a baby-step table of 2**24 entries, about 2.4 GB.
+            ({"recovery_bound": 2**48}, f"recovery_bound: must be <= {ANALYTICS_BOUND}"),
+            # The fund contract's deploy refuses it (BadParams).
+            (whole_catalog(MAX_CATALOG + 1), f"catalog_size: must be <= {MAX_CATALOG}"),
         ],
     )
     def test_inputs_a_run_cannot_serve_are_rejected(self, change, error):
@@ -97,6 +110,10 @@ class TestScenarioSchema:
         vectors = {"count": 2, "vectors": [[1, 9, 3], [3, 0, 1]]}
         advertiser = {**ADVERTISER, "policies": [4, 0, 2]}
         assert Scenario.from_dict({"advertisers": [advertiser], "reward_cap": 14, "users": vectors}).validate() == []
+
+    def test_catalog_and_recovery_bound_may_equal_the_contract_limits(self):
+        assert Scenario.from_dict(whole_catalog(MAX_CATALOG)).validate() == []
+        assert Scenario.from_dict({"advertisers": [ADVERTISER], "recovery_bound": ANALYTICS_BOUND}).validate() == []
 
     def test_interaction_cap_may_equal_the_largest_vector_sum(self):
         assert Scenario.from_dict({"advertisers": [ADVERTISER], "interaction_cap": 15}).validate() == []
@@ -366,6 +383,10 @@ class TestRunnerBehavior:
         row = section(outcome, "users")["rows"][0]
         assert row["claimed"] == 0 and row["paid"] == 0
 
+    def test_timing_summary_median_of_an_even_count(self):
+        # The mean of the two middle samples, not the upper one.
+        assert _timing_summary([4, 1, 3, 2]) == {"median_s": 2.5, "min_s": 1, "max_s": 4, "count": 4}
+
     def test_zero_users(self):
         scenario = Scenario.from_dict(
             {
@@ -463,7 +484,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize(
-        "field, value", [("users.max_count", -1), ("recovery_bound", 0), ("interaction_cap", -1), ("reward_cap", 0)]
+        "field, value",
+        [
+            ("users.max_count", -1),
+            ("recovery_bound", 0),
+            ("recovery_bound", ANALYTICS_BOUND + 1),
+            ("interaction_cap", -1),
+            ("reward_cap", 0),
+            ("catalog_size", 70_000),
+        ],
     )
     def test_strawman_with_an_input_a_run_cannot_serve_exit_2(self, tmp_path, capsys, field, value):
         data = yaml.safe_load((SCENARIOS / "strawman.yaml").read_text())
@@ -566,15 +595,3 @@ class TestBenchModel:
         single = simulated_throughput(600, 1)["users_per_day"]
         triple = simulated_throughput(600, 3)["users_per_day"]
         assert triple >= 2.5 * single
-
-    def test_bench_table_renders(self):
-        bench = run_bench(catalog_sizes=[8], user_counts=[5], chain_counts=[1, 2], repeats=1,
-                          batch_sizes=[4])
-        text = format_table(bench)
-        assert "client operations" in text and "multi-chain scaling" in text
-        assert bench["multi_chain_scaling"][1]["speedup_vs_single"] >= 1.0
-
-    def test_empty_user_counts(self):
-        bench = run_bench(catalog_sizes=[4], user_counts=[], chain_counts=[1], repeats=1, batch_sizes=[2])
-        assert bench["concurrent_users"] == []
-        assert "empty table" in format_table(bench)

@@ -130,6 +130,28 @@ class TestBlocks:
         assert not chain.receipt(r2).ok
         assert chain.balances[_addr(2)] == 510
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="CHANGES.md FOUND: mine_block leaves a half-executed block when a bug escapes it (ROADMAP item 1)",
+    )
+    def test_a_bug_escaping_mine_block_leaves_no_half_block(self, monkeypatch):
+        """A bug in the block's second call aborts the whole block: the
+        transfer before it is neither applied nor receipted."""
+
+        def bug(chain, ctx, tx, args):
+            raise RuntimeError("planted bug")
+
+        monkeypatch.setattr(Chain, "_redeem_note", bug)
+        chain = fresh_chain(balances={_addr(1): 100})
+        rid = chain.call(_addr(1), None, "transfer", {"to": _addr(2), "amount": 5})
+        chain.call(_addr(2), None, "redeem_note", {"tx_ref": b"\x00" * 32, "blinding": 1, "amount": 1})
+        before = chain.state_hash()
+        with pytest.raises(RuntimeError, match="planted bug"):
+            chain.mine_block()
+        assert chain.state_hash() == before, chain.balances
+        assert rid not in chain.receipts
+
     def test_hash_chain_links(self):
         chain = fresh_chain()
         chain.mine_block()
