@@ -649,7 +649,8 @@ def _pippenger(terms: list) -> tuple:
     with 0 < k < ORDER, and the result is Jacobian.
 
     Bucket (w, b) holds every point whose digit w is +-b, as (x, y) or
-    (x, p - y), two tuples made once per term.  With a scalar of at least
+    (x, p - y), two tuples made once per term (the top window's digit is
+    unsigned, see below).  With a scalar of at least
     _LANE_BUCKET_MIN_BITS bits the buckets are summed as the lanes of one
     _sum_lanes call (one shared inversion per step); with narrower scalars
     there are too few buckets to share it, and each is a Jacobian sum."""
@@ -661,13 +662,19 @@ def _pippenger(terms: list) -> tuple:
     # fewer digits (a small negative coefficient arrives as a 256-bit one).
     terms = [(ORDER - k, x, _P - y) if k > ORDER >> 1 else (k, x, y) for k, x, y in terms]
     bits = max((k.bit_length() for k, _, _ in terms), default=0)
-    windows = bits // c + 1
-    # buckets[w * half + b - 1] lists the points whose digit w is +-b.
-    buckets = [[] for _ in range(windows * half)]
+    # The top window takes what is left of k as one unsigned digit, at most
+    # 2**c, so no carry leaves it: a window of carries alone would pile
+    # about half of all points into its one bucket, a lane the others wait
+    # on.  buckets[w * half + b - 1] lists the points whose digit w is +-b
+    # (just +b in the top window, whose buckets run to b = full).
+    top = (bits - 1) // c
+    buckets = [[] for _ in range(top * half + full)]
     for k, x, y in terms:
         pos, neg = (x, y), (x, _P - y)
         at = -1
-        while k:
+        for _ in range(top):
+            if not k:
+                break
             d = k & mask
             k >>= c
             if d > half:  # digits run over (-half, half], carrying into k
@@ -676,6 +683,8 @@ def _pippenger(terms: list) -> tuple:
             elif d:
                 buckets[at + d].append(pos)
             at += half
+        if k:  # what the top window takes
+            buckets[at + k].append(pos)
     if bits >= _LANE_BUCKET_MIN_BITS:
         sums = [_INF if a is None else (*a, 1) for a in _sum_lanes(buckets)]
     else:
@@ -686,11 +695,12 @@ def _pippenger(terms: list) -> tuple:
                 acc = _jac_add_affine(*acc, x, y)
             sums.append(acc)
     acc = _INF
-    for w in range(windows - 1, -1, -1):
+    for w in range(top, -1, -1):
         for _ in range(c):
             acc = _jac_double(*acc)
         running = total = _INF
-        for bucket in reversed(sums[w * half : (w + 1) * half]):  # sum(b * bucket b) as a running sum of sums
+        # sum(b * bucket b) as a running sum of sums
+        for bucket in reversed(sums[w * half : w * half + (full if w == top else half)]):
             running = _jac_add(*running, *bucket)
             if running[2]:
                 total = _jac_add(*total, *running)

@@ -30,7 +30,7 @@ import functools
 import hashlib
 import inspect
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import get_type_hints
 
 from .codec import canonical_json, decode_args, encode_args, to_wire, type_error
@@ -161,6 +161,12 @@ class Transaction:
     args: bytes  # canonical args, or an encoded HybridCiphertext if private
     nonce: int
     private: bool = False
+    # What its receipt is filed under, hashed once by whoever builds the tx.
+    tx_hash: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        digest = hashlib.sha256(json.dumps(self.record(), sort_keys=True).encode()).hexdigest()[:32]
+        object.__setattr__(self, "tx_hash", digest)
 
     def record(self) -> dict:
         return {
@@ -290,21 +296,24 @@ class Chain:
             raise BadNonce(f"expected {expected}, got {tx.nonce}")
         self.nonces[tx.sender] = expected + 1
         self.pending.append(tx)
-        return self._tx_hash(tx)
+        return tx.tx_hash
 
     def call(self, sender: Address, target: Address, function: str, args, private: bool = False, rng=None) -> str:
-        """Build, optionally encrypt, and submit a contract call.  A private
-        call's args are encrypted to the validator key with randomness from
-        `rng`, which it must be given."""
+        """Build and submit a contract call (build_tx, then submit_tx)."""
+        return self.submit_tx(self.build_tx(sender, target, function, args, private, rng))
+
+    def build_tx(
+        self, sender: Address, target: Address, function: str, args, private: bool = False, rng=None
+    ) -> Transaction:
+        """A contract call as its sender builds it, with the sender's next
+        nonce: args encoded and, for a private call, encrypted to the
+        validator key with randomness from `rng`, which it must be given."""
         raw = encode_args(args)
         if private:
             if rng is None:
                 raise ValueError("a private call needs the rng that wraps its args")
             raw = private_wrap(self.validator_keypair.pk, raw, rng).encode()
-        return self.submit_tx(Transaction(sender, target, function, raw, self.next_nonce(sender), private))
-
-    def _tx_hash(self, tx: Transaction) -> str:
-        return hashlib.sha256(json.dumps(tx.record(), sort_keys=True).encode()).hexdigest()[:32]
+        return Transaction(sender, target, function, raw, self.next_nonce(sender), private)
 
     def receipt(self, receipt_id: str) -> Receipt:
         return self.receipts[receipt_id]
@@ -334,7 +343,7 @@ class Chain:
         return block
 
     def _execute(self, tx: Transaction, height: int, index: int) -> Receipt:
-        tx_hash = self._tx_hash(tx)
+        tx_hash = tx.tx_hash
         ctx = ExecutionContext(self, tx.sender, height, f"{height}/{index}", private=tx.private)
         try:
             args = self._open_args(ctx, tx)

@@ -583,6 +583,19 @@ class TestPippenger:
         assert len(buckets) == (n >= _PIPPENGER_TERMS or bits < group._STRAUS_MIN_BITS)
         assert len(lanes) == (len(buckets) == 1 and bits >= _LANE_BITS)
 
+    def test_top_window_is_not_a_pile_of_carries(self, rng, monkeypatch):
+        """128 terms of 255 bits take c = 5.  A top window holding only the
+        carries out of the window below put about half the points in its
+        one bucket, and the lane sum then ran that bucket's depth in rounds
+        of one lane each: 122 rounds for these terms.  With the top digit
+        unsigned, no bucket stands out."""
+        points = [G.mul(random_scalar(rng)) for _ in range(128)]
+        scalars = [rng.getrandbits(255) | 1 << 254 for _ in range(128)]
+        rounds = _counting(monkeypatch, "_add_round", group._add_round)
+        assert msm(scalars, points) == _msm_oracle(scalars, points)
+        assert len(rounds) <= 24
+        assert sum(len(adds) == 1 for _, _, adds in rounds) <= 2
+
 
 class TestSumBatch:
     """sum_batch against one msm of all-one weights per list."""

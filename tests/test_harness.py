@@ -1,12 +1,14 @@
 """Scenario loading, end-to-end runs, CLI, bench model, replay audit."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 import yaml
 
 from privads.audit import load_block_log, verify_run, write_block_log
+from privads import runner
 from privads.bench import simulated_throughput
 from privads.cli import main as cli_main
 from privads.contracts import MAX_CATALOG
@@ -257,6 +259,20 @@ class TestRunnerBehavior:
         totals = section(outcome, "ad_totals")["rows"][0]
         assert totals["match"] is True
 
+    @pytest.mark.parametrize("length", [40, 66])  # an address's hex, a pk's
+    def test_the_unlinkability_scan_finds_a_needle_at_any_offset(self, length):
+        # The scan looks for a needle in full only where the text holds one
+        # of its pieces; a needle is found wherever it starts, even inside
+        # a longer run of hex, as `needle in text` finds it.
+        rng = random.Random(length)
+        hex_run = "".join(rng.choice("0123456789abcdef") for _ in range(300))
+        needle = "".join(rng.choice("0123456789abcdef") for _ in range(length))
+        for offset in range(2 * runner._STRIDE + 1):
+            for text in (hex_run[:offset] + needle + hex_run[offset:], f'"{hex_run[:offset]}{needle}"'):
+                assert runner._occurs(needle, text, set(runner._PIECES.findall(text)))
+        assert not runner._occurs(needle, hex_run, set(runner._PIECES.findall(hex_run)))
+        assert not runner._occurs(needle[1:] + "x", hex_run + needle, set(runner._PIECES.findall(hex_run + needle)))
+
     def test_reused_ephemeral_key_is_named(self, monkeypatch):
         # user0 claims and requests in period 1 under its period-0 key
         from privads.actors import UserAgent
@@ -445,6 +461,15 @@ class TestRunnerBehavior:
 
 
 class TestCli:
+    def test_help_prints_each_command_on_its_own_line(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["--help"])
+        assert exit_info.value.code == 0
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        assert any(line.startswith("privads run --scenario ") for line in lines)
+        assert any(line.startswith("privads verify-run --report ") for line in lines)
+        assert not any("privads run" in line and "privads verify-run" in line for line in lines)
+
     def test_run_and_verify_roundtrip(self, tmp_path, capsys):
         report = tmp_path / "report.jsonl"
         blocks = tmp_path / "blocks.jsonl"
