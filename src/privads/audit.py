@@ -19,6 +19,8 @@ from .scenario import Scenario, ScenarioError
 
 __all__ = ["write_block_log", "load_block_log", "verify_run"]
 
+_BLOCK_FIELDS = {"chain", "height", "parent", "txs", "receipts", "state", "hash"}
+
 
 def write_block_log(chains, path):
     """One JSON record per block, tagged with its chain id."""
@@ -30,11 +32,18 @@ def write_block_log(chains, path):
 
 
 def load_block_log(path) -> dict:
+    """Chain id -> its block records, in log order.  Raises ValueError for
+    a log that is not UTF-8 or holds a line that is not a block record."""
     by_chain: dict[int, list] = {}
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        if not isinstance(record, dict) or not isinstance(record.get("chain"), int) or not _BLOCK_FIELDS <= set(record):
+            raise ValueError(f"line {number} is not a block record")
         by_chain.setdefault(record["chain"], []).append(record)
     return by_chain
 
@@ -55,20 +64,26 @@ def _check_hash_chain(records) -> list:
 
 
 def verify_run(report_path, blocks_path) -> tuple:
-    """Returns (ok, findings).  Empty findings means the run checks out."""
+    """Returns (ok, findings).  Empty findings means the run checks out.
+    A file that cannot be read raises OSError; content that does not parse
+    is a finding."""
     findings = []
     raw = Path(report_path).read_bytes()
-    sections = {s["section"]: s for s in (json.loads(line) for line in raw.decode().splitlines() if line.strip())}
-    meta = sections.get("meta")
-    if meta is None:
-        return False, ["report has no meta section"]
     try:
-        scenario = Scenario.from_dict(meta["scenario"])
+        by_chain = load_block_log(blocks_path)
+    except ValueError as exc:
+        return False, [f"block log: {exc}"]
+    try:
+        sections = [json.loads(line) for line in raw.decode().splitlines() if line.strip()]
+    except ValueError:
+        return False, ["report is not UTF-8 JSON lines"]
+    meta = next((s for s in sections if isinstance(s, dict) and s.get("section") == "meta"), {})
+    try:
+        scenario = Scenario.from_dict(meta.get("scenario"))
     except ScenarioError as exc:
         return False, [f"report scenario: {exc}"]
 
     # 1. block log integrity
-    by_chain = load_block_log(blocks_path)
     for chain_id in sorted(by_chain):
         for finding in _check_hash_chain(by_chain[chain_id]):
             findings.append(f"chain {chain_id}: {finding}")

@@ -4,8 +4,9 @@
                 [--blocks blocks.jsonl] [--timings timings.json]
     privads verify-run --report report.jsonl --blocks blocks.jsonl
 
-Exit codes: 0 clean, 1 invariant violation (or verification failure),
-2 configuration error.
+--timings writes the run's wall seconds by phase (runner.PHASES).  Exit
+codes: 0 clean, 1 invariant violation (or verification failure), 2 a bad
+scenario or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .audit import verify_run, write_block_log
 from .runner import report_bytes, run_scenario
@@ -27,21 +29,21 @@ def _cmd_run(args) -> int:
         errors = scenario.validate()
         if errors:
             raise ScenarioError(errors)
+        for path in filter(None, (args.out, args.blocks, args.timings)):
+            open(path, "ab").close()  # fails before the run; "a" leaves an existing file whole
     except (ScenarioError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outcome = run_scenario(scenario)
     data = report_bytes(outcome.sections)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        Path(args.out).write_bytes(data)
     else:
         sys.stdout.buffer.write(data)
     if args.blocks:
         write_block_log(outcome.chains, args.blocks)
     if args.timings:
-        with open(args.timings, "w") as fh:
-            json.dump(outcome.timings, fh, indent=2, sort_keys=True)
+        Path(args.timings).write_text(json.dumps(outcome.timings, indent=2))
     status = "clean" if outcome.ok else "VIOLATIONS"
     print(
         f"run {scenario.name}: {status}, complaints={outcome.complaints_total}",
@@ -53,6 +55,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    try:
+        for path in (args.report, args.blocks):
+            open(path, "rb").close()
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     ok, findings = verify_run(args.report, args.blocks)
     if ok:
         print("verify-run: clean")
@@ -74,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_p.add_argument("--out", default=None, help="write the report here instead of stdout")
     run_p.add_argument("--blocks", default=None, help="write the block log here")
-    run_p.add_argument("--timings", default=None, help="write wall-clock timings here")
+    run_p.add_argument("--timings", default=None, help="write the wall seconds of each phase here")
     run_p.set_defaults(func=_cmd_run)
 
     verify_p = sub.add_parser("verify-run", help="replay and audit a finished run")

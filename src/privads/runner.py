@@ -2,19 +2,9 @@
 
 A run is a pure function of (seed, scenario): every keypair, interaction
 vector, nonce and block derives from the scenario seed, and the emitted
-report is byte-identical across repetitions.  Wall-clock timings are
-collected separately (RunOutcome.timings, written by `privads run
---timings`) so they never perturb the report.
-
-Each batch of parties' own work (users' claims and payment requests, the
-pool members' partial decryptions, the advertisers' audits) runs through
-forking.fork_map: the parent does its own chunk through the parties' usual
-calls, and forked children build the other parties' transactions, which
-the parent submits in party order.  For a user whose claim or request was
-built in a child, the interaction_encryption_s or request_generation_s
-sample is the child's time to build the transaction plus the parent's time
-to restore the user and submit it; the fork, and any wait for the child,
-are in no sample.
+report is byte-identical across repetitions.  The run's wall time by phase
+(PHASES) is kept apart in RunOutcome.timings, so it never perturbs the
+report.  Each batch of parties' own work forks through forking.fork_map.
 
 Invariant checking is part of the run: reward payouts are compared to a
 plaintext dot-product oracle, analytics to element-wise sums, and escrow
@@ -32,7 +22,6 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
-from statistics import median
 
 from . import __version__
 from .actors import (
@@ -54,7 +43,11 @@ from .ledger import Chain
 from .rng import Rng
 from .scenario import Scenario
 
-__all__ = ["RunOutcome", "run_scenario", "report_bytes", "public_text"]
+__all__ = ["PHASES", "RunOutcome", "run_scenario", "report_bytes", "public_text"]
+
+# A run's phases, each ending at the block that closes it ("aggregate_block"
+# closes "claims", which takes in advance_period); "report" ends the run.
+PHASES = ("deploy", "pool", "claims", "aggregate_block", "requests", "analytics", "settlement", "audit", "report")
 
 
 @dataclass
@@ -75,7 +68,7 @@ class ChainRun:
 class RunOutcome:
     sections: list
     chains: list  # ChainRun
-    timings: dict
+    timings: dict  # phase -> wall seconds, summed over chains
     violations: list
     complaints_total: int
 
@@ -85,29 +78,22 @@ class RunOutcome:
 
 
 def run_scenario(scenario: Scenario) -> RunOutcome:
-    timings = {
-        "interaction_encryption_s": [],
-        "request_generation_s": [],
-        "aggregate_computation_s": [],
-        "settlement_s": [],
-        "pool_formation_s": [],
-    }
-    partitions = scenario.user_partition()
-    chain_runs = []
-    for chain_index in range(scenario.chains):
-        chain_runs.append(_run_chain(scenario, chain_index, partitions[chain_index], timings))
+    timings = dict.fromkeys(PHASES, 0.0)
+    last = time.perf_counter()
+
+    def lap(phase: str) -> None:  # charges the time since the previous lap to `phase`
+        nonlocal last
+        now = time.perf_counter()
+        timings[phase] += now - last
+        last = now
+
+    chain_runs = [_run_chain(scenario, index, users, lap) for index, users in enumerate(scenario.user_partition())]
     sections, violations, complaints_total = _build_report(scenario, chain_runs)
-    summarized = {key: _timing_summary(values) for key, values in timings.items()}
-    return RunOutcome(sections, chain_runs, summarized, violations, complaints_total)
+    lap("report")
+    return RunOutcome(sections, chain_runs, timings, violations, complaints_total)
 
 
-def _timing_summary(values):
-    if not values:
-        return {"median_s": None, "min_s": None, "max_s": None, "count": 0}
-    return {"median_s": median(values), "min_s": min(values), "max_s": max(values), "count": len(values)}
-
-
-def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> ChainRun:
+def _run_chain(scenario: Scenario, chain_index: int, user_indices, lap) -> ChainRun:
     rng = Rng(f"{scenario.seed}/{scenario.name}").child(f"chain/{chain_index}")
     cf = FacilitatorAgent(
         keygen(rng.child("cf").take_bytes(32)), rng.child("cf-ops"), mode=scenario.cf_mode
@@ -147,8 +133,8 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
     for adv in advertisers:
         adv.verify_and_stake(handle)
     chain.mine_block()
+    lap("deploy")
 
-    start = time.perf_counter()
     registrants = [
         (f"reg{chain_index}/{i}", rng.child(f"vrf/{i}").take_bytes(32)) for i in range(scenario.pool.draw_pool)
     ]
@@ -165,7 +151,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
     )
     run.pool = pool
     chain.mine_block()
-    timings["pool_formation_s"].append(time.perf_counter() - start)
+    lap("pool")
 
     users_by_payout = {}
     last_period = scenario.payout_periods - 1
@@ -179,27 +165,27 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
             vector = vectors[gi][period]
             return lambda: user.claim(handle, vector), lambda: user.claim_tx(handle, vector)
 
-        _fork_users(chain, users, claim, timings["interaction_encryption_s"], CLAIM_COST * scenario.catalog_size)
-        start = time.perf_counter()
+        _fork_users(chain, users, claim, CLAIM_COST * scenario.catalog_size)
+        lap("claims")
         chain.mine_block()
-        timings["aggregate_computation_s"].append(time.perf_counter() - start)
+        lap("aggregate_block")
 
         def request(gi, user):
             return lambda: user.request_payment(handle), lambda: user.request_tx(handle)
 
-        _fork_users(chain, users, request, timings["request_generation_s"], REQUEST_COST)
+        _fork_users(chain, users, request, REQUEST_COST)
         users_by_payout.update((user.payouts[period], user) for _, user in users if period in user.payouts)
         chain.mine_block()
+        lap("requests")
 
         if period == last_period and users:
             pool_analytics(pool, handle, rng.child("analytics"))
             chain.mine_block()
+            lap("analytics")
 
         if users:
-            start = time.perf_counter()
             marked = cf.settle(handle, users_by_payout)
             chain.mine_block()
-            timings["settlement_s"].append(time.perf_counter() - start)
 
             for _, user in users:
                 user.verify_payment(handle, period)
@@ -211,6 +197,7 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
             for _, user in users:
                 user.redeem(handle, period)
             chain.mine_block()
+            lap("settlement")
         run.period_blocks[period] = range(first_height, chain.height)
 
     claims = len(handle.psc.reported_vectors)
@@ -222,38 +209,25 @@ def _run_chain(scenario: Scenario, chain_index: int, user_indices, timings) -> C
         then=lambda adv, checked: run.audit_verdicts.append(adv.file_claim(handle, *checked)),
     )
     chain.mine_block()
+    lap("audit")
     return run
 
 
-def _fork_users(chain: Chain, users: list, step, samples: list, cost: int) -> None:
+def _fork_users(chain: Chain, users: list, step, cost: int) -> None:
     """One batch of users' own work through fork_map.  step(gi, user)
-    does a user's untimed preliminaries and returns two calls: one that
-    sends the user's transaction (the parent's own chunk) and one that only
-    builds it (a child's chunk; the parent restores the user's state from
-    the child and submits what it built).  `samples` gets each user's
-    time in those calls; see the module docstring."""
-
-    def act(party):
-        send, _ = step(*party)
-        start = time.perf_counter()
-        send()
-        samples.append(time.perf_counter() - start)
-
-    def prepare(party):
-        _, build = step(*party)
-        start = time.perf_counter()
-        tx = build()
-        return party[1], tx, time.perf_counter() - start
+    does a user's preliminaries and returns two calls: one that sends the
+    user's transaction (the parent's own chunk) and one that only builds it
+    (a child's chunk; the parent restores the user's state from the child
+    and submits what it built)."""
 
     def submit(party, prepared):
-        user, tx, seconds = prepared
-        start = time.perf_counter()
+        user, tx = prepared
         vars(party[1]).update(vars(user))
         if tx is not None:
             chain.submit_tx(tx)
-        samples.append(seconds + time.perf_counter() - start)
 
-    fork_map(lambda piece: [prepare(party) for party in piece], users, cost, own=act, then=submit)
+    fork_map(lambda piece: [(user, step(gi, user)[1]()) for gi, user in piece], users, cost,
+             own=lambda party: step(*party)[0](), then=submit)
 
 
 # ---------------------------------------------------------------------------

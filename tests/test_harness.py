@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from privads.cli import main as cli_main
 from privads.contracts import MAX_CATALOG
 from privads.group import ANALYTICS_BOUND
 from privads.ledger import Chain
-from privads.runner import _timing_summary, public_text, report_bytes, run_scenario
+from privads.runner import PHASES, public_text, report_bytes, run_scenario
 from privads.scenario import Scenario, ScenarioError, load_scenario
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -399,9 +400,15 @@ class TestRunnerBehavior:
         row = section(outcome, "users")["rows"][0]
         assert row["claimed"] == 0 and row["paid"] == 0
 
-    def test_timing_summary_median_of_an_even_count(self):
-        # The mean of the two middle samples, not the upper one.
-        assert _timing_summary([4, 1, 3, 2]) == {"median_s": 2.5, "min_s": 1, "max_s": 4, "count": 4}
+    def test_timings_split_the_run_by_phase(self):
+        scenario = load_scenario(SCENARIOS / "honest_small.yaml")
+        start = time.perf_counter()
+        timings = run_scenario(scenario).timings
+        wall = time.perf_counter() - start
+        assert list(timings) == list(PHASES)
+        assert all(seconds >= 0 for seconds in timings.values())
+        assert all(timings[phase] > 0 for phase in ("claims", "requests", "analytics", "settlement", "audit"))
+        assert sum(timings.values()) <= wall
 
     def test_zero_users(self):
         scenario = Scenario.from_dict(
@@ -460,6 +467,24 @@ class TestRunnerBehavior:
         assert row["paid"] == reward
 
 
+@pytest.fixture(scope="module")
+def strawman_files(tmp_path_factory):
+    """(report bytes, block log bytes) of one strawman run."""
+    outcome = run_scenario(load_scenario(SCENARIOS / "strawman.yaml"))
+    blocks = tmp_path_factory.mktemp("strawman") / "blocks.jsonl"
+    write_block_log(outcome.chains, blocks)
+    return report_bytes(outcome.sections), blocks.read_bytes()
+
+
+def _edit_line(path, index, edit):
+    """Rewrites line `index` of a JSON-lines file with edit(record) applied."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[index])
+    edit(record)
+    lines[index] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestCli:
     def test_help_prints_each_command_on_its_own_line(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -488,13 +513,57 @@ class TestCli:
             ]
         )
         assert code == 0
-        recorded = json.loads(timings.read_text())
-        assert recorded["interaction_encryption_s"]["count"] == 1
-        pool_formation = recorded["pool_formation_s"]
-        assert pool_formation["count"] == 1  # one chain
-        assert 0 < pool_formation["min_s"] == pool_formation["max_s"]
+        assert list(json.loads(timings.read_text())) == list(PHASES)
         code = cli_main(["verify-run", "--report", str(report), "--blocks", str(blocks)])
         assert code == 0
+
+    @pytest.mark.parametrize("flag", ["--out", "--blocks", "--timings"])
+    def test_unwritable_output_path_exit_2_before_the_run(self, tmp_path, capsys, monkeypatch, flag):
+        def no_run(scenario):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("privads.cli.run_scenario", no_run)
+        argv = ["run", "--scenario", str(SCENARIOS / "strawman.yaml"), flag, str(tmp_path / "missing" / "x")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "damage, finding",
+        [
+            (lambda report, blocks: report.unlink(), None),
+            (lambda report, blocks: report.write_bytes(b"\xff" + report.read_bytes()), "report is not UTF-8 JSON lines"),
+            (
+                lambda report, blocks: _edit_line(report, 0, lambda meta: meta.pop("scenario")),
+                "report scenario: must be a mapping",
+            ),
+            (
+                lambda report, blocks: blocks.write_text("not json\n" + blocks.read_text()),
+                "block log: line 1 is not a block record",
+            ),
+            (
+                lambda report, blocks: _edit_line(blocks, 1, lambda record: record.pop("chain")),
+                "block log: line 2 is not a block record",
+            ),
+            (
+                lambda report, blocks: _edit_line(blocks, 0, lambda record: record.pop("parent")),
+                "block log: line 1 is not a block record",
+            ),
+        ],
+        ids=["missing-report", "non-utf8-report", "meta-without-scenario", "non-json-block", "no-chain", "no-parent"],
+    )
+    def test_verify_run_on_malformed_input_names_it(self, tmp_path, capsys, strawman_files, damage, finding):
+        # An unreadable file is a config error (exit 2); content that does
+        # not parse is a finding (exit 1); neither is a traceback.
+        report, blocks = tmp_path / "report.jsonl", tmp_path / "blocks.jsonl"
+        report.write_bytes(strawman_files[0])
+        blocks.write_bytes(strawman_files[1])
+        damage(report, blocks)
+        code = cli_main(["verify-run", "--report", str(report), "--blocks", str(blocks)])
+        out, err = capsys.readouterr()
+        if finding is None:
+            assert code == 2 and err.startswith("config error: ")
+        else:
+            assert code == 1 and out.splitlines() == ["verify-run: FAILED", f"  {finding}"]
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
